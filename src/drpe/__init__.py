@@ -28,9 +28,7 @@ from .oracle import (
 )
 from .opsgraph import (
     OperationCostTable,
-    OpSetKey,
     build_ops_graph,
-    count_ops_states,
     ops_nonterminal_state_bound,
     valid_successor_indices,
 )

@@ -28,7 +28,7 @@ from .exact import solve_exact
 from .generator import SETTING_NAMES, SIZE_NAMES, all_settings, generate, get_setting
 from .io import load_instance, load_solution, save_instance, save_solution
 from .metagraph import count_bs_sequences, enumerate_valid_patterns, get_transition_lookup
-from .model import BaseCostModel, InfeasibleError, SizeGuardError, validate_tour
+from .model import BaseCostModel, DrpeError, InfeasibleError, SizeGuardError, validate_tour
 from .oracle import enumerate_bs_neighbors
 from .reports import SolveReport
 from .search import SearchConfig, rts, vlsn, vlsn_ls, vlsn_vnd
@@ -480,7 +480,7 @@ def main(argv=None) -> int:
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE_GUARD
-    except (InfeasibleError, OSError, ValueError) as exc:
+    except (DrpeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -153,15 +153,6 @@ class ExtendedCostModel:
         out[~np.isfinite(flights)] = np.inf
         return out
 
-    def makespan_row(self, flights: np.ndarray, w: int) -> np.ndarray:
-        c = self.costs
-        row = self.c_r[w]
-        hover = np.maximum(0.0, row - (c.c_tkof + flights))
-        energy = c.xi_tkof + c.r_fl * flights + c.r_hov * hover + c.xi_land
-        out = np.maximum(c.c_tkof + flights + hover + c.c_land, row) + c.c_swap
-        out[energy > self.usable + self._etol] = np.inf
-        return out
-
 
 def extended_operation_cost(op: Operation, inst: Instance,
                             costs: ExtendedCosts) -> ExtendedOpCost:

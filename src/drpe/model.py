@@ -195,7 +195,21 @@ class DroneTour:
 class BaseCostModel:
     """Cost semantics of the basic problem: an operation is feasible when its
     flight time stays within e_max; its makespan is the slower of drone and
-    rover."""
+    rover.
+
+    A cost model (this class or ``ExtendedCostModel``) provides two pairs of
+    methods over the minimal flight time of an operation:
+
+    - ``op_feasible`` / ``op_makespan`` price one operation given its flight
+      time and endpoint RLs; tour validation and tour pricing
+      (``tour_makespan``, ``build_tour``) call them.
+    - ``finalize_flight_matrix`` / ``makespan_matrix`` price a (start RL x
+      end RL) matrix of flight times: the first sets infeasible entries to
+      +inf, the second maps flights to makespans and keeps +inf. The
+      splitter, stage 1, stage 2 and the exact sweep call them.
+
+    ``max_flight`` is the flight-time cap used to prune partial operations.
+    """
 
     name = "base"
 
@@ -219,13 +233,6 @@ class BaseCostModel:
 
     def makespan_matrix(self, flights: np.ndarray) -> np.ndarray:
         return np.maximum(flights, self.c_r)
-
-    def makespan_row(self, flights: np.ndarray, w: int) -> np.ndarray:
-        """Per-end-RL makespans of an operation starting at w; +inf where the
-        flight is infeasible."""
-        out = np.maximum(flights, self.c_r[w])
-        out[flights > self.max_flight + EPS] = np.inf
-        return out
 
 
 def operation_flight_time(op: Operation, inst: Instance) -> float:
@@ -326,14 +333,27 @@ def validate_tour(tour: DroneTour, inst: Instance,
 
     ops = tour.operations()
     visited = [v for op in ops for v in op.destinations]
+    # range checks come before any indexing: an index past the end would
+    # raise or read another node's times, a negative one would wrap around
+    rls = [rl for el in tour.elements
+           for rl in ((el.from_rl, el.to_rl) if isinstance(el, RechargingLeg)
+                      else (el.start_rl, el.end_rl))]
+    for name, ids, n in (("rl_range", rls, inst.n_r),
+                         ("destination_range", visited, inst.n_d)):
+        bad = sorted({v for v in ids if not 0 <= v < n})
+        checks[name] = not bad
+        if bad:
+            messages.append(f"{name}: indices {bad} outside 0..{n - 1}")
+    in_range = checks["rl_range"] and checks["destination_range"]
+
     checks["coverage"] = set(visited) == set(range(inst.n_d))
     checks["uniqueness"] = len(visited) == len(set(visited))
     if not checks["coverage"]:
         missing = sorted(set(range(inst.n_d)) - set(visited))
         messages.append(f"unvisited destinations: {missing}")
 
-    energy_ok = True
-    for i, op in enumerate(ops):
+    energy_ok = in_range
+    for i, op in enumerate(ops if in_range else ()):
         flight = operation_flight_time(op, inst)
         if not model.op_feasible(flight, op.start_rl, op.end_rl):
             energy_ok = False
@@ -346,7 +366,7 @@ def validate_tour(tour: DroneTour, inst: Instance,
         messages.append(f"energy feasibility: {'ok' if energy_ok else 'violated'}")
 
     recomputed = None
-    if checks["structure"]:
+    if checks["structure"] and in_range:
         recomputed = tour_makespan(tour, inst, model)
         checks["makespan"] = abs(recomputed - tour.makespan) <= EPS
         if not checks["makespan"]:

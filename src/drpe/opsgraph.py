@@ -35,51 +35,8 @@ SPARSE_STATE_BUDGET = 8_000_000  # (set, position, start RL) value entries
 
 
 # ---------------------------------------------------------------------------
-# Canonical set keys and validity rules
+# Set validity rules
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OpSetKey:
-    """Canonical window encoding of a destination-position set.
-
-    A valid set fully contains the interior [m+p, M-p] of its index window,
-    so m, M and the exclusion pattern over the at most 2p-2 boundary indices
-    identify it uniquely.
-    """
-
-    m: int
-    M: int
-    exclusion_mask: int
-
-    @classmethod
-    def from_mask(cls, mask: int, p: int) -> "OpSetKey":
-        if mask == 0:
-            raise ValueError("empty set has no key")
-        m = (mask & -mask).bit_length() - 1
-        M = mask.bit_length() - 1
-        excl = 0
-        for bit, idx in enumerate(_window_indices(m, M, p)):
-            if not (mask >> idx) & 1:
-                excl |= 1 << bit
-        return cls(m=m, M=M, exclusion_mask=excl)
-
-    def to_mask(self, p: int) -> int:
-        mask = 0
-        for idx in range(self.m, self.M + 1):
-            mask |= 1 << idx
-        for bit, idx in enumerate(_window_indices(self.m, self.M, p)):
-            if (self.exclusion_mask >> bit) & 1:
-                mask &= ~(1 << idx)
-        return mask
-
-
-def _window_indices(m: int, M: int, p: int) -> list:
-    """Boundary indices of [m, M] that may be absent from a valid set:
-    ]m, min(m+p, M)[ union ]max(M-p, m), M[."""
-    out = set(range(m + 1, min(m + p, M)))
-    out.update(range(max(M - p, m) + 1, M))
-    return sorted(out)
-
 
 def set_window_valid(mask: int, p: int) -> bool:
     """True iff every interior index of the set's window is present."""
@@ -370,12 +327,6 @@ def build_ops_graph(inst: Instance, x: Sequence[int], p: int,
     stats.elapsed = time.perf_counter() - t0
     return OperationCostTable(entries=entries, p=p, x=x, n_r=inst.n_r,
                               stats=stats, restricted=restricted)
-
-
-def count_ops_states(inst: Instance, x: Sequence[int], p: int,
-                     model: Optional[object] = None) -> OpsGraphStats:
-    """Build the graph and report its state/arc counts."""
-    return build_ops_graph(inst, x, p, model=model).stats
 
 
 def ops_nonterminal_state_bound(n_d: int, n_r: int, p: int) -> float:

@@ -1,9 +1,9 @@
 """Reference implementations used as ground truth in tests and as the
 route-first-split-second building block.
 
-``split_optimal`` is the production splitter (optimal replenishment
-insertion for a fixed destination order); everything else is deliberately
-brute force and guarded by size limits.
+``split_optimal`` inserts replenishment optimally into a fixed destination
+order; the searches and the split-based baselines call it. Everything else
+is deliberately brute force and guarded by size limits.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .model import (
 ENUMERATION_GUARD = 10  # factorial guard for neighborhood enumeration
 BRUTE_FORCE_ND = 7
 BRUTE_FORCE_NR = 5
-_SCALAR_LIMIT = 520  # n_d * n_r below which the pure-python splitter is faster
 
 
 @dataclass(frozen=True)
@@ -96,130 +95,63 @@ def enumerate_valid_operation_sequences(n_d: int, p: int) -> set:
 # Optimal replenishment insertion for a fixed destination order
 # ---------------------------------------------------------------------------
 
-def _split_scalar(x, inst, model):
-    n_d, n_r = len(x), inst.n_r
-    c_r = inst.c_r
-    cd_rd, cd_dr, cd_dd = inst.cd_rd, inst.cd_dr, inst.cd_dd
-    cap = model.max_flight
-    inf = float("inf")
-
-    # f[i][w]: best makespan after visiting the first i destinations and
-    # finishing the following recharging leg at RL w.
-    f = [[inf] * n_r for _ in range(n_d + 1)]
-    f_parent = [[None] * n_r for _ in range(n_d + 1)]
-    g = [[inf] * n_r for _ in range(n_d + 1)]  # before the closing leg
-    g_parent = [[None] * n_r for _ in range(n_d + 1)]
-    for w in range(n_r):
-        f[0][w] = float(c_r[inst.w0, w])
-
-    for i in range(n_d):
-        fi = f[i]
-        for w in range(n_r):
-            base = fi[w]
-            if base == inf:
-                continue
-            acc = float(cd_rd[w, x[i]])
-            for j in range(i + 1, n_d + 1):
-                last = x[j - 1]
-                gj = g[j]
-                for wp in range(n_r):
-                    flight = acc + cd_dr[last, wp]
-                    if not model.op_feasible(flight, w, wp):
-                        continue
-                    cand = base + model.op_makespan(flight, w, wp)
-                    if cand < gj[wp]:
-                        gj[wp] = cand
-                        g_parent[j][wp] = (i, w)
-                if acc > cap + EPS:
-                    break
-                if j < n_d:
-                    acc += float(cd_dd[last, x[j]])
-        for wp in range(n_r):
-            gw = g[i + 1][wp]
-            if gw == inf:
-                continue
-            fj = f[i + 1]
-            for w2 in range(n_r):
-                cand = gw + c_r[wp, w2]
-                if cand < fj[w2]:
-                    fj[w2] = cand
-                    f_parent[i + 1][w2] = wp
-    return f, f_parent, g, g_parent
-
-
-def _split_vector(x, inst, model):
-    n_d, n_r = len(x), inst.n_r
-    c_r = inst.c_r
-    cd_rd, cd_dr, cd_dd = inst.cd_rd, inst.cd_dr, inst.cd_dd
-    cap = model.max_flight
-    inf = np.inf
-
-    f = np.full((n_d + 1, n_r), inf)
-    f_parent = [[None] * n_r for _ in range(n_d + 1)]
-    g = np.full((n_d + 1, n_r), inf)
-    g_parent = [[None] * n_r for _ in range(n_d + 1)]
-    f[0] = c_r[inst.w0]
-
-    for i in range(n_d):
-        for w in range(n_r):
-            base = f[i, w]
-            if not np.isfinite(base):
-                continue
-            acc = float(cd_rd[w, x[i]])
-            for j in range(i + 1, n_d + 1):
-                last = x[j - 1]
-                flights = acc + cd_dr[last]
-                cand = base + model.makespan_row(flights, w)
-                better = cand < g[j]
-                if better.any():
-                    g[j] = np.where(better, cand, g[j])
-                    for wp in np.flatnonzero(better):
-                        g_parent[j][wp] = (i, w)
-                if acc > cap + EPS:
-                    break
-                if j < n_d:
-                    acc += float(cd_dd[last, x[j]])
-        for wp in range(n_r):
-            gw = g[i + 1, wp]
-            if not np.isfinite(gw):
-                continue
-            cand = gw + c_r[wp]
-            better = cand < f[i + 1]
-            if better.any():
-                f[i + 1] = np.where(better, cand, f[i + 1])
-                for w2 in np.flatnonzero(better):
-                    f_parent[i + 1][w2] = wp
-    return f, f_parent, g, g_parent
-
-
 def split_optimal(x: Sequence[int], inst: Instance,
                   model: Optional[object] = None) -> DroneTour:
     """Minimum-makespan tour whose destination order is exactly x.
 
     Dynamic program over (visited prefix length, current RL); every
     contiguous block of x is considered as one operation followed by one
-    (possibly trivial) recharging leg. O(n_d^2 n_r^2).
+    (possibly trivial) recharging leg. O(n_d^2 n_r^2), one (start RL x end
+    RL) makespan matrix per block. Ties keep the first minimum: the first
+    (block start, start RL) for an operation, the first leg start for a leg.
     """
     x = tuple(x)
     if sorted(x) != list(range(inst.n_d)):
         raise ValueError("x must be a permutation of all destinations")
     model = model or BaseCostModel(inst)
+    n_d, n_r = inst.n_d, inst.n_r
+    c_r, cd_rd, cd_dr, cd_dd = inst.c_r, inst.cd_rd, inst.cd_dr, inst.cd_dd
+    cut = model.max_flight + EPS
 
-    if inst.n_d * inst.n_r <= _SCALAR_LIMIT:
-        f, f_parent, g, g_parent = _split_scalar(x, inst, model)
-    else:
-        f, f_parent, g, g_parent = _split_vector(x, inst, model)
+    # f[i, w]: best makespan after the first i destinations and the following
+    # recharging leg, ending at RL w; g[j, w']: the same before that leg.
+    f = np.full((n_d + 1, n_r), np.inf)
+    g = np.full((n_d + 1, n_r), np.inf)
+    f_parent = np.zeros((n_d + 1, n_r), dtype=np.intp)  # leg start RL
+    g_parent = np.zeros((n_d + 1, n_r), dtype=np.intp)  # i * n_r + start RL
+    f[0] = c_r[inst.w0]
 
-    if not np.isfinite(f[inst.n_d][inst.wt]):
+    for i in range(n_d):
+        # partial flight of block x[i:j] from each start RL; +inf marks a start
+        # that is unreachable or whose partial flight already broke the cap
+        acc = np.where(np.isfinite(f[i]), cd_rd[:, x[i]], np.inf)
+        for j in range(i + 1, n_d + 1):
+            last = x[j - 1]
+            flights = model.finalize_flight_matrix(acc[:, None] + cd_dr[last])
+            cand = f[i][:, None] + model.makespan_matrix(flights)
+            best = cand.min(axis=0)
+            better = best < g[j]
+            if better.any():
+                g[j, better] = best[better]
+                g_parent[j, better] = i * n_r + cand.argmin(axis=0)[better]
+            acc[acc > cut] = np.inf
+            if j == n_d or not np.isfinite(acc).any():
+                break
+            acc += cd_dd[last, x[j]]
+        legs = g[i + 1][:, None] + c_r
+        f[i + 1] = legs.min(axis=0)
+        f_parent[i + 1] = legs.argmin(axis=0)
+
+    if not np.isfinite(f[n_d, inst.wt]):
         raise InfeasibleError("no feasible replenishment insertion for this order")
 
     # walk the parents back from (n_d, wt)
     rev = []
-    j, w = inst.n_d, inst.wt
+    j, w = n_d, inst.wt
     while j > 0:
-        wp = f_parent[j][w]
+        wp = int(f_parent[j, w])
         rev.append(RechargingLeg(wp, w))
-        i, ws = g_parent[j][wp]
+        i, ws = divmod(int(g_parent[j, wp]), n_r)
         rev.append(Operation(ws, tuple(x[i:j]), wp))
         j, w = i, ws
     rev.append(RechargingLeg(inst.w0, w))

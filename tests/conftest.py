@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from drpe.energy import ExtendedCostModel, ExtendedCosts
 from drpe.generator import metrics_from_coords
 from drpe.model import DroneTour, Instance, Operation, RechargingLeg, build_tour
 
@@ -30,6 +31,17 @@ def make_worked_tour(inst: Instance) -> DroneTour:
         Operation(3, (3, 4), 4),      # makespan 7
         RechargingLeg(4, 4),
     ])
+
+
+def binding_extended_model(inst: Instance) -> ExtendedCostModel:
+    """Extended model with fixed charges and hover whose zero-hover flight
+    cap equals the instance's e_max, so the energy budget binds as often as
+    under the base model."""
+    costs = dict(c_tkof=3.0, c_land=5.0, c_swap=11.0, xi_tkof=40.0,
+                 xi_land=7.0, r_fl=1.0, r_hov=0.65, residual=0.1)
+    xi_max = ((inst.e_max + costs["xi_tkof"] + costs["xi_land"])
+              / (1 - costs["residual"]))
+    return ExtendedCostModel(inst, ExtendedCosts(xi_max=xi_max, **costs))
 
 
 @pytest.fixture

@@ -4,9 +4,10 @@ import json
 import pytest
 
 from drpe.cli import main
-from drpe.io import load_instance, load_solution, save_instance
+from drpe.io import load_instance, load_solution, save_instance, save_solution
 from drpe.generator import random_instance
 from drpe.model import validate_tour
+from drpe.oracle import split_optimal
 
 
 def _gen(tmp_path, count=2, setting="Basis", seed=1):
@@ -87,6 +88,22 @@ def test_validate_subcommand(tmp_path):
     doc["makespan"] += 5.0
     sol.write_text(json.dumps(doc))
     assert main(["validate", "-i", str(inst_path), "-s", str(sol)]) == 1
+
+
+def test_validate_malformed_solution_is_clean_error(tmp_path, capsys):
+    inst = random_instance(2, n_d=4, n_r=3)
+    inst_path, sol = tmp_path / "inst.json", tmp_path / "sol.json"
+    save_instance(inst, inst_path)
+    save_solution(split_optimal(tuple(range(4)), inst), sol)
+    good = json.loads(sol.read_text())
+    for mutate, why in ((lambda el: el.update(type="hop"), "unknown element type"),
+                        (lambda el: el.update(dests=[]), "at least one destination")):
+        doc = json.loads(json.dumps(good))
+        mutate(doc["elements"][1])
+        sol.write_text(json.dumps(doc))
+        assert main(["validate", "-i", str(inst_path), "-s", str(sol)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and why in err
 
 
 def test_enumerate_subcommand(capsys):

@@ -134,14 +134,14 @@ def test_full_width_equals_brute_force():
 
 
 def test_free_rover_unlimited_energy_reduces_to_flight_split():
-    from tests.test_oracle import _flight_only_best
+    from tests.test_oracle import _block_split_best
     for seed in range(4):
         base = random_instance(seed, n_d=6, n_r=3)
         inst = Instance(n_d=6, n_r=3, c_d=base.c_d, c_r=np.zeros((3, 3)),
                         w0=base.w0, wt=base.wt, e_max=1e18)
         x = tuple(np.random.default_rng(seed).permutation(6).tolist())
         tour, _ = _solve(inst, x, 1)
-        assert tour.makespan == pytest.approx(_flight_only_best(x, inst), abs=1e-9)
+        assert tour.makespan == pytest.approx(_block_split_best(x, inst), abs=1e-9)
 
 
 def test_solution_is_member_and_valid():

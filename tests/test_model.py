@@ -120,6 +120,26 @@ def test_validation_catches_energy_violation(worked_instance, worked_tour):
     assert report.checks["coverage"]
 
 
+def test_validation_reports_out_of_range_indices(worked_instance, worked_tour):
+    # 5 RLs and 5 destinations: RL 99 would raise in numpy indexing, while
+    # destination 5 (RL 0's row of c_d) and index -1 (the last row) would
+    # silently read another node's times
+    cases = {
+        "rl_range": [(5, Operation(3, (3, 4), 99)), (5, Operation(-1, (3, 4), 4)),
+                     (4, RechargingLeg(1, -1))],
+        "destination_range": [(5, Operation(3, (3, 5), 4)),
+                              (5, Operation(3, (-1, 4), 4))],
+    }
+    for check, edits in cases.items():
+        for pos, el in edits:
+            elements = list(worked_tour.elements)
+            elements[pos] = el
+            bad = DroneTour(elements=tuple(elements), makespan=worked_tour.makespan)
+            report = validate_tour(bad, worked_instance)
+            assert not report.passed and not report.checks[check]
+            assert report.recomputed_makespan is None
+
+
 def test_validation_catches_stale_makespan(worked_instance, worked_tour):
     stale = DroneTour(elements=worked_tour.elements, makespan=21.0)
     report = validate_tour(stale, worked_instance)

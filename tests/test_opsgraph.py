@@ -6,9 +6,7 @@ import pytest
 from drpe.generator import random_instance
 from drpe.model import Instance
 from drpe.opsgraph import (
-    OpSetKey,
     build_ops_graph,
-    count_ops_states,
     ops_nonterminal_state_bound,
     recover_operation_order,
     set_window_valid,
@@ -133,21 +131,9 @@ def test_values_monotone_in_p():
 def test_stage_one_count_and_bound():
     inst = _unlimited(random_instance(1, n_d=10, n_r=3))
     x = tuple(range(10))
-    stats = count_ops_states(inst, x, 3)
+    stats = build_ops_graph(inst, x, 3).stats
     assert stats.per_stage[1] == inst.n_d * inst.n_r
     assert stats.nonterminal_states <= ops_nonterminal_state_bound(10, 3, 3)
-
-
-def test_opsetkey_roundtrip():
-    for p in (2, 3, 4):
-        for n in (6, 8):
-            for size in range(1, n + 1):
-                for combo in itertools.combinations(range(n), size):
-                    m = _mask(*combo)
-                    if not set_window_valid(m, p):
-                        continue
-                    key = OpSetKey.from_mask(m, p)
-                    assert key.to_mask(p) == m
 
 
 def test_recover_reproduces_best_order():

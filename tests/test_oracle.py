@@ -4,8 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from drpe.generator import random_instance
-from drpe.model import BaseCostModel, Instance, SizeGuardError, validate_tour
+from drpe.energy import ExtendedCostModel, ExtendedCosts
+from drpe.generator import metrics_from_coords, random_instance
+from drpe.model import (
+    BaseCostModel,
+    Instance,
+    Operation,
+    RechargingLeg,
+    SizeGuardError,
+    operation_flight_time,
+    validate_tour,
+)
 from drpe.oracle import (
     brute_force_optimum,
     enumerate_bs_neighbors,
@@ -13,6 +22,7 @@ from drpe.oracle import (
     is_bs_neighbor,
     split_optimal,
 )
+from tests.conftest import binding_extended_model
 
 X5 = (0, 1, 2, 3, 4)
 
@@ -109,23 +119,25 @@ def test_split_single_destination_picks_best_rl_pair():
     assert tour.makespan == pytest.approx(best, abs=1e-9)
 
 
-def _flight_only_best(x, inst):
-    """Brute force over the 2^(n-1) block splits and all RL choices with
-    free rover and unlimited battery: minimize total flight time."""
+def _block_split_best(x, inst, model=None):
+    """Brute force over the 2^(n-1) block splits of x; for each split, a
+    chain DP over the RLs between blocks, priced with the model's scalar
+    methods."""
+    model = model or BaseCostModel(inst)
     n = len(x)
     best = math.inf
     for pattern in range(1 << (n - 1)):
         cuts = [i + 1 for i in range(n - 1) if (pattern >> i) & 1]
-        blocks, prev = [], 0
-        for c in cuts + [n]:
-            blocks.append(x[prev:c])
-            prev = c
-        total = 0.0
+        blocks = [x[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+        at = inst.c_r[inst.w0].copy()  # best time standing at each RL
         for blk in blocks:
-            inner = sum(inst.cd_dd[a, b] for a, b in zip(blk, blk[1:]))
-            total += (inst.cd_rd[:, blk[0]].min() + inner
-                      + inst.cd_dr[blk[-1], :].min())
-        best = min(best, total)
+            end = np.full(inst.n_r, math.inf)
+            for w, wp in itertools.product(range(inst.n_r), repeat=2):
+                flight = operation_flight_time(Operation(w, blk, wp), inst)
+                if model.op_feasible(flight, w, wp):
+                    end[wp] = min(end[wp], at[w] + model.op_makespan(flight, w, wp))
+            at = (end[:, None] + inst.c_r).min(axis=0)
+        best = min(best, at[inst.wt])
     return best
 
 
@@ -136,7 +148,54 @@ def test_split_flight_only_matches_block_bruteforce():
                         w0=base.w0, wt=base.wt, e_max=1e18)
         x = tuple(np.random.default_rng(seed).permutation(6).tolist())
         tour = split_optimal(x, inst)
-        assert tour.makespan == pytest.approx(_flight_only_best(x, inst), abs=1e-9)
+        assert tour.makespan == pytest.approx(_block_split_best(x, inst), abs=1e-9)
+
+
+@pytest.mark.parametrize("make_model", [BaseCostModel, binding_extended_model])
+def test_split_matches_block_bruteforce(make_model):
+    for seed in range(6):
+        inst = random_instance(seed + 20, n_d=6, n_r=3, emax_factor=1.2,
+                               single_depot=seed % 2 == 0)
+        model = make_model(inst)
+        x = tuple(np.random.default_rng(seed).permutation(6).tolist())
+        tour = split_optimal(x, inst, model)
+        assert tour.makespan == pytest.approx(_block_split_best(x, inst, model),
+                                              abs=1e-9)
+
+
+def test_split_ties_keep_the_lowest_rl():
+    # RLs 1 and 2 share coordinates next to the only destination, which is
+    # out of the drone's range from the depot RL 0: riding to either twin and
+    # flying out and back costs the same, and the first minimum is RL 1
+    dest = np.array([[10.0, 1.0]])
+    rls = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 0.0]])
+    c_d, c_r = metrics_from_coords(dest, rls, 1.0)
+    inst = Instance(n_d=1, n_r=3, c_d=c_d, c_r=c_r, w0=0, wt=0, e_max=3.0)
+    tour = split_optimal((0,), inst)
+    assert tour.elements == (RechargingLeg(0, 1), Operation(1, (0,), 1),
+                             RechargingLeg(1, 0))
+    assert tour.makespan == 22.0
+
+
+def test_split_stops_a_block_once_its_partial_flight_breaks_the_cap():
+    # Both destinations sit on RL 1, k away from RL 0. The extended model's
+    # energy tolerance admits the operation RL 0 -> d0 -> d1 -> RL 1 (flight
+    # k, just over the cap), which ties with riding to RL 1 first. The block
+    # from RL 0 is never extended past d0, whose partial flight k already
+    # breaks the cap, so the ride is returned even though RL 0 comes first.
+    k = 4.0
+    c_d = np.array([[0, 0, k, 0], [0, 0, k, 0], [k, k, 0, k], [0, 0, k, 0]])
+    c_r = np.array([[0.0, k], [1.0, 0.0]])
+    inst = Instance(n_d=2, n_r=2, c_d=c_d, c_r=c_r, w0=0, wt=0, e_max=k)
+    costs = dict(c_tkof=0.0, c_land=0.0, c_swap=1.0)
+    c = ExtendedCosts(**costs)
+    xi_max = ((k - 2e-8) * c.r_fl + c.xi_tkof + c.xi_land) / (1 - c.residual)
+    model = ExtendedCostModel(inst, ExtendedCosts(xi_max=xi_max, **costs))
+    assert model.max_flight + 1e-9 < k and model.op_feasible(k, 0, 1)
+    tour = split_optimal((0, 1), inst, model)
+    assert tour.elements == (RechargingLeg(0, 1), Operation(1, (0, 1), 1),
+                             RechargingLeg(1, 0))
+    assert tour.makespan == 6.0
 
 
 def test_split_on_worked_instance(worked_instance):
@@ -152,22 +211,6 @@ def test_split_keeps_order_and_validates():
         tour = split_optimal(x, inst)
         assert tour.destination_order() == x
         assert validate_tour(tour, inst).passed
-
-
-def test_split_scalar_and_vector_paths_agree():
-    import drpe.oracle as om
-    for seed in range(4):
-        inst = random_instance(seed, n_d=9, n_r=4)
-        x = tuple(np.random.default_rng(seed).permutation(9).tolist())
-        old = om._SCALAR_LIMIT
-        try:
-            om._SCALAR_LIMIT = 10 ** 9
-            a = split_optimal(x, inst).makespan
-            om._SCALAR_LIMIT = -1
-            b = split_optimal(x, inst).makespan
-        finally:
-            om._SCALAR_LIMIT = old
-        assert a == b  # bitwise identical accumulation
 
 
 # ---------------------------------------------------------------------------

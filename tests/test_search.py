@@ -3,7 +3,7 @@ import pytest
 
 from drpe.exact import solve_exact
 from drpe.generator import random_instance
-from drpe.model import validate_tour
+from drpe.model import BaseCostModel, validate_tour
 from drpe.oracle import brute_force_optimum, is_bs_neighbor, split_optimal
 from drpe.search import (
     SearchConfig,
@@ -14,13 +14,17 @@ from drpe.search import (
     vlsn_vnd,
 )
 from drpe.baselines import initial_tsp_sequence
+from tests.conftest import binding_extended_model
 
 
 def test_width_one_is_the_splitter():
-    for seed in range(8):
-        inst = random_instance(seed, n_d=8, n_r=4)
-        x = tuple(np.random.default_rng(seed).permutation(8).tolist())
-        assert vlsn(inst, x, 1).makespan == split_optimal(x, inst).makespan
+    for make_model in (BaseCostModel, binding_extended_model):
+        for seed in range(8):
+            inst = random_instance(seed, n_d=8, n_r=4)
+            model = make_model(inst)
+            x = tuple(np.random.default_rng(seed).permutation(8).tolist())
+            assert (vlsn(inst, x, 1, model=model).makespan
+                    == split_optimal(x, inst, model).makespan)
 
 
 def test_full_width_is_exact():
@@ -109,12 +113,12 @@ def test_ls_never_worse_than_rts_at_benchmark_size():
 def test_rts_free_rover_reduces_to_flight_split():
     import numpy as np
     from drpe.model import Instance
-    from tests.test_oracle import _flight_only_best
+    from tests.test_oracle import _block_split_best
     base = random_instance(17, n_d=6, n_r=3)
     inst = Instance(n_d=6, n_r=3, c_d=base.c_d, c_r=np.zeros((3, 3)),
                     w0=base.w0, wt=base.wt, e_max=1e18)
     x = initial_tsp_sequence(inst)
-    assert rts(inst).makespan == pytest.approx(_flight_only_best(x, inst), abs=1e-9)
+    assert rts(inst).makespan == pytest.approx(_block_split_best(x, inst), abs=1e-9)
 
 
 def test_shifted_permutations_shape():
