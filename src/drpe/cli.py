@@ -252,6 +252,18 @@ def _setting_of(path: Path) -> str:
         return path.stem.split("_")[0]
 
 
+def _registry_model(args) -> str:
+    """The cost-model part of a best_known.json key: the model and, under
+    the extended model, a hash of the override constants, so references of
+    one model never judge another's runs."""
+    if args.model != "extended":
+        return args.model
+    overrides = {}
+    if args.extended:
+        overrides = json.loads(Path(args.extended).read_text(encoding="utf-8"))
+    return f"extended:{_config_hash(overrides)}"
+
+
 def cmd_bench(args) -> int:
     directory = Path(args.instances)
     files = _instance_files(directory)
@@ -288,22 +300,23 @@ def cmd_bench(args) -> int:
     if registry_path.exists():
         registry = json.loads(registry_path.read_text(encoding="utf-8"))
     references = {}
+    model_key = _registry_model(args)
     for path, per_algo in by_instance.items():
-        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        key = f"{hashlib.sha256(Path(path).read_bytes()).hexdigest()}:{model_key}"
         ref = None
         if "exact" in per_algo and per_algo["exact"]["status"] == "ok":
             ref = per_algo["exact"]["value"]
-        elif digest in registry:
-            ref = registry[digest]["value"]
+        elif key in registry:
+            ref = registry[key]["value"]
         finite = [r["value"] for r in per_algo.values()
                   if r["status"] == "ok" and np.isfinite(r["value"])]
         if ref is None and finite:
             ref = min(finite)
         if ref is not None:
             best_seen = min([ref] + finite)
-            prev = registry.get(digest, {}).get("value")
+            prev = registry.get(key, {}).get("value")
             if prev is None or best_seen < prev - 1e-9:
-                registry[digest] = {"value": best_seen, "file": Path(path).name}
+                registry[key] = {"value": best_seen, "file": Path(path).name}
             references[path] = ref
     registry_path.write_text(json.dumps(registry, indent=2, sort_keys=True),
                              encoding="utf-8")
@@ -316,8 +329,9 @@ def cmd_bench(args) -> int:
         if (ref is not None and r["status"] == "ok" and np.isfinite(r["value"])):
             gap = (r["value"] - ref) / ref * 100.0
             if gap < -1e-7:
-                raise AssertionError(
-                    f"{r['path']}:{r['algo']} beat the reference by {-gap}%")
+                print(f"error: {r['path']}:{r['algo']} beat the reference by "
+                      f"{-gap}%", file=sys.stderr)
+                return EXIT_VALIDATION
         rows.append(BenchmarkResult(
             setting=r["setting"], instance=Path(r["path"]).name,
             algorithm=r["algo"], value=r["value"], reference=ref, gap_pct=gap,
@@ -339,28 +353,31 @@ def cmd_bench(args) -> int:
 
     summary = {}
     for r in rows:
-        if r.gap_pct is None:
-            continue
         summary.setdefault((r.setting, r.algorithm), []).append(r)
     out_rows = []
     for (setting, algo), cells_ in sorted(summary.items()):
-        gaps = [c.gap_pct for c in cells_]
-        matches = sum(1 for c in cells_ if abs(c.value - c.reference) <= 1e-9)
+        solved = [c for c in cells_ if c.gap_pct is not None]
+        gaps = [c.gap_pct for c in solved]
         out_rows.append({
-            "setting": setting, "algorithm": algo, "n": len(cells_),
-            "avg_gap_pct": sum(gaps) / len(gaps), "worst_gap_pct": max(gaps),
-            "matches": matches,
+            "setting": setting, "algorithm": algo, "n": len(solved),
+            "failed": len(cells_) - len(solved),
+            "avg_gap_pct": sum(gaps) / len(gaps) if gaps else None,
+            "worst_gap_pct": max(gaps, default=None),
+            "matches": sum(1 for c in solved if abs(c.value - c.reference) <= 1e-9),
             "avg_runtime_s": sum(c.runtime_s for c in cells_) / len(cells_),
         })
+
+    def fmt_gap(value):
+        return "" if value is None else f"{value:.6f}"
 
     out_path = args.out or "bench.csv"
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["setting", "algorithm", "instances", "avg_gap_pct",
+        writer.writerow(["setting", "algorithm", "instances", "failed", "avg_gap_pct",
                          "worst_gap_pct", "matches", "avg_runtime_s"])
         for row in out_rows:
-            writer.writerow([row["setting"], row["algorithm"], row["n"],
-                             f"{row['avg_gap_pct']:.6f}", f"{row['worst_gap_pct']:.6f}",
+            writer.writerow([row["setting"], row["algorithm"], row["n"], row["failed"],
+                             fmt_gap(row["avg_gap_pct"]), fmt_gap(row["worst_gap_pct"]),
                              row["matches"], f"{row['avg_runtime_s']:.3f}"])
     print(f"wrote {out_path} ({len(out_rows)} rows, {len(files)} instances)")
 
@@ -373,14 +390,17 @@ def _print_latex(out_rows) -> None:
     algos = sorted({r["algorithm"] for r in out_rows})
     settings = sorted({r["setting"] for r in out_rows})
     cells = {(r["setting"], r["algorithm"]): r for r in out_rows}
+
+    def fmt(s, a, column):
+        value = cells[(s, a)][column] if (s, a) in cells else None
+        return "--" if value is None else f"{value:.2f}"
+
     print(r"\begin{tabular}{l|" + "r" * len(algos) * 2 + "}")
     head = ([f"avg {a}" for a in algos] + [f"worst {a}" for a in algos])
     print("Setting & " + " & ".join(head) + r" \\ \hline")
     for s in settings:
-        vals = [f"{cells[(s, a)]['avg_gap_pct']:.2f}" if (s, a) in cells else "--"
-                for a in algos]
-        vals += [f"{cells[(s, a)]['worst_gap_pct']:.2f}" if (s, a) in cells else "--"
-                 for a in algos]
+        vals = ([fmt(s, a, "avg_gap_pct") for a in algos]
+                + [fmt(s, a, "worst_gap_pct") for a in algos])
         print(f"{s} & " + " & ".join(vals) + r" \\")
     print(r"\end{tabular}")
 

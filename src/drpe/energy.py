@@ -114,6 +114,8 @@ class ExtendedCostModel:
         if self.max_flight <= 0:
             raise ValueError("takeoff and landing alone exceed the usable charge")
         self._etol = 1e-9 * max(1.0, self.usable)
+        # hover only adds energy, so the tolerance bounds every feasible flight
+        self.flight_cap = self.max_flight + self._etol / c.r_fl
 
     def _hover(self, flight, w, w_prime):
         return np.maximum(0.0, self.c_r[w, w_prime] - (self.costs.c_tkof + flight))

@@ -11,6 +11,7 @@ level-synchronously with numpy.
 from __future__ import annotations
 
 import time
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,11 +24,21 @@ from .model import (
     SizeGuardError,
     build_tour,
 )
-from .opsgraph import _masks_by_popcount, build_ops_graph, recover_operation_order
+from .opsgraph import build_ops_graph, recover_operation_order
 from .reports import SolveReport
 
 ND_CAP = 18
 STATE_BUDGET = 1 << 26  # max n_r * 2^n_d meta values
+
+
+@lru_cache(maxsize=8)
+def _masks_by_popcount(n_d: int):
+    size = 1 << n_d
+    masks = np.arange(size, dtype=np.int64)
+    pc = np.zeros(size, dtype=np.int8)
+    for v in range(n_d):
+        pc += ((masks >> v) & 1).astype(np.int8)
+    return [masks[pc == k] for k in range(n_d + 1)]
 
 
 def full_meta_sweep(inst: Instance, op_flights: dict, model=None,

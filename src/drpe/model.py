@@ -208,7 +208,10 @@ class BaseCostModel:
       +inf, the second maps flights to makespans and keeps +inf. The
       splitter, stage 1, stage 2 and the exact sweep call them.
 
-    ``max_flight`` is the flight-time cap used to prune partial operations.
+    ``max_flight`` is the nominal flight-time cap and ``flight_cap`` that cap
+    plus the model's feasibility tolerance, in flight units: no flight above
+    ``flight_cap`` is feasible, so the splitter and stage 1 drop any partial
+    flight that cannot stay below it.
     """
 
     name = "base"
@@ -217,18 +220,20 @@ class BaseCostModel:
         self.inst = inst
         self.c_r = inst.c_r
         self.max_flight = float(inst.e_max)
+        self.flight_cap = self.max_flight + EPS
 
     def op_makespan(self, flight: float, w: int, w_prime: int) -> float:
         return max(flight, self.c_r[w, w_prime])
 
     def op_feasible(self, flight: float, w: int, w_prime: int) -> bool:
-        return flight <= self.max_flight + EPS
+        return flight <= self.flight_cap
 
     def finalize_flight_matrix(self, flights: np.ndarray) -> np.ndarray:
         """Apply the feasibility filter to a (n_r, n_r) matrix of minimal
-        flight times; infeasible endpoint pairs become +inf."""
+        flight times, or a stack of them; infeasible endpoint pairs become
+        +inf."""
         out = flights.copy()
-        out[out > self.max_flight + EPS] = np.inf
+        out[out > self.flight_cap] = np.inf
         return out
 
     def makespan_matrix(self, flights: np.ndarray) -> np.ndarray:

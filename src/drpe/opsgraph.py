@@ -11,27 +11,26 @@ window, which keeps the graph polynomial.
 Destination *positions* relative to the reference order x (0..n_d-1) are
 used throughout; the caller maps positions back to destination ids.
 Energy pruning is applied forward-looking: a partial flight is extended
-only if it could still reach its closest RL within the flight-time budget.
+only if it could still reach its closest RL within the cost model's
+flight cap.
 
-Two interchangeable engines produce identical tables:
- - a dense bitmask engine backed by numpy (n_d <= DENSE_ND_LIMIT),
- - a sparse dict engine whose per-state values are vectors over the
-   starting RL (large n_d, small p).
+One engine serves every size and width: a level-synchronous frontier DP
+whose sets are Python ints (any n_d) and whose per-state values are
+vectors over the starting RL, reduced with vectorised gathers.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import EPS, BaseCostModel, Instance, SizeGuardError
+from .model import BaseCostModel, Instance, SizeGuardError
 
-DENSE_ND_LIMIT = 17
-SPARSE_STATE_BUDGET = 8_000_000  # (set, position, start RL) value entries
+SEARCH_STATE_BUDGET = 8_000_000  # (set, position, start RL) values of a restricted build
 
 
 # ---------------------------------------------------------------------------
@@ -49,16 +48,6 @@ def set_window_valid(mask: int, p: int) -> bool:
         return True
     needed = ((1 << (hi + 1)) - 1) ^ ((1 << lo) - 1)
     return mask & needed == needed
-
-
-def allowed_last_positions(mask: int, p: int) -> int:
-    """Bitmask of positions the drone may currently occupy: members whose
-    index exceeds M - p."""
-    M = mask.bit_length() - 1
-    cut = M - p + 1
-    if cut <= 0:
-        return mask
-    return mask & ~((1 << cut) - 1)
 
 
 def valid_successor_indices(mask: int, p: int, n_d: int) -> list:
@@ -92,37 +81,6 @@ def valid_successor_indices(mask: int, p: int, n_d: int) -> list:
         if ok:
             out.append(i)
     return sorted(out)
-
-
-@lru_cache(maxsize=8)
-def _dense_rule_arrays(n_d: int, p: int):
-    """Per-mask validity, successor bitmask and allowed-last bitmask for all
-    2^n_d sets. Depends only on (n_d, p), shared across instances."""
-    size = 1 << n_d
-    valid = np.zeros(size, dtype=bool)
-    succ = np.zeros(size, dtype=np.int64)
-    last = np.zeros(size, dtype=np.int64)
-    valid[0] = True
-    for mask in range(1, size):
-        if not set_window_valid(mask, p):
-            continue
-        valid[mask] = True
-        s = 0
-        for u in valid_successor_indices(mask, p, n_d):
-            s |= 1 << u
-        succ[mask] = s
-        last[mask] = allowed_last_positions(mask, p)
-    return valid, succ, last
-
-
-@lru_cache(maxsize=8)
-def _masks_by_popcount(n_d: int):
-    size = 1 << n_d
-    masks = np.arange(size, dtype=np.int64)
-    pc = np.zeros(size, dtype=np.int8)
-    for v in range(n_d):
-        pc += ((masks >> v) & 1).astype(np.int8)
-    return [masks[pc == k] for k in range(n_d + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -172,130 +130,99 @@ def _permuted_metrics(inst: Instance, x: Sequence[int]):
     return cdp_dd, cdp_rd, cdp_dr, minrl
 
 
-def _build_dense(inst, x, p, model, restricted, size_cap=None):
+def _min_over_rows(count, first, owner, value):
+    """For each item, the min of ``value(rows, sel)`` over the rows of its
+    set (``owner`` maps items to sets), one slot at a time: slot j passes
+    the j-th row of every item's set that has one, and ``sel`` the items
+    concerned. Slot 0 covers every item, since a live set has a row."""
+    count, first = count[owner], first[owner]
+    out = value(first, slice(None))
+    for j in range(1, int(count.max(initial=0))):
+        sel = np.flatnonzero(count > j)
+        out[sel] = np.minimum(out[sel], value(first[sel] + j, sel))
+    return out
+
+
+def _frontier_dp(inst, x, p, model, restricted, size_cap):
+    """Forward DP one level (operation size) at a time.
+
+    A level holds its live states (S, v) as rows grouped by set: ``sets``
+    lists the sets (Python ints, so any n_d works), ``count`` the rows of
+    each, ``pos`` the position v of every row and ``val`` its partial
+    flight times over start RLs.
+    Extending (S, v) by u can only reach (S | u, u), so the one reduction
+    per step is a min over the rows of a set, taken slot by slot: slot j
+    gathers the j-th row of every set at once.
+    """
     n, n_r = inst.n_d, inst.n_r
     cdp_dd, cdp_rd, cdp_dr, minrl = _permuted_metrics(inst, x)
-    cap = model.max_flight
-    masks_pc = _masks_by_popcount(n)
-    if restricted:
-        valid, succ_arr, _ = _dense_rule_arrays(n, p)
-        levels = [m[valid[m]] for m in masks_pc]
-    else:
-        succ_arr = None
-        levels = masks_pc
-    if size_cap is not None:
-        levels = [m for k, m in enumerate(levels) if k <= size_cap]
-
+    cap = model.flight_cap
+    top = n if size_cap is None else min(n, size_cap)
     stats = OpsGraphStats(per_stage=[0] * (n + 2))
-    flights = {}
-    bits = np.arange(n, dtype=np.int64)
-    chunk = 1 << 14
+    entries = {}
 
-    for w in range(n_r):
-        val = np.full((1 << n, n), np.inf)
-        start = cdp_rd[w]
-        col = np.where(start + minrl <= cap + EPS, start, np.inf)
-        val[np.int64(1) << bits, bits] = col
+    val = cdp_rd.T.copy()
+    val[val + minrl[:, None] > cap] = np.inf
+    pos = np.flatnonzero(np.isfinite(val).any(axis=1))
+    val = val[pos]
+    sets = [1 << int(t) for t in pos]
+    count = np.ones(len(sets), dtype=np.intp)
+    held = 0
 
-        for k in range(1, len(levels)):
-            Ms = levels[k]
-            if Ms.size == 0:
-                continue
-            for lo in range(0, Ms.size, chunk):
-                sub = Ms[lo:lo + chunk]
-                A = val[sub]
-                finite_states = np.isfinite(A)
-                stats.per_stage[k] += int(finite_states.sum())
-                if not finite_states.any():
-                    continue
-                # terminal arcs: close the operation at every RL
-                T = (A[:, :, None] + cdp_dr[None, :, :]).min(axis=1)
-                for r in np.flatnonzero(np.isfinite(T).any(axis=1)):
-                    mat = flights.get(int(sub[r]))
-                    if mat is None:
-                        mat = np.full((n_r, n_r), np.inf)
-                        flights[int(sub[r])] = mat
-                    mat[w] = T[r]
-                if k == len(levels) - 1:
-                    continue
-                # extension arcs
-                B = (A[:, :, None] + cdp_dd[None, :, :]).min(axis=1)
-                B[B + minrl[None, :] > cap + EPS] = np.inf
-                if restricted:
-                    allowed = ((succ_arr[sub][:, None] >> bits[None, :]) & 1).astype(bool)
-                else:
-                    allowed = ((sub[:, None] >> bits[None, :]) & 1) == 0
-                B[~allowed] = np.inf
-                stats.arcs += int(np.isfinite(B).sum())
-                for u in range(n):
-                    colu = B[:, u]
-                    rows = np.flatnonzero(np.isfinite(colu))
-                    if rows.size == 0:
-                        continue
-                    tmask = sub[rows] | (np.int64(1) << u)
-                    val[tmask, u] = np.minimum(val[tmask, u], colu[rows])
-    return flights, stats
+    for k in range(1, top + 1):
+        if not sets:
+            break
+        stats.per_stage[k] = int(np.isfinite(val).sum())
+        held += val.size
+        if restricted and held > SEARCH_STATE_BUDGET:
+            raise SizeGuardError(
+                f"neighborhood width p={p} expands past the stage-1 state "
+                f"budget on this instance; lower p")
+        first = np.cumsum(count) - count
 
+        # close the operation at every RL; sets without a feasible endpoint
+        # pair get no entry
+        close = _min_over_rows(
+            count, first, np.arange(len(sets)),
+            lambda rows, sel: val[rows][:, :, None] + cdp_dr[pos[rows]][:, None, :])
+        close = model.finalize_flight_matrix(close)
+        feasible = np.isfinite(close)
+        stats.terminal_entries += int(feasible.sum())
+        keep = np.flatnonzero(feasible.any(axis=(1, 2)))
+        entries.update(zip([sets[i] for i in keep], close[keep]))
+        if k == top:
+            break
 
-def _build_sparse(inst, x, p, model, restricted, size_cap=None):
-    n, n_r = inst.n_d, inst.n_r
-    cdp_dd, cdp_rd, cdp_dr, minrl = _permuted_metrics(inst, x)
-    cap = model.max_flight
-    stats = OpsGraphStats(per_stage=[0] * (n + 2))
-    flights = {}
+        # extension arcs (S, u), valued as a min over the rows of S
+        succ = [valid_successor_indices(s, p, n) if restricted
+                else [u for u in range(n) if not (s >> u) & 1] for s in sets]
+        owner = np.repeat(np.arange(len(sets)), [len(us) for us in succ])
+        u = np.fromiter(itertools.chain.from_iterable(succ), dtype=np.intp,
+                        count=owner.size)
+        ext = _min_over_rows(
+            count, first, owner,
+            lambda rows, sel: val[rows] + cdp_dd[pos[rows], u[sel]][:, None])
+        ext[ext + minrl[u][:, None] > cap] = np.inf
+        finite = np.isfinite(ext)
+        stats.arcs += int(finite.sum())
 
-    stage = {}
-    for t in range(n):
-        vec = cdp_rd[:, t].copy()
-        vec[vec + minrl[t] > cap + EPS] = np.inf
-        if np.isfinite(vec).any():
-            stage[1 << t] = {t: vec}
-
-    k = 1
-    total_entries = 0
-    while stage:
-        nxt = {}
-        for mask in sorted(stage):
-            group = stage[mask]
-            vs = sorted(group)
-            A = np.stack([group[v] for v in vs])  # (n_v, n_r) over start RLs
-            stats.per_stage[k] += int(np.isfinite(A).sum())
-            total_entries += A.size
-            if total_entries > SPARSE_STATE_BUDGET:
-                raise SizeGuardError(
-                    f"neighborhood width p={p} expands past the sparse state "
-                    f"budget on this instance; lower p or raise the budget")
-            # close the operation at every RL
-            C = (A[:, :, None] + cdp_dr[vs][:, None, :]).min(axis=0)
-            if np.isfinite(C).any():
-                flights[mask] = C
-            if k == n or (size_cap is not None and k >= size_cap):
-                continue
-            if restricted:
-                succ = valid_successor_indices(mask, p, n)
-            else:
-                succ = [u for u in range(n) if not (mask >> u) & 1]
-            for u in succ:
-                col = (A + cdp_dd[vs, u][:, None]).min(axis=0)
-                col[col + minrl[u] > cap + EPS] = np.inf
-                if not np.isfinite(col).any():
-                    continue
-                stats.arcs += int(np.isfinite(col).sum())
-                tgt = nxt.setdefault(mask | (1 << u), {})
-                if u in tgt:
-                    tgt[u] = np.minimum(tgt[u], col)
-                else:
-                    tgt[u] = col
-        stage = nxt
-        k += 1
-    return flights, stats
+        # the next level: one state (S | u, u) per live arc, grouped by set
+        live = np.flatnonzero(finite.any(axis=1))
+        index = {}
+        group = np.array([index.setdefault(sets[s] | (1 << t), len(index))
+                          for s, t in zip(owner[live].tolist(), u[live].tolist())],
+                         dtype=np.intp)
+        live = live[np.argsort(group, kind="stable")]
+        sets = list(index)
+        count = np.bincount(group, minlength=len(sets))
+        val, pos = ext[live], u[live]
+    return entries, stats
 
 
 def build_ops_graph(inst: Instance, x: Sequence[int], p: int,
                     model: Optional[object] = None,
                     restricted: bool = True,
-                    size_cap: Optional[int] = None,
-                    engine: str = "auto") -> OperationCostTable:
+                    size_cap: Optional[int] = None) -> OperationCostTable:
     """Forward DP over partial operations; returns the operation cost table.
 
     restricted=False drops the neighborhood restriction (all subsets), which
@@ -310,19 +237,8 @@ def build_ops_graph(inst: Instance, x: Sequence[int], p: int,
     model = model or BaseCostModel(inst)
 
     t0 = time.perf_counter()
-    if engine == "auto":
-        engine = "dense" if inst.n_d <= DENSE_ND_LIMIT else "sparse"
-    if engine == "dense":
-        flights, stats = _build_dense(inst, x, p, model, restricted, size_cap)
-    else:
-        flights, stats = _build_sparse(inst, x, p, model, restricted, size_cap)
-
-    entries = {}
-    for mask in sorted(flights):
-        mat = model.finalize_flight_matrix(flights[mask])
-        if np.isfinite(mat).any():
-            entries[mask] = mat
-            stats.terminal_entries += int(np.isfinite(mat).sum())
+    entries, stats = _frontier_dp(inst, x, p, model, restricted, size_cap)
+    entries = {mask: entries[mask] for mask in sorted(entries)}
     stats.nonterminal_states = int(sum(stats.per_stage))
     stats.elapsed = time.perf_counter() - t0
     return OperationCostTable(entries=entries, p=p, x=x, n_r=inst.n_r,

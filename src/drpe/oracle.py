@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import (
-    EPS,
     BaseCostModel,
     DroneTour,
     InfeasibleError,
@@ -111,7 +110,7 @@ def split_optimal(x: Sequence[int], inst: Instance,
     model = model or BaseCostModel(inst)
     n_d, n_r = inst.n_d, inst.n_r
     c_r, cd_rd, cd_dr, cd_dd = inst.c_r, inst.cd_rd, inst.cd_dr, inst.cd_dd
-    cut = model.max_flight + EPS
+    cut = model.flight_cap
 
     # f[i, w]: best makespan after the first i destinations and the following
     # recharging leg, ending at RL w; g[j, w']: the same before that leg.

@@ -152,3 +152,38 @@ def test_bench_deterministic_value_columns(tmp_path):
     rows = {r["algorithm"]: r for r in csv.DictReader(t1.open())}
     assert float(rows["vlsn-ls"]["avg_gap_pct"]) <= float(rows["rts"]["avg_gap_pct"]) + 1e-9
     assert float(rows["exact"]["avg_gap_pct"]) == 0.0
+
+
+def test_bench_registry_keeps_cost_models_apart(tmp_path, capsys):
+    # with e_max=1250 the base model's tours are shorter than the default
+    # extended model's; keyed by file hash alone, the extended run's values
+    # became the base run's references and rts "beat" them
+    out = _gen(tmp_path, count=1, setting="EnHigh")
+    args = ["bench", "--instances", str(out), "--algos", "rts,vlsn-ls",
+            "--out", str(tmp_path / "b.csv")]
+    assert main(args + ["--model", "extended"]) == 0
+    assert main(args) == 0
+    registry = json.loads((out / "best_known.json").read_text())
+    assert sorted(k.split(":")[1] for k in registry) == ["base", "extended"]
+
+    # a heuristic beating the reference stays a hard failure, reported cleanly
+    for entry in registry.values():
+        entry["value"] *= 2.0
+    (out / "best_known.json").write_text(json.dumps(registry))
+    capsys.readouterr()
+    assert main(args + ["--algos", "rts"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_bench_summary_counts_failed_cells(tmp_path, capsys):
+    out = tmp_path / "instances"
+    out.mkdir()
+    save_instance(random_instance(0, n_d=20, n_r=3), out / "big.json")
+    table = tmp_path / "bench.csv"
+    assert main(["bench", "--instances", str(out), "--algos", "exact,rts",
+                 "--out", str(table), "--latex"]) == 0
+    rows = {r["algorithm"]: r for r in csv.DictReader(table.open())}
+    assert rows["exact"]["instances"] == "0" and rows["exact"]["failed"] == "1"
+    assert rows["exact"]["avg_gap_pct"] == rows["exact"]["worst_gap_pct"] == ""
+    assert rows["rts"]["instances"] == "1" and rows["rts"]["failed"] == "0"
+    assert "& -- & 0.00 & -- & 0.00" in capsys.readouterr().out

@@ -38,8 +38,9 @@ def test_width_beyond_size_collapses_to_exact():
     assert vlsn(inst, x, 8).makespan == pytest.approx(solve_exact(inst).makespan, abs=1e-9)
 
 
-def test_sparse_engine_beyond_dense_limit():
-    # n_d above the dense-bitmask limit forces the dict engine end to end
+def test_search_on_more_destinations_than_exact_accepts():
+    # 20 destinations: beyond the exact solver's cap, so only the restricted
+    # stage 1 and stage 2 run, checked against the split of the same order
     inst = random_instance(23, n_d=20, n_r=5)
     x = initial_tsp_sequence(inst)
     base = rts(inst, x0=x)

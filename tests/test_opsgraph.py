@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from drpe.generator import random_instance
-from drpe.model import Instance
+from drpe.model import BaseCostModel, Instance
 from drpe.opsgraph import (
     build_ops_graph,
     ops_nonterminal_state_bound,
@@ -13,6 +13,7 @@ from drpe.opsgraph import (
     valid_successor_indices,
 )
 from drpe.oracle import enumerate_valid_operation_sequences
+from tests.conftest import binding_extended_model
 
 
 def _mask(*positions):
@@ -82,12 +83,17 @@ def test_p1_table_is_exactly_contiguous_blocks():
     assert set(table.entries) == blocks
 
 
-def _oracle_table(inst, x, p):
-    """Minimal flight per (w, set, w') over all neighbor-embeddable
-    orderings, computed straight from the enumeration oracle."""
-    seqs = enumerate_valid_operation_sequences(inst.n_d, p)
+def _finalized(table, model):
+    """Apply the cost model's feasibility filter to {set: flight matrix};
+    sets left without a feasible endpoint pair drop out, as in stage 1."""
+    out = {m: model.finalize_flight_matrix(mat) for m, mat in table.items()}
+    return {m: mat for m, mat in out.items() if np.isfinite(mat).any()}
+
+
+def _sequence_flights(inst, x, sequences):
+    """Minimal flight per (w, set, w') over the given position sequences."""
     out = {}
-    for s in seqs:
+    for s in sequences:
         m = _mask(*s)
         dests = [x[t] for t in s]
         inner = sum(inst.cd_dd[a, b] for a, b in zip(dests, dests[1:]))
@@ -97,16 +103,58 @@ def _oracle_table(inst, x, p):
     return out
 
 
+def _oracle_table(inst, x, p, model):
+    """Feasible minimal flight per (w, set, w') over all neighbor-embeddable
+    orderings, computed straight from the enumeration oracle."""
+    seqs = enumerate_valid_operation_sequences(inst.n_d, p)
+    return _finalized(_sequence_flights(inst, x, seqs), model)
+
+
+def _capped_table(inst, x, size_cap, model):
+    """Feasible minimal flight per (w, set, w') over every ordering of every
+    set of at most size_cap destinations."""
+    seqs = [perm for k in range(1, size_cap + 1)
+            for perm in itertools.permutations(range(inst.n_d), k)]
+    return _finalized(_sequence_flights(inst, x, seqs), model)
+
+
+def _assert_same_table(table, oracle):
+    assert set(table.entries) == set(oracle)
+    for m, mat in table.entries.items():
+        assert np.allclose(mat, oracle[m], atol=1e-9)
+
+
+# (instance transform, cost model): unlimited energy, the instance's own
+# e_max, and an extended model whose flight cap binds as often
+ENERGY_SETUPS = (
+    (_unlimited, BaseCostModel),
+    (lambda inst: inst, BaseCostModel),
+    (lambda inst: inst, binding_extended_model),
+)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_table_matches_ordering_oracle_unlimited(p):
     for seed in (0, 1):
-        inst = _unlimited(random_instance(seed, n_d=5, n_r=3))
-        x = tuple(np.random.default_rng(seed + 9).permutation(5).tolist())
-        table = build_ops_graph(inst, x, p)
-        oracle = _oracle_table(inst, x, p)
-        assert set(table.entries) == set(oracle)
-        for m, mat in table.entries.items():
-            assert np.allclose(mat, oracle[m], atol=1e-9)
+        for energy, make_model in ENERGY_SETUPS:
+            inst = energy(random_instance(seed, n_d=5, n_r=3))
+            model = make_model(inst)
+            x = tuple(np.random.default_rng(seed + 9).permutation(5).tolist())
+            table = build_ops_graph(inst, x, p, model=model)
+            _assert_same_table(table, _oracle_table(inst, x, p, model))
+
+
+@pytest.mark.parametrize("size_cap", [1, 2, 3])
+def test_unrestricted_size_cap_matches_capped_bruteforce(size_cap):
+    for seed in (0, 1):
+        for energy, make_model in ENERGY_SETUPS:
+            inst = energy(random_instance(seed + 30, n_d=5, n_r=3))
+            model = make_model(inst)
+            x = tuple(np.random.default_rng(seed + 9).permutation(5).tolist())
+            table = build_ops_graph(inst, x, 5, model=model, restricted=False,
+                                    size_cap=size_cap)
+            assert table.max_op_size <= size_cap
+            _assert_same_table(table, _capped_table(inst, x, size_cap, model))
 
 
 def test_table_respects_energy_filter():
@@ -154,16 +202,3 @@ def test_recover_reproduces_best_order():
         assert flight == pytest.approx(mat[w, wp], abs=1e-9)
         checked += 1
     assert checked > 5
-
-
-def test_engines_identical():
-    for seed in (0, 3):
-        inst = random_instance(seed, n_d=7, n_r=4)
-        x = tuple(np.random.default_rng(seed).permutation(7).tolist())
-        for p in (2, 4):
-            dense = build_ops_graph(inst, x, p, engine="dense")
-            sparse = build_ops_graph(inst, x, p, engine="sparse")
-            assert set(dense.entries) == set(sparse.entries)
-            for m in dense.entries:
-                assert np.array_equal(dense.entries[m], sparse.entries[m])
-            assert dense.stats.per_stage == sparse.stats.per_stage

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from drpe.energy import ExtendedCostModel, ExtendedCosts
+from drpe.exact import solve_exact
 from drpe.generator import metrics_from_coords, random_instance
 from drpe.model import (
     BaseCostModel,
@@ -22,6 +23,7 @@ from drpe.oracle import (
     is_bs_neighbor,
     split_optimal,
 )
+from drpe.search import vlsn
 from tests.conftest import binding_extended_model
 
 X5 = (0, 1, 2, 3, 4)
@@ -177,12 +179,12 @@ def test_split_ties_keep_the_lowest_rl():
     assert tour.makespan == 22.0
 
 
-def test_split_stops_a_block_once_its_partial_flight_breaks_the_cap():
+def test_split_keeps_a_block_whose_flight_is_within_the_energy_tolerance():
     # Both destinations sit on RL 1, k away from RL 0. The extended model's
     # energy tolerance admits the operation RL 0 -> d0 -> d1 -> RL 1 (flight
-    # k, just over the cap), which ties with riding to RL 1 first. The block
-    # from RL 0 is never extended past d0, whose partial flight k already
-    # breaks the cap, so the ride is returned even though RL 0 comes first.
+    # k, just over max_flight), which ties with riding to RL 1 first. The
+    # splitter cuts blocks at the model's flight cap, which includes that
+    # tolerance, so the block from RL 0 survives and wins the tie.
     k = 4.0
     c_d = np.array([[0, 0, k, 0], [0, 0, k, 0], [k, k, 0, k], [0, 0, k, 0]])
     c_r = np.array([[0.0, k], [1.0, 0.0]])
@@ -191,11 +193,29 @@ def test_split_stops_a_block_once_its_partial_flight_breaks_the_cap():
     c = ExtendedCosts(**costs)
     xi_max = ((k - 2e-8) * c.r_fl + c.xi_tkof + c.xi_land) / (1 - c.residual)
     model = ExtendedCostModel(inst, ExtendedCosts(xi_max=xi_max, **costs))
-    assert model.max_flight + 1e-9 < k and model.op_feasible(k, 0, 1)
+    assert model.max_flight + 1e-9 < k <= model.flight_cap
+    assert model.op_feasible(k, 0, 1)
     tour = split_optimal((0, 1), inst, model)
-    assert tour.elements == (RechargingLeg(0, 1), Operation(1, (0, 1), 1),
+    assert tour.elements == (RechargingLeg(0, 0), Operation(0, (0, 1), 1),
                              RechargingLeg(1, 0))
     assert tour.makespan == 6.0
+
+
+def test_one_flight_cap_for_split_search_and_exact():
+    # The flight RL 0 -> d0 -> RL 1 is 3, 2e-8 over max_flight but inside
+    # the extended model's energy tolerance: every solver must accept it.
+    dest = np.array([[2.0, 0.0]])
+    rls = np.array([[0.0, 0.0], [3.0, 0.0], [2.0, 1.5]])
+    c_d, c_r = metrics_from_coords(dest, rls, rover_speed=1.0)
+    inst = Instance(n_d=1, n_r=3, c_d=c_d, c_r=c_r, w0=0, wt=1, e_max=3.0 - 2e-8)
+    model = binding_extended_model(inst)
+    values = {
+        "split": split_optimal((0,), inst, model).makespan,
+        "brute force": brute_force_optimum(inst, model).makespan,
+        "vlsn(p=1)": vlsn(inst, (0,), 1, model=model).makespan,
+        "exact": solve_exact(inst, model).makespan,
+    }
+    assert values == dict.fromkeys(values, 22.0)
 
 
 def test_split_on_worked_instance(worked_instance):
