@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exact import full_meta_sweep
+from .exact import _masks_by_popcount, full_meta_sweep
 from .model import BaseCostModel, Instance, SizeGuardError
 from .oracle import split_optimal
 from .reports import SolveReport
@@ -26,7 +26,6 @@ KLIM_GUARD = 4
 
 @dataclass
 class BaselineConfig:
-    klim: int = 2
     iterations: int = 200
     time_limit: Optional[float] = None
     seed: int = 0
@@ -35,10 +34,6 @@ class BaselineConfig:
     sa_t0_fraction: float = 0.05
     sa_cooling: float = 0.95
     sa_moves_per_temp: int = 20
-
-    def __post_init__(self):
-        if self.klim < 1:
-            raise ValueError("klim must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -52,12 +47,9 @@ def _held_karp_path(inst: Instance) -> tuple:
     val = np.full((full + 1, n), np.inf)
     for v in range(n):
         val[1 << v, v] = start[v]
-    masks = np.arange(full + 1)
-    pc = np.zeros(full + 1, dtype=np.int8)
-    for v in range(n):
-        pc += ((masks >> v) & 1).astype(np.int8)
+    masks_pc = _masks_by_popcount(n)
     for k in range(1, n):
-        Ms = masks[pc == k]
+        Ms = masks_pc[k]
         A = val[Ms]
         rows = np.isfinite(A).any(axis=1)
         Ms, A = Ms[rows], A[rows]
@@ -232,19 +224,7 @@ def limop(inst: Instance, klim: int = 2, model: Optional[object] = None,
     t0 = time.perf_counter()
     flights = _capped_op_table(inst, klim, model)
 
-    def recover(mask, w, wp):
-        combo = tuple(v for v in range(inst.n_d) if (mask >> v) & 1)
-        best_perm, best_val = None, np.inf
-        for perm in itertools.permutations(combo):
-            t = inst.cd_rd[w, perm[0]]
-            for a, b in zip(perm, perm[1:]):
-                t += inst.cd_dd[a, b]
-            t += inst.cd_dr[perm[-1], wp]
-            if t < best_val:
-                best_val, best_perm = t, perm
-        return best_perm
-
-    tour, stats = full_meta_sweep(inst, flights, model, recover=recover)
+    tour, stats = full_meta_sweep(inst, flights, model)
     return SolveReport(algorithm=f"limop(klim={klim})", tour=tour,
                        makespan=tour.makespan,
                        meta_states=stats["meta_states"],

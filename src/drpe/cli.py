@@ -66,7 +66,7 @@ def _run_algorithm(inst, algo: str, args) -> SolveReport:
     p = getattr(args, "p", 4)
     cfg = SearchConfig(p0=getattr(args, "p0", 2),
                        p_max=getattr(args, "p_max", 8),
-                       time_limit=time_limit, seed=seed)
+                       time_limit=time_limit)
     if algo == "vlsn":
         return vlsn(inst, initial_tsp_sequence(inst), p, model=model, config=cfg)
     if algo == "vlsn-ls":

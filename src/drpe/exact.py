@@ -41,14 +41,11 @@ def _masks_by_popcount(n_d: int):
     return [masks[pc == k] for k in range(n_d + 1)]
 
 
-def full_meta_sweep(inst: Instance, op_flights: dict, model=None,
-                    recover=None):
+def full_meta_sweep(inst: Instance, op_flights: dict, model=None):
     """Optimal tour over all operation compositions in ``op_flights``
-    (bitmask -> (n_r, n_r) minimal-flight matrix). Returns (tour, stats).
-
-    recover(mask, w, w_prime) must yield the visiting order behind a table
-    entry; defaults to the unrestricted order recovery.
-    """
+    (bitmask -> (n_r, n_r) minimal-flight matrix). Returns (tour, stats);
+    each operation's visiting order is recovered by the unrestricted
+    stage-1 DP over its set."""
     model = model or BaseCostModel(inst)
     n, n_r = inst.n_d, inst.n_r
     full = (1 << n) - 1
@@ -98,11 +95,6 @@ def full_meta_sweep(inst: Instance, op_flights: dict, model=None,
     if not np.isfinite(value):
         raise InfeasibleError("no feasible tour exists")
 
-    if recover is None:
-        def recover(mask, w, wp):
-            return recover_operation_order(inst, tuple(range(n)), mask, w, wp,
-                                           p=n, restricted=False)
-
     def close_to(a, b):
         return np.isfinite(a) and abs(a - b) <= 1e-9 + 1e-12 * abs(b)
 
@@ -126,7 +118,8 @@ def full_meta_sweep(inst: Instance, op_flights: dict, model=None,
         if hit is None:
             raise AssertionError("backtracking lost the optimal path")
         mask, T, wpp = hit
-        order = recover(mask, wpp, wp)
+        order = recover_operation_order(inst, tuple(range(n)), mask, wpp, wp,
+                                        p=n, restricted=False)
         rev.append(Operation(wpp, tuple(order), wp))
         S, w = T, wpp
     rev.append(RechargingLeg(inst.w0, w))

@@ -16,7 +16,8 @@ flight cap.
 
 One engine serves every size and width: a level-synchronous frontier DP
 whose sets are Python ints (any n_d) and whose per-state values are
-vectors over the starting RL, reduced with vectorised gathers.
+vectors over the starting RL, reduced with vectorised gathers. Order
+recovery runs the same DP within one entry's set and walks its levels back.
 """
 
 from __future__ import annotations
@@ -121,15 +122,6 @@ class OperationCostTable:
 # Graph construction
 # ---------------------------------------------------------------------------
 
-def _permuted_metrics(inst: Instance, x: Sequence[int]):
-    idx = np.asarray(x, dtype=int)
-    cdp_dd = inst.cd_dd[np.ix_(idx, idx)]
-    cdp_rd = inst.cd_rd[:, idx]
-    cdp_dr = inst.cd_dr[idx, :]
-    minrl = inst.nearest_rl_time()[idx]
-    return cdp_dd, cdp_rd, cdp_dr, minrl
-
-
 def _min_over_rows(count, first, owner, value):
     """For each item, the min of ``value(rows, sel)`` over the rows of its
     set (``owner`` maps items to sets), one slot at a time: slot j passes
@@ -143,59 +135,44 @@ def _min_over_rows(count, first, owner, value):
     return out
 
 
-def _frontier_dp(inst, x, p, model, restricted, size_cap):
-    """Forward DP one level (operation size) at a time.
+def _levels(inst, x, p, cap, restricted, within):
+    """Forward DP over partial operations, yielding one level (operation
+    size) at a time as ``(sets, count, first, pos, val)``.
 
     A level holds its live states (S, v) as rows grouped by set: ``sets``
     lists the sets (Python ints, so any n_d works), ``count`` the rows of
-    each, ``pos`` the position v of every row and ``val`` its partial
-    flight times over start RLs.
+    each and ``first`` the first row of each, ``pos`` the position v of
+    every row and ``val`` its partial flight times over start RLs. Only the
+    positions in the bitmask ``within`` are used, and a partial flight that
+    cannot reach its nearest RL within ``cap`` is +inf.
     Extending (S, v) by u can only reach (S | u, u), so the one reduction
     per step is a min over the rows of a set, taken slot by slot: slot j
     gathers the j-th row of every set at once.
     """
-    n, n_r = inst.n_d, inst.n_r
-    cdp_dd, cdp_rd, cdp_dr, minrl = _permuted_metrics(inst, x)
-    cap = model.flight_cap
-    top = n if size_cap is None else min(n, size_cap)
-    stats = OpsGraphStats(per_stage=[0] * (n + 2))
-    entries = {}
+    n = inst.n_d
+    idx = np.asarray(x, dtype=int)
+    cdp_dd = inst.cd_dd[idx][:, idx]
+    minrl = inst.nearest_rl_time()[idx]
 
-    val = cdp_rd.T.copy()
-    val[val + minrl[:, None] > cap] = np.inf
-    pos = np.flatnonzero(np.isfinite(val).any(axis=1))
-    val = val[pos]
+    pos = np.array([t for t in range(n) if (within >> t) & 1], dtype=np.intp)
+    val = inst.cd_rd[:, idx[pos]].T
+    val[val + minrl[pos, None] > cap] = np.inf
+    live = np.isfinite(val).any(axis=1)
+    pos, val = pos[live], val[live]
     sets = [1 << int(t) for t in pos]
     count = np.ones(len(sets), dtype=np.intp)
-    held = 0
 
-    for k in range(1, top + 1):
-        if not sets:
-            break
-        stats.per_stage[k] = int(np.isfinite(val).sum())
-        held += val.size
-        if restricted and held > SEARCH_STATE_BUDGET:
-            raise SizeGuardError(
-                f"neighborhood width p={p} expands past the stage-1 state "
-                f"budget on this instance; lower p")
+    while sets:
         first = np.cumsum(count) - count
-
-        # close the operation at every RL; sets without a feasible endpoint
-        # pair get no entry
-        close = _min_over_rows(
-            count, first, np.arange(len(sets)),
-            lambda rows, sel: val[rows][:, :, None] + cdp_dr[pos[rows]][:, None, :])
-        close = model.finalize_flight_matrix(close)
-        feasible = np.isfinite(close)
-        stats.terminal_entries += int(feasible.sum())
-        keep = np.flatnonzero(feasible.any(axis=(1, 2)))
-        entries.update(zip([sets[i] for i in keep], close[keep]))
-        if k == top:
-            break
+        yield sets, count, first, pos, val
 
         # extension arcs (S, u), valued as a min over the rows of S
-        succ = [valid_successor_indices(s, p, n) if restricted
-                else [u for u in range(n) if not (s >> u) & 1] for s in sets]
+        if restricted:
+            succ = [valid_successor_indices(s, p, n) for s in sets]
+            if within != (1 << n) - 1:
+                succ = [[u for u in us if (within >> u) & 1] for us in succ]
+        else:
+            succ = [[u for u in range(n) if (within & ~s) >> u & 1] for s in sets]
         owner = np.repeat(np.arange(len(sets)), [len(us) for us in succ])
         u = np.fromiter(itertools.chain.from_iterable(succ), dtype=np.intp,
                         count=owner.size)
@@ -203,11 +180,9 @@ def _frontier_dp(inst, x, p, model, restricted, size_cap):
             count, first, owner,
             lambda rows, sel: val[rows] + cdp_dd[pos[rows], u[sel]][:, None])
         ext[ext + minrl[u][:, None] > cap] = np.inf
-        finite = np.isfinite(ext)
-        stats.arcs += int(finite.sum())
 
         # the next level: one state (S | u, u) per live arc, grouped by set
-        live = np.flatnonzero(finite.any(axis=1))
+        live = np.flatnonzero(np.isfinite(ext).any(axis=1))
         index = {}
         group = np.array([index.setdefault(sets[s] | (1 << t), len(index))
                           for s, t in zip(owner[live].tolist(), u[live].tolist())],
@@ -216,7 +191,6 @@ def _frontier_dp(inst, x, p, model, restricted, size_cap):
         sets = list(index)
         count = np.bincount(group, minlength=len(sets))
         val, pos = ext[live], u[live]
-    return entries, stats
 
 
 def build_ops_graph(inst: Instance, x: Sequence[int], p: int,
@@ -235,11 +209,37 @@ def build_ops_graph(inst: Instance, x: Sequence[int], p: int,
     if p < 1:
         raise ValueError("p must be >= 1")
     model = model or BaseCostModel(inst)
+    n = inst.n_d
+    cdp_dr = inst.cd_dr[list(x)]
+    top = n if size_cap is None else min(n, size_cap)
 
     t0 = time.perf_counter()
-    entries, stats = _frontier_dp(inst, x, p, model, restricted, size_cap)
+    stats = OpsGraphStats(per_stage=[0] * (n + 2))
+    entries = {}
+    held = 0
+    levels = _levels(inst, x, p, model.flight_cap, restricted, (1 << n) - 1)
+    for k, (sets, count, first, pos, val) in enumerate(
+            itertools.islice(levels, top), start=1):
+        stats.per_stage[k] = int(np.isfinite(val).sum())
+        held += val.size
+        if restricted and held > SEARCH_STATE_BUDGET:
+            raise SizeGuardError(
+                f"neighborhood width p={p} expands past the stage-1 state "
+                f"budget on this instance; lower p")
+        # close the operation at every RL; sets without a feasible endpoint
+        # pair get no entry
+        close = _min_over_rows(
+            count, first, np.arange(len(sets)),
+            lambda rows, sel: val[rows][:, :, None] + cdp_dr[pos[rows]][:, None, :])
+        close = model.finalize_flight_matrix(close)
+        feasible = np.isfinite(close)
+        stats.terminal_entries += int(feasible.sum())
+        keep = np.flatnonzero(feasible.any(axis=(1, 2)))
+        entries.update(zip([sets[i] for i in keep], close[keep]))
+    # every live arc is one finite value of the level it reaches
+    stats.arcs = sum(stats.per_stage[2:])
+    stats.nonterminal_states = sum(stats.per_stage)
     entries = {mask: entries[mask] for mask in sorted(entries)}
-    stats.nonterminal_states = int(sum(stats.per_stage))
     stats.elapsed = time.perf_counter() - t0
     return OperationCostTable(entries=entries, p=p, x=x, n_r=inst.n_r,
                               stats=stats, restricted=restricted)
@@ -261,51 +261,30 @@ def recover_operation_order(inst: Instance, x: Sequence[int], mask: int,
                             restricted: bool = True) -> tuple:
     """Re-derive the visiting order behind a cost-table entry.
 
-    Runs the same DP confined to subsets of the entry's set and walks the
-    parents back; returns destination positions in visiting order.
+    Runs stage 1's level DP on the entry's set alone, without energy
+    pruning, and walks it back from the end: each position is the one whose
+    flight plus the next leg equals the current value exactly, the smallest
+    position on ties. Returns destination positions in visiting order.
     """
-    x = tuple(x)
-    cdp_dd, cdp_rd, cdp_dr, _ = _permuted_metrics(inst, x)
-    members = [t for t in range(inst.n_d) if (mask >> t) & 1]
-
-    val = {}
-    for t in members:
-        val[(1 << t, t)] = (float(cdp_rd[w, t]), None)
-    frontier = {1 << t for t in members}
-    for _ in range(len(members) - 1):
-        nxt = set()
-        for sub in sorted(frontier):
-            if restricted:
-                succ = [u for u in valid_successor_indices(sub, p, inst.n_d)
-                        if (mask >> u) & 1]
-            else:
-                succ = [u for u in members if not (sub >> u) & 1]
-            for u in succ:
-                tgt = sub | (1 << u)
-                for v in members:
-                    if not (sub >> v) & 1 or (sub, v) not in val:
-                        continue
-                    cand = val[(sub, v)][0] + cdp_dd[v, u]
-                    if (tgt, u) not in val or cand < val[(tgt, u)][0]:
-                        val[(tgt, u)] = (cand, (sub, v))
-                        nxt.add(tgt)
-        frontier = nxt
-
-    best, best_v = np.inf, None
-    for v in members:
-        state = val.get((mask, v))
-        if state is None:
-            continue
-        cand = state[0] + cdp_dr[v, w_prime]
-        if cand < best:
-            best, best_v = cand, v
-
-    if best_v is None:
+    idx = np.asarray(x, dtype=int)
+    levels = list(itertools.islice(
+        _levels(inst, x, p, np.inf, restricted, mask), mask.bit_count()))
+    if len(levels) < mask.bit_count():
         raise ValueError("entry is not reachable in the restricted graph")
     order = []
-    node = (mask, best_v)
-    while node is not None:
-        order.append(node[1])
-        node = val[node][1]
+    leg = inst.cd_dr[idx, w_prime]
+    for sets, count, first, pos, val in reversed(levels):
+        i = sets.index(mask)
+        rows = np.arange(first[i], first[i] + count[i])
+        cand = val[rows, w] + leg[pos[rows]]
+        if not order:
+            target = cand.min()
+            if not np.isfinite(target):
+                raise ValueError("entry is not reachable in the restricted graph")
+        hit = rows[cand == target]
+        r = hit[np.argmin(pos[hit])]
+        order.append(int(pos[r]))
+        mask &= ~(1 << order[-1])
+        target, leg = val[r, w], inst.cd_dd[idx, idx[order[-1]]]
     order.reverse()
     return tuple(order)

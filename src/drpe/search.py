@@ -2,9 +2,9 @@
 neighborhood descent, and the route-first-split-second baseline.
 
 vlsn(x, p) finds the best tour whose destination order stays within the
-precedence neighborhood of x (two-stage DP). Local search re-centers on the
-incumbent's order until no improvement; descent additionally widens p after
-every failed attempt and resets it after every success.
+precedence neighborhood of x (two-stage DP). Descent re-centers on the
+incumbent's order, widens p after every failed attempt and resets it after
+every success; local search is descent at one width.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ class SearchConfig:
     p0: int = 2
     p_max: int = 8
     time_limit: Optional[float] = None
-    seed: int = 0
     single_depot_extension: bool = True
 
     def __post_init__(self):
@@ -109,12 +108,12 @@ def _accumulate(total: SolveReport, part: SolveReport) -> None:
     total.meta_arcs += part.meta_arcs
 
 
-def vlsn_ls(inst: Instance, x0: Optional[Sequence[int]] = None, p: int = 4,
-            model: Optional[object] = None,
-            config: Optional[SearchConfig] = None) -> SolveReport:
-    """Local search: search the neighborhood, re-center on the incumbent's
-    destination order, stop when the value stalls (or the time budget
-    runs out between searches)."""
+def _descend(inst, x0, p0, p_max, model, config, algorithm, extras):
+    """Search the neighborhood of the incumbent's order at width p, starting
+    at p0: re-center and fall back to p0 after an improvement, widen
+    otherwise, and stop past p_max (or when the time budget runs out
+    between searches). At p = n_d the neighborhood already contains every
+    order, so widths beyond n_d are searched at n_d."""
     model = model or BaseCostModel(inst)
     config = config or SearchConfig()
     t0 = time.perf_counter()
@@ -124,49 +123,10 @@ def vlsn_ls(inst: Instance, x0: Optional[Sequence[int]] = None, p: int = 4,
     x0 = tuple(x0)
 
     incumbent = split_optimal(x0, inst, model=model)
-    report = SolveReport(algorithm=f"vlsn-ls(p={p})", tour=incumbent,
+    report = SolveReport(algorithm=algorithm, tour=incumbent,
                          makespan=incumbent.makespan, iterations=0)
-    center = x0
-    while True:
-        if config.time_limit is not None and time.perf_counter() - t0 >= config.time_limit:
-            break
-        try:
-            step = vlsn(inst, center, p, model=model, config=config)
-        except SizeGuardError:
-            report.extras["stopped_by_state_budget"] = True
-            break
-        report.iterations += 1
-        _accumulate(report, step)
-        if step.makespan < report.makespan - EPS:
-            report.tour = step.tour
-            report.makespan = step.makespan
-            center = step.tour.destination_order()
-        else:
-            break
-    report.wall_time = time.perf_counter() - t0
-    report.extras.update({"p": p, "x0": list(x0)})
-    return report
-
-
-def vlsn_vnd(inst: Instance, x0: Optional[Sequence[int]] = None,
-             config: Optional[SearchConfig] = None,
-             model: Optional[object] = None) -> SolveReport:
-    """Variable neighborhood descent from p0 up to p_max: re-center and fall
-    back to p0 after an improvement, widen the neighborhood otherwise."""
-    model = model or BaseCostModel(inst)
-    config = config or SearchConfig()
-    t0 = time.perf_counter()
-    if x0 is None:
-        from .baselines import initial_tsp_sequence
-        x0 = initial_tsp_sequence(inst)
-    x0 = tuple(x0)
-
-    incumbent = split_optimal(x0, inst, model=model)
-    report = SolveReport(algorithm=f"vlsn-vnd(p0={config.p0},p_max={config.p_max})",
-                         tour=incumbent, makespan=incumbent.makespan, iterations=0)
-    # at p = n_d the neighborhood already contains every order
-    p_stop = min(config.p_max, inst.n_d)
-    p = config.p0
+    p_stop = min(p_max, inst.n_d)
+    p = p_reset = min(p0, p_stop)
     while p <= p_stop:
         if config.time_limit is not None and time.perf_counter() - t0 >= config.time_limit:
             break
@@ -181,12 +141,31 @@ def vlsn_vnd(inst: Instance, x0: Optional[Sequence[int]] = None,
         if step.makespan < report.makespan - EPS:
             report.tour = step.tour
             report.makespan = step.makespan
-            p = config.p0
+            p = p_reset
         else:
             p += 1
     report.wall_time = time.perf_counter() - t0
-    report.extras.update({"p0": config.p0, "p_max": config.p_max, "x0": list(x0)})
+    report.extras.update({**extras, "x0": list(x0)})
     return report
+
+
+def vlsn_ls(inst: Instance, x0: Optional[Sequence[int]] = None, p: int = 4,
+            model: Optional[object] = None,
+            config: Optional[SearchConfig] = None) -> SolveReport:
+    """Local search: descent at the one width p, re-centering on the
+    incumbent's destination order until the value stalls."""
+    return _descend(inst, x0, p, p, model, config, f"vlsn-ls(p={p})", {"p": p})
+
+
+def vlsn_vnd(inst: Instance, x0: Optional[Sequence[int]] = None,
+             config: Optional[SearchConfig] = None,
+             model: Optional[object] = None) -> SolveReport:
+    """Variable neighborhood descent from p0 up to p_max: re-center and fall
+    back to p0 after an improvement, widen the neighborhood otherwise."""
+    config = config or SearchConfig()
+    return _descend(inst, x0, config.p0, config.p_max, model, config,
+                    f"vlsn-vnd(p0={config.p0},p_max={config.p_max})",
+                    {"p0": config.p0, "p_max": config.p_max})
 
 
 def rts(inst: Instance, model: Optional[object] = None,

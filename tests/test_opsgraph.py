@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from drpe.generator import random_instance
-from drpe.model import BaseCostModel, Instance
+from drpe.generator import metrics_from_coords, random_instance
+from drpe.model import BaseCostModel, Instance, Operation, operation_flight_time
 from drpe.opsgraph import (
     build_ops_graph,
     ops_nonterminal_state_bound,
@@ -185,20 +185,39 @@ def test_stage_one_count_and_bound():
 
 
 def test_recover_reproduces_best_order():
-    inst = random_instance(8, n_d=6, n_r=3)
+    inst = random_instance(8, n_d=6, n_r=3, emax_factor=2.5)
     x = tuple(np.random.default_rng(1).permutation(6).tolist())
-    p = 3
-    table = build_ops_graph(inst, x, p)
-    checked = 0
-    for m, mat in sorted(table.entries.items()):
-        w, wp = np.unravel_index(np.argmin(mat), mat.shape)
-        if not np.isfinite(mat[w, wp]):
-            continue
-        order = recover_operation_order(inst, x, m, int(w), int(wp), p)
-        dests = [x[t] for t in order]
-        flight = (inst.cd_rd[w, dests[0]]
-                  + sum(inst.cd_dd[a, b] for a, b in zip(dests, dests[1:]))
-                  + inst.cd_dr[dests[-1], wp])
-        assert flight == pytest.approx(mat[w, wp], abs=1e-9)
-        checked += 1
-    assert checked > 5
+    # p=None: the exact solver's unrestricted table and recovery
+    for make_model, p in itertools.product([BaseCostModel, binding_extended_model],
+                                           [2, 3, 4, None]):
+        restricted = p is not None
+        width = p or inst.n_d
+        table = build_ops_graph(inst, x, width, model=make_model(inst),
+                                restricted=restricted)
+        checked = 0
+        for m, mat in table.entries.items():
+            for w, wp in zip(*np.nonzero(np.isfinite(mat))):
+                order = recover_operation_order(inst, x, m, int(w), int(wp), width,
+                                                restricted=restricted)
+                assert sorted(order) == [t for t in range(6) if (m >> t) & 1]
+                op = Operation(int(w), tuple(x[t] for t in order), int(wp))
+                assert operation_flight_time(op, inst) == mat[w, wp]
+                checked += 1
+        assert checked > 200
+
+
+def test_recover_breaks_bitwise_ties_at_the_smallest_position():
+    # destinations 1 and 2 are twins: every operation over both has two
+    # orders with bitwise-equal flights
+    dest = np.array([[0.0, 3.0], [4.0, 1.0], [4.0, 1.0], [8.0, 2.0]])
+    rls = np.array([[0.0, 0.0], [6.0, 0.0]])
+    c_d, c_r = metrics_from_coords(dest, rls, rover_speed=1.0)
+    inst = Instance(n_d=4, n_r=2, c_d=c_d, c_r=c_r, w0=0, wt=1, e_max=100.0)
+    for x in [(0, 1, 2, 3), (3, 2, 1, 0)]:
+        # walking back, the last position is the smaller twin position,
+        # its predecessor the larger one
+        lo, hi = sorted((x.index(1), x.index(2)))
+        for w, wp in [(0, 0), (0, 1), (1, 1)]:
+            assert recover_operation_order(inst, x, _mask(lo, hi), w, wp, 2) == (hi, lo)
+            assert recover_operation_order(inst, x, _mask(lo, hi), w, wp, 4,
+                                           restricted=False) == (hi, lo)

@@ -97,6 +97,20 @@ def test_vnd_reaches_exact_with_full_widths():
     assert rep.makespan == pytest.approx(solve_exact(inst).makespan, abs=1e-9)
 
 
+def test_widths_beyond_n_d_are_searched_at_n_d():
+    # at p >= n_d every order is a neighbor, so LS and VND search a wider
+    # width at n_d instead of skipping it or building a larger graph
+    inst = random_instance(14, n_d=6, n_r=3)
+    exact = solve_exact(inst).makespan
+    wide, at_n_d = vlsn_ls(inst, p=9), vlsn_ls(inst, p=6)
+    assert wide.algorithm == "vlsn-ls(p=9)" and wide.extras["p"] == 9
+    assert wide.makespan == at_n_d.makespan == pytest.approx(exact, abs=1e-9)
+    assert (wide.neighborhoods, wide.ops_states) == (at_n_d.neighborhoods, at_n_d.ops_states)
+    vnd = vlsn_vnd(inst, config=SearchConfig(p0=8, p_max=9))
+    assert vnd.neighborhoods >= 1
+    assert vnd.makespan == pytest.approx(exact, abs=1e-9)
+
+
 def test_rts_identity():
     for seed in range(4):
         inst = random_instance(seed, n_d=9, n_r=4)
