@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exact import _masks_by_popcount, full_meta_sweep
+from .exact import ND_CAP, _masks_by_popcount, full_meta_sweep
 from .model import BaseCostModel, Instance, SizeGuardError
 from .oracle import split_optimal
 from .reports import SolveReport
@@ -166,7 +166,7 @@ def _or_opt(order, inst) -> list:
     return order
 
 
-def initial_tsp_sequence(inst: Instance, seed: int = 0) -> tuple:
+def initial_tsp_sequence(inst: Instance) -> tuple:
     """Shortest aerial path from w0 through all destinations to wt: exact
     below the subset-DP limit, nearest neighbor plus 2-opt and or-opt
     descent above it. Deterministic."""
@@ -210,16 +210,16 @@ def _capped_op_table(inst: Instance, klim: int, model) -> dict:
     return flights
 
 
-def limop(inst: Instance, klim: int = 2, model: Optional[object] = None,
-          nd_cap: int = 18) -> SolveReport:
+def limop(inst: Instance, klim: int = 2,
+          model: Optional[object] = None) -> SolveReport:
     """Optimal tour among those whose operations visit at most klim
     destinations each."""
     if klim < 1:
         raise ValueError("klim must be >= 1")
     if klim > KLIM_GUARD:
         raise SizeGuardError(f"operation-size cap limited to {KLIM_GUARD}")
-    if inst.n_d > nd_cap:
-        raise SizeGuardError(f"limop capped at {nd_cap} destinations")
+    if inst.n_d > ND_CAP:
+        raise SizeGuardError(f"limop capped at {ND_CAP} destinations")
     model = model or BaseCostModel(inst)
     t0 = time.perf_counter()
     flights = _capped_op_table(inst, klim, model)

@@ -15,7 +15,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -28,7 +28,14 @@ from .exact import solve_exact
 from .generator import SETTING_NAMES, SIZE_NAMES, all_settings, generate, get_setting
 from .io import load_instance, load_solution, save_instance, save_solution
 from .metagraph import count_bs_sequences, enumerate_valid_patterns, get_transition_lookup
-from .model import BaseCostModel, DrpeError, InfeasibleError, SizeGuardError, validate_tour
+from .model import (
+    BaseCostModel,
+    DrpeError,
+    InfeasibleError,
+    SchemaError,
+    SizeGuardError,
+    validate_tour,
+)
 from .oracle import enumerate_bs_neighbors
 from .reports import SolveReport
 from .search import SearchConfig, rts, vlsn, vlsn_ls, vlsn_vnd
@@ -55,6 +62,14 @@ def _cost_model(inst, args):
     costs = ExtendedCosts()
     if getattr(args, "extended", None):
         doc = json.loads(Path(args.extended).read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise SchemaError("--extended file must hold a JSON object")
+        known = {f.name for f in fields(ExtendedCosts)}
+        for key, value in doc.items():
+            if key not in known:
+                raise SchemaError(f"--extended file has unknown key {key!r}")
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise SchemaError(f"--extended value of {key!r} is not a number")
         costs = ExtendedCosts(**doc)
     return ExtendedCostModel(inst, costs)
 
@@ -68,7 +83,7 @@ def _run_algorithm(inst, algo: str, args) -> SolveReport:
                        p_max=getattr(args, "p_max", 8),
                        time_limit=time_limit)
     if algo == "vlsn":
-        return vlsn(inst, initial_tsp_sequence(inst), p, model=model, config=cfg)
+        return vlsn(inst, initial_tsp_sequence(inst), p, model=model)
     if algo == "vlsn-ls":
         return vlsn_ls(inst, p=p, model=model, config=cfg)
     if algo == "vlsn-vnd":

@@ -119,7 +119,7 @@ def full_meta_sweep(inst: Instance, op_flights: dict, model=None):
             raise AssertionError("backtracking lost the optimal path")
         mask, T, wpp = hit
         order = recover_operation_order(inst, tuple(range(n)), mask, wpp, wp,
-                                        p=n, restricted=False)
+                                        None)
         rev.append(Operation(wpp, tuple(order), wp))
         S, w = T, wpp
     rev.append(RechargingLeg(inst.w0, w))
@@ -148,8 +148,7 @@ def solve_exact(inst: Instance, model=None, nd_cap: int = ND_CAP,
     model = model or BaseCostModel(inst)
     t0 = time.perf_counter()
     identity = tuple(range(inst.n_d))
-    table = build_ops_graph(inst, identity, p=inst.n_d, model=model,
-                            restricted=False)
+    table = build_ops_graph(inst, identity, None, model=model)
     tour, stats = full_meta_sweep(inst, table.entries, model)
     return SolveReport(
         algorithm="exact",

@@ -41,9 +41,6 @@ class MetaPattern:
     minus: tuple
     plus: tuple
 
-    def is_empty(self) -> bool:
-        return not self.minus
-
     def valid_at_stage(self, k: int, n_d: int) -> bool:
         if self.minus and k + max(self.minus) > n_d:
             return False
@@ -51,9 +48,16 @@ class MetaPattern:
             return False
         return True
 
-    def absolute(self, k: int) -> tuple:
-        """(S-, S+) as 1-based reference indices at stage k."""
-        return (tuple(k + d for d in self.minus), tuple(k + d for d in self.plus))
+    def visited(self, k: int) -> int:
+        """Bitmask of the 0-based reference positions visited by stage k:
+        the first k, less the postponed ones, plus the early ones. A pattern
+        stands for this set; k must be a stage where it is valid."""
+        out = (1 << k) - 1
+        for d in self.plus:
+            out &= ~(1 << (k + d - 1))
+        for d in self.minus:
+            out |= 1 << (k + d - 1)
+        return out
 
 
 def enumerate_valid_patterns(p: int) -> list:
@@ -73,86 +77,56 @@ def enumerate_valid_patterns(p: int) -> list:
 
 def valid_pattern_transitions(a: MetaPattern, b: MetaPattern, h: int, p: int) -> bool:
     """Whether an arc from pattern a at some stage k to pattern b at stage
-    k+h exists. h = 0 is the recharging-leg case and requires a == b; for
-    h >= 1 every early visit still pending must stay pending, no early visit
-    may be postponed again, and postponements reaching back before the
-    source stage must already have been postponed there."""
-    if h == 0:
-        return a == b
-    for da in a.minus:
-        if da > h:
-            if (da - h) not in b.minus:
-                return False
-        elif (da - h) in b.plus:
-            return False
-    for db in b.plus:
-        if db + h <= 0 and (db + h) not in a.plus:
-            return False
-    return True
-
-
-def _transition_offsets(a: MetaPattern, b: MetaPattern, h: int) -> tuple:
-    """Offsets (relative to the source stage k) of the destinations covered
-    by the operation of an (a, k) -> (b, k+h) arc."""
-    base = set(range(1, h + 1))
-    base.update(a.plus)
-    base.update(db + h for db in b.minus)
-    base.difference_update(db + h for db in b.plus)
-    base.difference_update(a.minus)
-    return tuple(sorted(base))
+    k+h exists: every position visited at k is still visited at k+h. For
+    h = 0 (the recharging-leg case) this means a == b."""
+    return a.visited(p) & ~b.visited(p + h) == 0
 
 
 def transition_destination_set(a: MetaPattern, b: MetaPattern, k: int, h: int) -> frozenset:
-    """0-based reference positions flown in the operation of this arc."""
-    return frozenset(k + d - 1 for d in _transition_offsets(a, b, h))
+    """0-based reference positions flown in the operation of this arc: the
+    positions visited at stage k+h but not at stage k."""
+    ops = b.visited(k + h) & ~a.visited(k)
+    return frozenset(t for t in range(ops.bit_length()) if ops >> t & 1)
 
 
 @dataclass
 class TransitionLookup:
-    """Stage-free table of valid pattern transitions per gap h.
-
-    Beyond h >= 2p-2 every pattern pair is valid, so only smaller gaps are
-    tabulated; larger gaps fall back to the closed-form offset computation.
-    """
+    """Stage-free table of valid pattern transitions, filled one gap h at a
+    time. ``bits[a]`` is pattern a's visited set at stage p-1, the first
+    stage where every pattern is valid; at stage p-1+h pattern b has
+    visited ``reach = (1 << h) - 1 | bits[b] << h``. The arc a -> b over h
+    exists iff ``bits[a]`` lies inside ``reach``, and its operation is the
+    bitmask ``reach & ~bits[a]``, which at source stage k flies positions
+    ``ops << k >> (p - 1)``. ``successors(a, h)`` lists ``(b, ops)`` in
+    ascending b."""
 
     p: int
     patterns: list = field(default_factory=list)
+    bits: list = field(default_factory=list)
     _table: dict = field(default_factory=dict)
-    _wide: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.patterns = enumerate_valid_patterns(self.p)
-        self.h_cap = max(1, 2 * self.p - 3)
-        for h in range(1, self.h_cap + 1):
-            for ai, a in enumerate(self.patterns):
-                succ = []
-                for bi, b in enumerate(self.patterns):
-                    if valid_pattern_transitions(a, b, h, self.p):
-                        offs = _transition_offsets(a, b, h)
-                        assert len(offs) == h
-                        succ.append((bi, offs))
-                self._table[(ai, h)] = succ
+        self.bits = [pat.visited(self.p - 1) for pat in self.patterns]
 
     def successors(self, a_id: int, h: int) -> list:
-        if h <= self.h_cap:
-            return self._table[(a_id, h)]
-        wide = self._wide.get(h)
-        if wide is None:
-            wide = {}
-            for ai, a in enumerate(self.patterns):
-                wide[ai] = [(bi, _transition_offsets(a, b, h))
-                            for bi, b in enumerate(self.patterns)]
-            self._wide[h] = wide
-        return wide[a_id]
+        rows = self._table.get(h)
+        if rows is None:
+            rows = []
+            for a in self.bits:
+                succ = []
+                for b_id, b in enumerate(self.bits):
+                    reach = (1 << h) - 1 | b << h
+                    if a & ~reach == 0:
+                        succ.append((b_id, reach & ~a))
+                rows.append(succ)
+            self._table[h] = rows
+        return rows[a_id]
 
 
 @lru_cache(maxsize=16)
-def _lookup(p: int) -> TransitionLookup:
-    return TransitionLookup(p=p)
-
-
 def get_transition_lookup(p: int) -> TransitionLookup:
-    return _lookup(p)
+    return TransitionLookup(p=p)
 
 
 def count_meta_states(n_d: int, p: int) -> list:
@@ -240,13 +214,11 @@ def solve_meta(costs: OperationCostTable, inst: Instance, x: Sequence[int],
             if not np.isfinite(za).any():
                 continue
             for h in range(1, min(h_max, n_d - k) + 1):
-                for b_id, offs in lookup.successors(a_id, h):
+                for b_id, ops in lookup.successors(a_id, h):
                     if not valid_at[k + h][b_id]:
                         continue
-                    mask = 0
-                    for d in offs:
-                        mask |= 1 << (k + d - 1)
-                    flights = costs.get(mask)
+                    mask = ops << k >> (p - 1)
+                    flights = costs.entries.get(mask)
                     if flights is None:
                         continue
                     weights = makespan_cache.get(mask)
@@ -276,8 +248,7 @@ def solve_meta(costs: OperationCostTable, inst: Instance, x: Sequence[int],
         wp = int(ptr_zeta[k, pat, w])
         rev.append(RechargingLeg(wp, w))
         k_prev, a_id, wpp, mask = ptr_eps[k][pat][wp]
-        order = recover_operation_order(inst, x, mask, wpp, wp, p,
-                                        restricted=costs.restricted)
+        order = recover_operation_order(inst, x, mask, wpp, wp, costs.p)
         rev.append(Operation(wpp, tuple(x[t] for t in order), wp))
         k, pat, w = k_prev, a_id, wpp
     rev.append(RechargingLeg(inst.w0, w))

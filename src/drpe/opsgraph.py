@@ -2,11 +2,12 @@
 relevant (start RL, destination set, end RL) operation.
 
 States are (start RL w, visited set S, current position v) arranged in
-stages by |S|. For the neighborhood-restricted search only sets and
-successor choices that can occur inside some neighbor tour are expanded;
-the precedence structure guarantees that such sets have a fully present
+stages by |S|. At width p only sets and successor choices that can occur
+inside some neighbor tour are expanded, by one successor rule; the
+precedence structure guarantees that such sets have a fully present
 interior and at most 2p-2 optional indices at the boundary of their index
-window, which keeps the graph polynomial.
+window, which keeps the graph polynomial. Width p=None expands every
+subset (the exact solver's stage 1).
 
 Destination *positions* relative to the reference order x (0..n_d-1) are
 used throughout; the caller maps positions back to destination ids.
@@ -31,7 +32,7 @@ import numpy as np
 
 from .model import BaseCostModel, Instance, SizeGuardError
 
-SEARCH_STATE_BUDGET = 8_000_000  # (set, position, start RL) values of a restricted build
+SEARCH_STATE_BUDGET = 8_000_000  # (set, position, start RL) values of a build at width p
 
 
 # ---------------------------------------------------------------------------
@@ -52,36 +53,24 @@ def set_window_valid(mask: int, p: int) -> bool:
 
 
 def valid_successor_indices(mask: int, p: int, n_d: int) -> list:
-    """Positions by which a valid partial operation set may be extended.
+    """Positions by which a valid partial operation set may be extended:
+    the absent positions of [M-p+1, g+p-1] clamped to [0, n_d-1], where m
+    and M are the set's lowest and highest positions and g is its first
+    absent position at or above m+p.
 
-    Either a position inside the trailing window [M-p+1, max(M-1, m+2p-1)],
-    or one of the next p positions beyond M provided every index that the
-    jump would strand (those at least p below it, from m+p on) is already
-    in the set. Intervals are clamped to [0, n_d-1].
+    A neighbor order visits position i before j whenever j >= i+p. So no
+    position at or below M-p may follow M, and g, which may not precede m,
+    comes after the whole operation, as must every position from g+p on.
+    At p >= n_d the interval is the whole range.
     """
     if mask == 0:
         raise ValueError("successor rule needs a nonempty set")
     m = (mask & -mask).bit_length() - 1
     M = mask.bit_length() - 1
-    out = []
-    lo1 = max(M - p + 1, 0)
-    hi1 = min(max(M - 1, m + 2 * p - 1), n_d - 1)
-    for i in range(lo1, hi1 + 1):
-        if not (mask >> i) & 1:
-            out.append(i)
-    lo2 = max(M + 1, m + 2 * p)
-    hi2 = min(M + p, n_d - 1)
-    for i in range(max(lo2, 0), hi2 + 1):
-        if (mask >> i) & 1 or i in out:
-            continue
-        ok = True
-        for j in range(m + p, i - p + 1):
-            if not (mask >> j) & 1:
-                ok = False
-                break
-        if ok:
-            out.append(i)
-    return sorted(out)
+    rest = ~mask >> (m + p)
+    g = m + p + (rest & -rest).bit_length() - 1
+    return [i for i in range(max(M - p + 1, 0), min(g + p - 1, n_d - 1) + 1)
+            if not mask >> i & 1]
 
 
 # ---------------------------------------------------------------------------
@@ -104,14 +93,10 @@ class OperationCostTable:
     endpoint pair, and sets without any feasible endpoint pair are absent."""
 
     entries: dict
-    p: int
+    p: Optional[int]  # None: every subset
     x: tuple
     n_r: int
     stats: OpsGraphStats
-    restricted: bool
-
-    def get(self, mask: int) -> Optional[np.ndarray]:
-        return self.entries.get(mask)
 
     @property
     def max_op_size(self) -> int:
@@ -135,27 +120,30 @@ def _min_over_rows(count, first, owner, value):
     return out
 
 
-def _levels(inst, x, p, cap, restricted, within):
+def _levels(inst, x, p, cap, within, starts=slice(None)):
     """Forward DP over partial operations, yielding one level (operation
     size) at a time as ``(sets, count, first, pos, val)``.
 
     A level holds its live states (S, v) as rows grouped by set: ``sets``
     lists the sets (Python ints, so any n_d works), ``count`` the rows of
     each and ``first`` the first row of each, ``pos`` the position v of
-    every row and ``val`` its partial flight times over start RLs. Only the
-    positions in the bitmask ``within`` are used, and a partial flight that
-    cannot reach its nearest RL within ``cap`` is +inf.
+    every row and ``val`` its partial flight times over the start RLs
+    selected by ``starts``. Sets grow by ``valid_successor_indices`` at
+    width p (p=None: every subset). Only the positions in the bitmask
+    ``within`` are used, and a partial flight that cannot reach its nearest
+    RL within ``cap`` is +inf.
     Extending (S, v) by u can only reach (S | u, u), so the one reduction
     per step is a min over the rows of a set, taken slot by slot: slot j
     gathers the j-th row of every set at once.
     """
     n = inst.n_d
+    p = n if p is None else p
     idx = np.asarray(x, dtype=int)
     cdp_dd = inst.cd_dd[idx][:, idx]
     minrl = inst.nearest_rl_time()[idx]
 
     pos = np.array([t for t in range(n) if (within >> t) & 1], dtype=np.intp)
-    val = inst.cd_rd[:, idx[pos]].T
+    val = inst.cd_rd[starts][:, idx[pos]].T
     val[val + minrl[pos, None] > cap] = np.inf
     live = np.isfinite(val).any(axis=1)
     pos, val = pos[live], val[live]
@@ -167,12 +155,9 @@ def _levels(inst, x, p, cap, restricted, within):
         yield sets, count, first, pos, val
 
         # extension arcs (S, u), valued as a min over the rows of S
-        if restricted:
-            succ = [valid_successor_indices(s, p, n) for s in sets]
-            if within != (1 << n) - 1:
-                succ = [[u for u in us if (within >> u) & 1] for us in succ]
-        else:
-            succ = [[u for u in range(n) if (within & ~s) >> u & 1] for s in sets]
+        succ = [valid_successor_indices(s, p, n) for s in sets]
+        if within != (1 << n) - 1:
+            succ = [[u for u in us if (within >> u) & 1] for us in succ]
         owner = np.repeat(np.arange(len(sets)), [len(us) for us in succ])
         u = np.fromiter(itertools.chain.from_iterable(succ), dtype=np.intp,
                         count=owner.size)
@@ -193,20 +178,19 @@ def _levels(inst, x, p, cap, restricted, within):
         val, pos = ext[live], u[live]
 
 
-def build_ops_graph(inst: Instance, x: Sequence[int], p: int,
+def build_ops_graph(inst: Instance, x: Sequence[int], p: Optional[int],
                     model: Optional[object] = None,
-                    restricted: bool = True,
                     size_cap: Optional[int] = None) -> OperationCostTable:
     """Forward DP over partial operations; returns the operation cost table.
 
-    restricted=False drops the neighborhood restriction (all subsets), which
-    is the exact solver's stage 1. size_cap limits the operation size (used
-    by the capped-operations baseline).
+    p=None drops the neighborhood restriction (all subsets), which is the
+    exact solver's stage 1; only builds at a width p are held to
+    SEARCH_STATE_BUDGET. size_cap limits the operation size.
     """
     x = tuple(x)
     if sorted(x) != list(range(inst.n_d)):
         raise ValueError("x must be a permutation of all destinations")
-    if p < 1:
+    if p is not None and p < 1:
         raise ValueError("p must be >= 1")
     model = model or BaseCostModel(inst)
     n = inst.n_d
@@ -217,12 +201,12 @@ def build_ops_graph(inst: Instance, x: Sequence[int], p: int,
     stats = OpsGraphStats(per_stage=[0] * (n + 2))
     entries = {}
     held = 0
-    levels = _levels(inst, x, p, model.flight_cap, restricted, (1 << n) - 1)
+    levels = _levels(inst, x, p, model.flight_cap, (1 << n) - 1)
     for k, (sets, count, first, pos, val) in enumerate(
             itertools.islice(levels, top), start=1):
         stats.per_stage[k] = int(np.isfinite(val).sum())
         held += val.size
-        if restricted and held > SEARCH_STATE_BUDGET:
+        if p is not None and held > SEARCH_STATE_BUDGET:
             raise SizeGuardError(
                 f"neighborhood width p={p} expands past the stage-1 state "
                 f"budget on this instance; lower p")
@@ -242,7 +226,7 @@ def build_ops_graph(inst: Instance, x: Sequence[int], p: int,
     entries = {mask: entries[mask] for mask in sorted(entries)}
     stats.elapsed = time.perf_counter() - t0
     return OperationCostTable(entries=entries, p=p, x=x, n_r=inst.n_r,
-                              stats=stats, restricted=restricted)
+                              stats=stats)
 
 
 def ops_nonterminal_state_bound(n_d: int, n_r: int, p: int) -> float:
@@ -257,34 +241,36 @@ def ops_nonterminal_state_bound(n_d: int, n_r: int, p: int) -> float:
 # ---------------------------------------------------------------------------
 
 def recover_operation_order(inst: Instance, x: Sequence[int], mask: int,
-                            w: int, w_prime: int, p: int,
-                            restricted: bool = True) -> tuple:
-    """Re-derive the visiting order behind a cost-table entry.
+                            w: int, w_prime: int,
+                            p: Optional[int]) -> tuple:
+    """Re-derive the visiting order behind a cost-table entry built at
+    width p (None: every subset).
 
-    Runs stage 1's level DP on the entry's set alone, without energy
-    pruning, and walks it back from the end: each position is the one whose
-    flight plus the next leg equals the current value exactly, the smallest
-    position on ties. Returns destination positions in visiting order.
+    Runs stage 1's level DP on the entry's set alone, from start RL w only
+    and without energy pruning, and walks it back from the end: each
+    position is the one whose flight plus the next leg equals the current
+    value exactly, the smallest position on ties. Returns destination
+    positions in visiting order.
     """
     idx = np.asarray(x, dtype=int)
     levels = list(itertools.islice(
-        _levels(inst, x, p, np.inf, restricted, mask), mask.bit_count()))
+        _levels(inst, x, p, np.inf, mask, [w]), mask.bit_count()))
     if len(levels) < mask.bit_count():
-        raise ValueError("entry is not reachable in the restricted graph")
+        raise ValueError("entry is not reachable in the stage-1 graph at this width")
     order = []
     leg = inst.cd_dr[idx, w_prime]
     for sets, count, first, pos, val in reversed(levels):
         i = sets.index(mask)
         rows = np.arange(first[i], first[i] + count[i])
-        cand = val[rows, w] + leg[pos[rows]]
+        cand = val[rows, 0] + leg[pos[rows]]
         if not order:
             target = cand.min()
             if not np.isfinite(target):
-                raise ValueError("entry is not reachable in the restricted graph")
+                raise ValueError("entry is not reachable in the stage-1 graph at this width")
         hit = rows[cand == target]
         r = hit[np.argmin(pos[hit])]
         order.append(int(pos[r]))
         mask &= ~(1 << order[-1])
-        target, leg = val[r, w], inst.cd_dd[idx, idx[order[-1]]]
+        target, leg = val[r, 0], inst.cd_dd[idx, idx[order[-1]]]
     order.reverse()
     return tuple(order)

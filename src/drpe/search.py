@@ -25,7 +25,6 @@ class SearchConfig:
     p0: int = 2
     p_max: int = 8
     time_limit: Optional[float] = None
-    single_depot_extension: bool = True
 
     def __post_init__(self):
         if not 1 <= self.p0 <= self.p_max:
@@ -62,8 +61,7 @@ def shifted_permutations(x: Sequence[int], p: int) -> list:
 
 
 def vlsn(inst: Instance, x: Sequence[int], p: int,
-         model: Optional[object] = None,
-         config: Optional[SearchConfig] = None) -> SolveReport:
+         model: Optional[object] = None) -> SolveReport:
     """Best tour in the order neighborhood of x at width p.
 
     For single-depot instances the wrap-around orders excluded by the
@@ -71,14 +69,13 @@ def vlsn(inst: Instance, x: Sequence[int], p: int,
     """
     x = tuple(x)
     model = model or BaseCostModel(inst)
-    config = config or SearchConfig()
     t0 = time.perf_counter()
 
     table = build_ops_graph(inst, x, p, model=model)
     best, meta_stats = solve_meta(table, inst, x, p, model=model)
 
     extra_orders = 0
-    if (config.single_depot_extension and inst.w0 == inst.wt and p >= 2):
+    if inst.w0 == inst.wt and p >= 2:
         for y in shifted_permutations(x, p):
             extra_orders += 1
             cand = split_optimal(y, inst, model=model)
@@ -132,7 +129,7 @@ def _descend(inst, x0, p0, p_max, model, config, algorithm, extras):
             break
         center = report.tour.destination_order()
         try:
-            step = vlsn(inst, center, p, model=model, config=config)
+            step = vlsn(inst, center, p, model=model)
         except SizeGuardError:
             report.extras["stopped_by_state_budget"] = True
             break

@@ -106,6 +106,19 @@ def test_validate_malformed_solution_is_clean_error(tmp_path, capsys):
         assert err.startswith("error: ") and why in err
 
 
+def test_malformed_extended_file_is_clean_error(tmp_path, capsys):
+    inst_path, costs = tmp_path / "inst.json", tmp_path / "costs.json"
+    save_instance(random_instance(2, n_d=4, n_r=3), inst_path)
+    for doc, why in (({"bogus": 1}, "unknown key 'bogus'"),
+                     ([1, 2], "JSON object"),
+                     ({"r_fl": "abc"}, "'r_fl' is not a number")):
+        costs.write_text(json.dumps(doc))
+        assert main(["solve", "--algo", "rts", "--model", "extended", "--extended",
+                     str(costs), "-i", str(inst_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and why in err
+
+
 def test_enumerate_subcommand(capsys):
     assert main(["enumerate", "--n-d", "5", "--p", "2"]) == 0
     text = capsys.readouterr().out

@@ -10,9 +10,11 @@ from drpe.energy import ExtendedCosts, case_study_instance
 from drpe.exact import solve_exact
 from drpe.generator import random_instance
 from drpe.io import save_instance
+from drpe.metagraph import solve_meta
 from drpe.model import validate_tour
+from drpe.opsgraph import build_ops_graph
 from drpe.oracle import is_bs_neighbor
-from drpe.search import SearchConfig, rts, vlsn, vlsn_ls
+from drpe.search import rts, vlsn, vlsn_ls
 
 
 def test_single_destination_all_solvers_agree():
@@ -44,10 +46,10 @@ def test_search_on_more_destinations_than_exact_accepts():
     inst = random_instance(23, n_d=20, n_r=5)
     x = initial_tsp_sequence(inst)
     base = rts(inst, x0=x)
-    rep = vlsn(inst, x, 2, config=SearchConfig(single_depot_extension=False))
-    assert rep.makespan <= base.makespan + 1e-9
-    assert validate_tour(rep.tour, inst).passed
-    assert is_bs_neighbor(x, rep.tour.destination_order(), 2)
+    tour, _ = solve_meta(build_ops_graph(inst, x, 2), inst, x, 2)
+    assert tour.makespan <= base.makespan + 1e-9
+    assert validate_tour(tour, inst).passed
+    assert is_bs_neighbor(x, tour.destination_order(), 2)
 
 
 def test_cli_extended_model_solvers(tmp_path):

@@ -83,6 +83,54 @@ def test_wide_gaps_accept_every_pattern():
             assert valid_pattern_transitions(a, b, 2 * 4 - 2, 4)
 
 
+def _displacement_rule(a, b, h):
+    """Reference for valid_pattern_transitions at h >= 1, stated on the
+    displacements: every early visit still pending stays pending, no early
+    visit is postponed again, and postponements reaching back before the
+    source stage were already postponed there."""
+    for da in a.minus:
+        if da > h:
+            if (da - h) not in b.minus:
+                return False
+        elif (da - h) in b.plus:
+            return False
+    return all(db + h > 0 or db + h in a.plus for db in b.plus)
+
+
+def _displacement_offsets(a, b, h):
+    """Reference for an arc's operation: offsets from the source stage k of
+    the destinations flown, 1-based (k+1 is the first position after k)."""
+    base = set(range(1, h + 1)) | set(a.plus) | {db + h for db in b.minus}
+    return base - {db + h for db in b.plus} - set(a.minus)
+
+
+def test_lookup_matches_displacement_rules():
+    for p in range(1, 9):
+        lookup = get_transition_lookup(p)
+        pats = lookup.patterns
+        for h in range(1, 2 * p + 1):
+            n_d = h + 2 * p
+            for a_id, a in enumerate(pats):
+                succ = lookup.successors(a_id, h)
+                want = [b_id for b_id, b in enumerate(pats) if _displacement_rule(a, b, h)]
+                assert [b_id for b_id, _ in succ] == want
+                assert want == [b_id for b_id, b in enumerate(pats)
+                                if valid_pattern_transitions(a, b, h, p)]
+                for b_id, ops in succ:
+                    b = pats[b_id]
+                    offs = _displacement_offsets(a, b, h)
+                    assert len(offs) == h
+                    # every stage up to p where both patterns are valid;
+                    # from stage p-1 on both sides only translate with k
+                    stages = [k for k in range(p + 1) if a.valid_at_stage(k, n_d)
+                              and b.valid_at_stage(k + h, n_d)]
+                    want = {stages[0] + d - 1 for d in offs}
+                    assert transition_destination_set(a, b, stages[0], h) == want
+                    want = sum(1 << t for t in want)
+                    for k in stages:
+                        assert ops << k >> (p - 1) == want << (k - stages[0])
+
+
 def test_destination_set_examples():
     empty = MetaPattern((), ())
     pulled = MetaPattern((1, 2), (-1, 0))

@@ -40,6 +40,44 @@ def test_successors_everything_open_at_full_width():
         assert got == [i for i in range(n) if i != k]
 
 
+def _two_interval_scan(mask, p, n_d):
+    """Reference successor rule: a position inside the trailing window
+    [M-p+1, max(M-1, m+2p-1)], or one of the next p positions beyond M
+    provided every index the jump would strand (those at least p below it,
+    from m+p on) is already in the set; clamped to [0, n_d-1]."""
+    m = (mask & -mask).bit_length() - 1
+    M = mask.bit_length() - 1
+    out = [i for i in range(max(M - p + 1, 0), min(max(M - 1, m + 2 * p - 1), n_d - 1) + 1)
+           if not (mask >> i) & 1]
+    for i in range(max(M + 1, m + 2 * p, 0), min(M + p, n_d - 1) + 1):
+        if (mask >> i) & 1 or i in out:
+            continue
+        if all((mask >> j) & 1 for j in range(m + p, i - p + 1)):
+            out.append(i)
+    return sorted(out)
+
+
+def test_successor_rule_matches_two_interval_scan():
+    for n_d in range(1, 11):
+        for p in range(1, n_d + 2):
+            for mask in range(1, 1 << n_d):
+                if set_window_valid(mask, p):
+                    assert (valid_successor_indices(mask, p, n_d)
+                            == _two_interval_scan(mask, p, n_d)), (mask, p, n_d)
+    # window-valid sets wider than 64 bits: a full interior between random
+    # boundary bits
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        p = int(rng.integers(1, 9))
+        m, M = int(rng.integers(0, 30)), int(rng.integers(65, 100))
+        mask = (1 << m) | (1 << M) | ((1 << (M - p + 1)) - (1 << (m + p)))
+        for t in range(m + 1, M):
+            if rng.random() < 0.5:
+                mask |= 1 << t
+        assert set_window_valid(mask, p) and mask.bit_length() > 64
+        assert valid_successor_indices(mask, p, 100) == _two_interval_scan(mask, p, 100)
+
+
 def test_invalid_set_is_never_reached():
     # {v1,v2,v4,v5} with p=2 misses interior v3 and must not appear as a key
     inst = random_instance(0, n_d=5, n_r=3)
@@ -151,8 +189,7 @@ def test_unrestricted_size_cap_matches_capped_bruteforce(size_cap):
             inst = energy(random_instance(seed + 30, n_d=5, n_r=3))
             model = make_model(inst)
             x = tuple(np.random.default_rng(seed + 9).permutation(5).tolist())
-            table = build_ops_graph(inst, x, 5, model=model, restricted=False,
-                                    size_cap=size_cap)
+            table = build_ops_graph(inst, x, None, model=model, size_cap=size_cap)
             assert table.max_op_size <= size_cap
             _assert_same_table(table, _capped_table(inst, x, size_cap, model))
 
@@ -190,15 +227,11 @@ def test_recover_reproduces_best_order():
     # p=None: the exact solver's unrestricted table and recovery
     for make_model, p in itertools.product([BaseCostModel, binding_extended_model],
                                            [2, 3, 4, None]):
-        restricted = p is not None
-        width = p or inst.n_d
-        table = build_ops_graph(inst, x, width, model=make_model(inst),
-                                restricted=restricted)
+        table = build_ops_graph(inst, x, p, model=make_model(inst))
         checked = 0
         for m, mat in table.entries.items():
             for w, wp in zip(*np.nonzero(np.isfinite(mat))):
-                order = recover_operation_order(inst, x, m, int(w), int(wp), width,
-                                                restricted=restricted)
+                order = recover_operation_order(inst, x, m, int(w), int(wp), p)
                 assert sorted(order) == [t for t in range(6) if (m >> t) & 1]
                 op = Operation(int(w), tuple(x[t] for t in order), int(wp))
                 assert operation_flight_time(op, inst) == mat[w, wp]
@@ -219,5 +252,5 @@ def test_recover_breaks_bitwise_ties_at_the_smallest_position():
         lo, hi = sorted((x.index(1), x.index(2)))
         for w, wp in [(0, 0), (0, 1), (1, 1)]:
             assert recover_operation_order(inst, x, _mask(lo, hi), w, wp, 2) == (hi, lo)
-            assert recover_operation_order(inst, x, _mask(lo, hi), w, wp, 4,
-                                           restricted=False) == (hi, lo)
+            assert recover_operation_order(inst, x, _mask(lo, hi), w, wp,
+                                           None) == (hi, lo)

@@ -3,7 +3,9 @@ import pytest
 
 from drpe.exact import solve_exact
 from drpe.generator import random_instance
+from drpe.metagraph import solve_meta
 from drpe.model import BaseCostModel, validate_tour
+from drpe.opsgraph import build_ops_graph
 from drpe.oracle import brute_force_optimum, is_bs_neighbor, split_optimal
 from drpe.search import (
     SearchConfig,
@@ -47,9 +49,9 @@ def test_reports_validate_and_respect_membership():
     for seed in range(4):
         inst = random_instance(seed, n_d=7, n_r=3)
         x = initial_tsp_sequence(inst)
-        rep = vlsn(inst, x, 3, config=SearchConfig(single_depot_extension=False))
-        assert validate_tour(rep.tour, inst).passed
-        assert is_bs_neighbor(x, rep.tour.destination_order(), 3)
+        tour, _ = solve_meta(build_ops_graph(inst, x, 3), inst, x, 3)
+        assert validate_tour(tour, inst).passed
+        assert is_bs_neighbor(x, tour.destination_order(), 3)
 
 
 def test_ls_fixed_point_at_optimum():
@@ -150,9 +152,8 @@ def test_single_depot_extension_only_helps():
     for seed in range(4):
         inst = random_instance(seed, n_d=7, n_r=3, single_depot=True)
         x = initial_tsp_sequence(inst)
-        with_ext = vlsn(inst, x, 3, config=SearchConfig()).makespan
-        without = vlsn(inst, x, 3,
-                       config=SearchConfig(single_depot_extension=False)).makespan
+        with_ext = vlsn(inst, x, 3).makespan
+        without = solve_meta(build_ops_graph(inst, x, 3), inst, x, 3)[0].makespan
         assert with_ext <= without + 1e-9
 
 
