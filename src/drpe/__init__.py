@@ -12,6 +12,7 @@ from .model import (
     RechargingLeg,
     SchemaError,
     SizeGuardError,
+    TimeLimitError,
     TourStructureError,
     check_instance,
     operation_flight_time,

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exact import ND_CAP, _masks_by_popcount, full_meta_sweep
+from .exact import ND_CAP, _masks_by_popcount, check_deadline, full_meta_sweep
 from .model import BaseCostModel, Instance, SizeGuardError
 from .oracle import split_optimal
 from .reports import SolveReport
@@ -210,10 +210,10 @@ def _capped_op_table(inst: Instance, klim: int, model) -> dict:
     return flights
 
 
-def limop(inst: Instance, klim: int = 2,
-          model: Optional[object] = None) -> SolveReport:
+def limop(inst: Instance, klim: int = 2, model: Optional[object] = None,
+          time_limit: Optional[float] = None) -> SolveReport:
     """Optimal tour among those whose operations visit at most klim
-    destinations each."""
+    destinations each. Raises ``TimeLimitError`` as ``solve_exact`` does."""
     if klim < 1:
         raise ValueError("klim must be >= 1")
     if klim > KLIM_GUARD:
@@ -222,15 +222,19 @@ def limop(inst: Instance, klim: int = 2,
         raise SizeGuardError(f"limop capped at {ND_CAP} destinations")
     model = model or BaseCostModel(inst)
     t0 = time.perf_counter()
+    deadline = None if time_limit is None else t0 + time_limit
     flights = _capped_op_table(inst, klim, model)
+    stage1_s = time.perf_counter() - t0
+    check_deadline(deadline)
 
-    tour, stats = full_meta_sweep(inst, flights, model)
+    tour, stats = full_meta_sweep(inst, flights, model, deadline)
     return SolveReport(algorithm=f"limop(klim={klim})", tour=tour,
                        makespan=tour.makespan,
                        meta_states=stats["meta_states"],
                        meta_arcs=stats["meta_arcs"],
                        wall_time=time.perf_counter() - t0,
-                       extras={"klim": klim, "op_sets": len(flights)})
+                       extras={"klim": klim, "op_sets": len(flights),
+                               "layers": {"stage1_s": stage1_s, **stats["layers"]}})
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Command-line harness: instance generation, solving, validation,
 neighborhood diagnostics and benchmark campaigns with CSV gap tables.
 
-Exit codes: 0 ok, 1 failed validation / infeasible, 2 usage error,
-3 size guard refused the instance.
+Exit codes: 0 ok, 1 failed validation / infeasible / time limit of `exact`
+or `limop` / other errors, 2 usage error, 3 size guard refused the instance.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .model import (
     InfeasibleError,
     SchemaError,
     SizeGuardError,
+    TimeLimitError,
     validate_tour,
 )
 from .oracle import enumerate_bs_neighbors
@@ -91,9 +92,10 @@ def _run_algorithm(inst, algo: str, args) -> SolveReport:
     if algo == "rts":
         return rts(inst, model=model)
     if algo == "exact":
-        return solve_exact(inst, model=model)
+        return solve_exact(inst, model=model, time_limit=time_limit)
     if algo == "limop":
-        return limop(inst, getattr(args, "klim", 2), model=model)
+        return limop(inst, getattr(args, "klim", 2), model=model,
+                     time_limit=time_limit)
     if algo == "rts3nn":
         return rts_3nn(inst, BaselineConfig(iterations=getattr(args, "budget", 200),
                                             seed=seed, time_limit=time_limit), model=model)
@@ -163,7 +165,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    inst = load_instance(args.instance)
+    inst = load_instance(args.instance, metric_closure=args.metric_closure)
     tour = load_solution(args.solution)
     model = _cost_model(inst, args)
     report = validate_tour(tour, inst, model)
@@ -237,7 +239,7 @@ def _bench_cell(payload):
         report = _run_algorithm(inst, payload["algo"], ns)
         value = report.makespan
         status = "ok"
-    except (SizeGuardError, InfeasibleError) as exc:
+    except (SizeGuardError, InfeasibleError, TimeLimitError) as exc:
         value, status = float("nan"), f"error: {exc}"
     elapsed = time.perf_counter() - t0
     return {"path": payload["path"], "algo": payload["algo"], "value": value,
@@ -474,6 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("-s", "--solution", required=True)
     v.add_argument("--model", default="base", choices=("base", "extended"))
     v.add_argument("--extended", default=None)
+    v.add_argument("--metric-closure", action="store_true",
+                   help="apply shortest-path closure to loaded matrices")
     v.set_defaults(func=cmd_validate)
 
     n = sub.add_parser("enumerate", help="neighborhood size diagnostics")

@@ -2,16 +2,19 @@
 restriction removed.
 
 Stage 1 enumerates every subset of destinations (forward DP with the same
-energy look-ahead pruning); stage 2 sweeps meta states (visited set, RL)
-in order of subset size, combining one operation arc with one recharging
-leg per step. Values live in dense arrays indexed by bitmask, processed
-level-synchronously with numpy.
+energy look-ahead pruning); stage 2 sweeps meta states (visited bitmask,
+RL) level by subset size with ``solve_meta``'s recursion. A level's arcs
+are its disjoint (reachable set, table entry) pairs. Entries are grouped
+by the start and end RLs where their makespan is finite, and each group is
+relaxed on those RLs only by ``metagraph.relax``; ``metagraph.walk_back``
+tries entries in mask order, so ties go to the smallest bitmask.
 """
 
 from __future__ import annotations
 
 import time
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -19,16 +22,21 @@ from .model import (
     BaseCostModel,
     InfeasibleError,
     Instance,
-    Operation,
-    RechargingLeg,
     SizeGuardError,
-    build_tour,
+    TimeLimitError,
 )
-from .opsgraph import build_ops_graph, recover_operation_order
+from .metagraph import chunks, relax, walk_back
+from .opsgraph import build_ops_graph
 from .reports import SolveReport
 
 ND_CAP = 18
 STATE_BUDGET = 1 << 26  # max n_r * 2^n_d meta values
+
+
+def check_deadline(deadline) -> None:
+    """Raise ``TimeLimitError`` past a ``time.perf_counter()`` deadline."""
+    if deadline is not None and time.perf_counter() > deadline:
+        raise TimeLimitError("time limit reached before the sweep finished")
 
 
 @lru_cache(maxsize=8)
@@ -41,102 +49,92 @@ def _masks_by_popcount(n_d: int):
     return [masks[pc == k] for k in range(n_d + 1)]
 
 
-def full_meta_sweep(inst: Instance, op_flights: dict, model=None):
-    """Optimal tour over all operation compositions in ``op_flights``
-    (bitmask -> (n_r, n_r) minimal-flight matrix). Returns (tour, stats);
-    each operation's visiting order is recovered by the unrestricted
-    stage-1 DP over its set."""
-    model = model or BaseCostModel(inst)
-    n, n_r = inst.n_d, inst.n_r
-    full = (1 << n) - 1
-    c_r = inst.c_r
-    masks_pc = _masks_by_popcount(n)
-    t0 = time.perf_counter()
+def _makespans(op_flights: dict, masks: np.ndarray, model) -> np.ndarray:
+    return model.makespan_matrix(np.array([op_flights[m] for m in masks.tolist()]))
 
-    items = []
-    for mask in sorted(op_flights):
-        weights = model.makespan_matrix(op_flights[mask])
-        if np.isfinite(weights).any():
-            items.append((mask, int(mask).bit_count(), weights))
+
+def _sweep_values(inst: Instance, op_flights: dict, model, deadline=None):
+    """Forward pass of ``full_meta_sweep``: (zeta, eps, arcs), the value
+    arrays indexed by visited bitmask and RL and the number of arcs."""
+    n, n_r, c_r = inst.n_d, inst.n_r, inst.c_r
+    full = (1 << n) - 1
+
+    # group entries by the start and end RLs with a finite makespan
+    masks = np.array(sorted(op_flights), dtype=np.int64)
+    pcs = np.array([m.bit_count() for m in masks.tolist()], dtype=np.int64)
+    signatures = np.empty((masks.size, 2 * n_r), dtype=bool)
+    for sl in chunks(masks.size, n_r * n_r):
+        finite = np.isfinite(_makespans(op_flights, masks[sl], model))
+        signatures[sl] = np.hstack([finite.any(axis=2), finite.any(axis=1)])
+    uniq, inverse = np.unique(signatures, axis=0, return_inverse=True)
+    groups = []
+    for g, sig in enumerate(uniq):
+        rows, cols = np.flatnonzero(sig[:n_r]), np.flatnonzero(sig[n_r:])
+        ids = np.flatnonzero(inverse.ravel() == g)
+        W = np.empty((ids.size, rows.size, cols.size))
+        for sl in chunks(ids.size, n_r * n_r):
+            W[sl] = _makespans(op_flights, masks[ids[sl]], model)[:, rows[:, None], cols]
+        if rows.size:
+            groups.append((masks[ids], pcs[ids], rows, cols, W))
 
     zeta = np.full((full + 1, n_r), np.inf)
     eps = np.full((full + 1, n_r), np.inf)
     zeta[0] = c_r[inst.w0]
-    reach = np.zeros(full + 1, dtype=bool)
-    reach[0] = True
     arcs = 0
-
     for k in range(n + 1):
-        Ms = masks_pc[k]
+        check_deadline(deadline)
+        Ms = _masks_by_popcount(n)[k]
         if k > 0:
             live = Ms[np.isfinite(eps[Ms]).any(axis=1)]
-            if live.size:
-                E = eps[live]
-                zeta[live] = (E[:, :, None] + c_r[None, :, :]).min(axis=1)
-                reach[live] = True
-        if k == n:
-            break
-        src = Ms[reach[Ms]]
-        if src.size == 0:
-            continue
-        for mask, pc, weights in items:
-            if pc > n - k:
-                continue
-            Ts = src[(src & mask) == 0]
-            if Ts.size == 0:
-                continue
-            Z = zeta[Ts]
-            cand = (Z[:, :, None] + weights[None, :, :]).min(axis=1)
-            tgt = Ts | mask
-            eps[tgt] = np.minimum(eps[tgt], cand)
-            arcs += Ts.size
+            zeta[live] = (eps[live][:, :, None] + c_r[None, :, :]).min(axis=1)
+        src = Ms[np.isfinite(zeta[Ms]).any(axis=1)]
+        for gmasks, gpcs, rows, cols, W in groups:
+            fits = np.flatnonzero(gpcs <= n - k)
+            for esl in chunks(fits.size, src.size):
+                ids = fits[esl]
+                si, ei = np.nonzero((src[:, None] & gmasks[ids][None, :]) == 0)
+                ei = ids[ei]
+                arcs += si.size
+                for sl in chunks(si.size, rows.size * cols.size):
+                    S, e = src[si[sl]], ei[sl]
+                    relax(eps, zeta[S[:, None], rows], W[e], S | gmasks[e], cols)
+    return zeta, eps, arcs
 
-    value = float(zeta[full, inst.wt])
-    if not np.isfinite(value):
+
+def full_meta_sweep(inst: Instance, op_flights: dict, model=None, deadline=None):
+    """Optimal tour over all operation compositions in ``op_flights``
+    (bitmask -> (n_r, n_r) minimal-flight matrix). Returns (tour, stats);
+    each operation's visiting order is recovered by the unrestricted
+    stage-1 DP over its set. Raises ``TimeLimitError`` at the first level
+    that starts after ``deadline`` (a ``time.perf_counter()`` value)."""
+    model = model or BaseCostModel(inst)
+    full = (1 << inst.n_d) - 1
+    t0 = time.perf_counter()
+    zeta, eps, arcs = _sweep_values(inst, op_flights, model, deadline)
+    t1 = time.perf_counter()
+    if not np.isfinite(zeta[full, inst.wt]):
         raise InfeasibleError("no feasible tour exists")
+    masks = np.array(sorted(op_flights), dtype=np.int64)
 
-    def close_to(a, b):
-        return np.isfinite(a) and abs(a - b) <= 1e-9 + 1e-12 * abs(b)
+    def arcs_into(S, wp):
+        inside = masks[masks & S == masks]
+        for sl in chunks(inside.size, inst.n_r * inst.n_r):
+            yield (S & ~inside[sl], inside[sl].tolist(),
+                   _makespans(op_flights, inside[sl], model)[:, :, wp])
 
-    rev = []
-    S, w = full, inst.wt
-    while S:
-        wp = next(i for i in range(n_r)
-                  if close_to(eps[S, i] + c_r[i, w], zeta[S, w]))
-        rev.append(RechargingLeg(wp, w))
-        hit = None
-        for mask, pc, weights in items:
-            if mask & S != mask:
-                continue
-            T = S & ~mask
-            for wpp in range(n_r):
-                if close_to(zeta[T, wpp] + weights[wpp, wp], eps[S, wp]):
-                    hit = (mask, T, wpp)
-                    break
-            if hit:
-                break
-        if hit is None:
-            raise AssertionError("backtracking lost the optimal path")
-        mask, T, wpp = hit
-        order = recover_operation_order(inst, tuple(range(n)), mask, wpp, wp,
-                                        None)
-        rev.append(Operation(wpp, tuple(order), wp))
-        S, w = T, wpp
-    rev.append(RechargingLeg(inst.w0, w))
-
-    tour = build_tour(inst, reversed(rev), model)
-    if abs(tour.makespan - value) > 1e-6:
-        raise AssertionError(
-            f"reconstructed makespan {tour.makespan!r} != DP value {value!r}")
-
-    stats = {"meta_states": (full + 1) * n_r, "meta_arcs": arcs,
-             "meta_time": time.perf_counter() - t0}
-    return tour, stats
+    tour = walk_back(inst, tuple(range(inst.n_d)), None, zeta, eps, full,
+                     arcs_into, model)
+    return tour, {"meta_states": (full + 1) * inst.n_r, "meta_arcs": arcs,
+                  "layers": {"sweep_s": t1 - t0,
+                             "walkback_s": time.perf_counter() - t1}}
 
 
 def solve_exact(inst: Instance, model=None, nd_cap: int = ND_CAP,
-                state_budget: int = STATE_BUDGET) -> SolveReport:
-    """Provably optimal tour; refuses instances beyond the size guards."""
+                state_budget: int = STATE_BUDGET,
+                time_limit: Optional[float] = None) -> SolveReport:
+    """Provably optimal tour; refuses instances beyond the size guards and
+    raises ``TimeLimitError`` once ``time_limit`` seconds have passed,
+    checked after stage 1 and at each level of the sweep."""
     if inst.n_d > nd_cap:
         raise SizeGuardError(
             f"exact solver capped at {nd_cap} destinations (instance has "
@@ -147,9 +145,10 @@ def solve_exact(inst: Instance, model=None, nd_cap: int = ND_CAP,
             "use the neighborhood search instead")
     model = model or BaseCostModel(inst)
     t0 = time.perf_counter()
-    identity = tuple(range(inst.n_d))
-    table = build_ops_graph(inst, identity, None, model=model)
-    tour, stats = full_meta_sweep(inst, table.entries, model)
+    deadline = None if time_limit is None else t0 + time_limit
+    table = build_ops_graph(inst, tuple(range(inst.n_d)), None, model=model)
+    check_deadline(deadline)
+    tour, stats = full_meta_sweep(inst, table.entries, model, deadline)
     return SolveReport(
         algorithm="exact",
         tour=tour,
@@ -159,5 +158,6 @@ def solve_exact(inst: Instance, model=None, nd_cap: int = ND_CAP,
         meta_states=stats["meta_states"],
         meta_arcs=stats["meta_arcs"],
         wall_time=time.perf_counter() - t0,
-        extras={"terminal_entries": table.stats.terminal_entries},
+        extras={"terminal_entries": table.stats.terminal_entries,
+                "layers": {"stage1_s": table.stats.elapsed, **stats["layers"]}},
     )

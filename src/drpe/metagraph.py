@@ -5,10 +5,15 @@ Meta states record how many destinations have been visited (stage k), which
 RL the drone currently sits at, and a *pattern*: the set of reference-order
 positions pulled forward past k (S-) paired with the set pushed back (S+).
 Patterns are stage-independent, so validity and pattern-to-pattern
-transitions are precomputed once per p as a lookup table. The value of a
-state is the best makespan including the recharging leg that ends at its RL;
-an inner value per end-RL aggregates incoming operation arcs before the leg
-is appended.
+transitions are precomputed once per p as a lookup table. Values live in
+two (state row x RL) arrays, row k * n_pat + b: ``eps`` on arrival by an
+operation, ``zeta`` after the recharging leg that follows. Each stage's
+operation arcs are priced as one stack and relaxed at once by ``relax``
+(min-plus one start RL at a time, exact scatter-min), in batches of at
+most ``CHUNK_VALUES`` weights. No pointers are kept: ``walk_back`` takes
+the first exact-equality match in the forward order (leg from the lowest
+RL; arc from the lowest source stage, then pattern, then start RL). The
+exact sweep shares ``relax`` and ``walk_back``.
 """
 
 from __future__ import annotations
@@ -164,6 +169,113 @@ class MetaStats:
     elapsed: float = 0.0
 
 
+# float64 values in one relaxation batch (arcs x start RLs x end RLs): 2 MB
+# temporaries; at 2^20 a small-loose pass peaked about 16 MB higher in RSS
+CHUNK_VALUES = 1 << 18
+
+
+def chunks(n: int, per_item: int):
+    """Slices of at most CHUNK_VALUES // per_item items covering range(n)."""
+    step = max(1, CHUNK_VALUES // max(per_item, 1))
+    return (slice(i, i + step) for i in range(0, n, step))
+
+
+def relax(eps, start, weights, targets, cols) -> None:
+    """Set ``eps[targets[a], cols]`` to its min with ``min_i start[a, i] +
+    weights[a, i]``, one start RL i at a time. ``minimum.at`` is exact, so
+    the order of the arcs does not matter; eps must be C-contiguous."""
+    best = start[:, 0, None] + weights[:, 0]
+    step = np.empty_like(best)
+    for i in range(1, start.shape[1]):
+        np.minimum(best, np.add(start[:, i, None], weights[:, i], out=step), out=best)
+    flat = targets[:, None] * eps.shape[1] + cols
+    np.minimum.at(eps.reshape(-1), flat.ravel(), best.ravel())
+
+
+def walk_back(inst: Instance, x: tuple, p: Optional[int], zeta, eps, row: int,
+              arcs_into, model):
+    """The tour of ``zeta[row, inst.wt]``, walked back to row 0 by exact
+    equality: the leg from the lowest RL that matches, then the first arc
+    and start RL that match. ``arcs_into(row, wp)`` yields batches (source
+    rows, bitmasks over positions of x, makespans into wp) in DP order."""
+    value = float(zeta[row, inst.wt])
+    rev, w = [], inst.wt
+    while row:
+        wp = int(np.flatnonzero(eps[row] + inst.c_r[:, w] == zeta[row, w])[0])
+        rev.append(RechargingLeg(wp, w))
+        for src, masks, weights in arcs_into(row, wp):
+            hit = np.flatnonzero(zeta[src] + weights == eps[row, wp])
+            if hit.size:
+                break
+        a, wpp = divmod(int(hit[0]), inst.n_r)
+        order = recover_operation_order(inst, x, masks[a], wpp, wp, p)
+        rev.append(Operation(wpp, tuple(x[t] for t in order), wp))
+        row, w = int(src[a]), wpp
+    rev.append(RechargingLeg(inst.w0, w))
+    tour = build_tour(inst, reversed(rev), model)
+    if abs(tour.makespan - value) > 1e-6:
+        raise AssertionError(
+            f"reconstructed makespan {tour.makespan!r} != DP value {value!r}")
+    return tour
+
+
+def _meta_values(costs: OperationCostTable, inst: Instance, p: int, model):
+    """Forward pass of ``solve_meta``: (zeta, eps, stats, arcs_into), the
+    value arrays with row k * n_pat + b for pattern b at stage k and the
+    walk-back's arc source."""
+    n_d, n_r, c_r = inst.n_d, inst.n_r, inst.c_r
+    lookup = get_transition_lookup(p)
+    n_pat = len(lookup.patterns)
+    valid_at = [[pat.valid_at_stage(k, n_d) for pat in lookup.patterns]
+                for k in range(n_d + 1)]
+    zeta = np.full(((n_d + 1) * n_pat, n_r), np.inf)
+    eps = np.full(((n_d + 1) * n_pat, n_r), np.inf)
+    zeta[0] = c_r[inst.w0]
+    h_max = min(costs.max_op_size, n_d)
+    per_stage = [sum(valid) for valid in valid_at]
+    stats = MetaStats(states=sum(per_stage) * n_r, patterns_per_stage=per_stage)
+
+    def arcs_out(k, a_id, h):
+        # (target row, operation) of the lookup's arcs from (k, a) over h
+        valid, base = valid_at[k + h], (k + h) * n_pat
+        return [(base + b_id, ops << k >> (p - 1))
+                for b_id, ops in lookup.successors(a_id, h) if valid[b_id]]
+
+    def arcs_into(row, wp):
+        # source stage ascending, then source pattern ascending
+        k1 = row // n_pat
+        src, masks = zip(*[
+            (k * n_pat + a_id, mask) for k in range(max(0, k1 - h_max), k1)
+            for a_id in range(n_pat) if valid_at[k][a_id]
+            for target, mask in arcs_out(k, a_id, k1 - k)
+            if target == row and mask in costs.entries])
+        flights = np.array([costs.entries[m] for m in masks])
+        yield np.array(src), masks, model.makespan_matrix(flights)[:, :, wp]
+
+    for k in range(n_d + 1):
+        rows = k * n_pat + np.flatnonzero(valid_at[k])
+        if k > 0:
+            E = eps[rows]
+            live = np.isfinite(E).any(axis=1)
+            zeta[rows[live]] = (E[live][:, :, None] + c_r[None, :, :]).min(axis=1)
+        arcs = [(row, target, costs.entries[mask])
+                for row in rows[np.isfinite(zeta[rows]).any(axis=1)].tolist()
+                for h in range(1, min(h_max, n_d - k) + 1)
+                for target, mask in arcs_out(k, row - k * n_pat, h)
+                if mask in costs.entries]
+        stats.arcs += len(arcs)
+        for sl in chunks(len(arcs), n_r * n_r):
+            src, tgt, flights = (np.array(a) for a in zip(*arcs[sl]))
+            W = model.makespan_matrix(flights)
+            # relax on the start and end RLs where some arc is finite
+            finite = np.isfinite(W).any(axis=0)
+            starts = np.flatnonzero(finite.any(axis=1))
+            ends = np.flatnonzero(finite.any(axis=0))
+            relax(eps, zeta[src[:, None], starts], W[:, starts[:, None], ends],
+                  tgt, ends)
+    return zeta, eps, stats, arcs_into
+
+
 def solve_meta(costs: OperationCostTable, inst: Instance, x: Sequence[int],
                p: int, model: Optional[object] = None):
     """Shortest path through the meta graph; returns (tour, stats).
@@ -171,89 +283,11 @@ def solve_meta(costs: OperationCostTable, inst: Instance, x: Sequence[int],
     The returned tour's makespan is the optimum over all neighbor tours
     whose operations appear in the cost table.
     """
-    x = tuple(x)
     model = model or BaseCostModel(inst)
     t0 = time.perf_counter()
-    n_d, n_r = inst.n_d, inst.n_r
-    c_r = inst.c_r
-    lookup = get_transition_lookup(p)
-    patterns = lookup.patterns
-    n_pat = len(patterns)
-    empty_id = 0
-
-    valid_at = [[pat.valid_at_stage(k, n_d) for pat in patterns]
-                for k in range(n_d + 1)]
-    zeta = np.full((n_d + 1, n_pat, n_r), np.inf)
-    eps = np.full((n_d + 1, n_pat, n_r), np.inf)
-    ptr_zeta = np.full((n_d + 1, n_pat, n_r), -1, dtype=np.int64)
-    ptr_eps = [[[None] * n_r for _ in range(n_pat)] for _ in range(n_d + 1)]
-
-    zeta[0, empty_id] = c_r[inst.w0]
-    h_max = min(costs.max_op_size, n_d)
-    makespan_cache = {}
-    stats = MetaStats(patterns_per_stage=[sum(valid_at[k]) for k in range(n_d + 1)])
-    stats.states = int(sum(stats.patterns_per_stage) * n_r)
-
-    for k in range(n_d + 1):
-        if k > 0:
-            for b_id in range(n_pat):
-                if not valid_at[k][b_id]:
-                    continue
-                row = eps[k, b_id]
-                if not np.isfinite(row).any():
-                    continue
-                cand = row[:, None] + c_r
-                zeta[k, b_id] = cand.min(axis=0)
-                ptr_zeta[k, b_id] = cand.argmin(axis=0)
-        if k == n_d:
-            break
-        for a_id in range(n_pat):
-            if not valid_at[k][a_id]:
-                continue
-            za = zeta[k, a_id]
-            if not np.isfinite(za).any():
-                continue
-            for h in range(1, min(h_max, n_d - k) + 1):
-                for b_id, ops in lookup.successors(a_id, h):
-                    if not valid_at[k + h][b_id]:
-                        continue
-                    mask = ops << k >> (p - 1)
-                    flights = costs.entries.get(mask)
-                    if flights is None:
-                        continue
-                    weights = makespan_cache.get(mask)
-                    if weights is None:
-                        weights = model.makespan_matrix(flights)
-                        makespan_cache[mask] = weights
-                    cand = za[:, None] + weights
-                    best = cand.min(axis=0)
-                    stats.arcs += 1
-                    improved = best < eps[k + h, b_id]
-                    if not improved.any():
-                        continue
-                    eps[k + h, b_id][improved] = best[improved]
-                    arg = cand.argmin(axis=0)
-                    for wp in np.flatnonzero(improved):
-                        ptr_eps[k + h][b_id][wp] = (k, a_id, int(arg[wp]), mask)
-
-    value = float(zeta[n_d, empty_id, inst.wt])
+    zeta, eps, stats, arcs_into = _meta_values(costs, inst, p, model)
     stats.elapsed = time.perf_counter() - t0
-    if not np.isfinite(value):
+    final = inst.n_d * len(get_transition_lookup(p).patterns)
+    if not np.isfinite(zeta[final, inst.wt]):
         raise InfeasibleError("no feasible tour in this neighborhood")
-
-    # reconstruct by walking the parents back from the terminal state
-    rev = []
-    k, pat, w = n_d, empty_id, inst.wt
-    while k > 0:
-        wp = int(ptr_zeta[k, pat, w])
-        rev.append(RechargingLeg(wp, w))
-        k_prev, a_id, wpp, mask = ptr_eps[k][pat][wp]
-        order = recover_operation_order(inst, x, mask, wpp, wp, costs.p)
-        rev.append(Operation(wpp, tuple(x[t] for t in order), wp))
-        k, pat, w = k_prev, a_id, wpp
-    rev.append(RechargingLeg(inst.w0, w))
-    tour = build_tour(inst, reversed(rev), model)
-    if abs(tour.makespan - value) > 1e-6:
-        raise AssertionError(
-            f"reconstructed makespan {tour.makespan!r} != DP value {value!r}")
-    return tour, stats
+    return walk_back(inst, tuple(x), costs.p, zeta, eps, final, arcs_into, model), stats

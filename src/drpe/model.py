@@ -48,6 +48,10 @@ class SchemaError(DrpeError):
     pass
 
 
+class TimeLimitError(DrpeError):
+    pass
+
+
 @dataclass
 class Instance:
     """A DRP-E instance.

@@ -200,3 +200,37 @@ def test_bench_summary_counts_failed_cells(tmp_path, capsys):
     assert rows["exact"]["avg_gap_pct"] == rows["exact"]["worst_gap_pct"] == ""
     assert rows["rts"]["instances"] == "1" and rows["rts"]["failed"] == "0"
     assert "& -- & 0.00 & -- & 0.00" in capsys.readouterr().out
+
+
+def test_time_limit_reaches_exact_and_limop(tmp_path, capsys):
+    out = _gen(tmp_path, count=1)
+    inst_path = str(next(out.glob("Basis_small_s1.json")))
+    for algo in ("exact", "limop"):
+        assert main(["solve", "--algo", algo, "-i", inst_path,
+                     "--time-limit", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "time limit" in err
+    table = tmp_path / "bench.csv"
+    assert main(["bench", "--instances", str(out), "--algos", "exact,rts",
+                 "--time-limit", "0", "--out", str(table)]) == 0
+    rows = {r["algorithm"]: r for r in csv.DictReader(table.open())}
+    assert rows["exact"]["failed"] == "1" and rows["rts"]["failed"] == "0"
+
+
+def test_validate_metric_closure(tmp_path):
+    # the direct 0-1 flight is longer than the detour through node 2, so the
+    # instance loads only with the closure
+    doc = {
+        "version": 1, "name": "detour", "n_d": 1, "n_r": 2,
+        "depot_start": 0, "depot_target": 1, "e_max": 30.0,
+        "metrics": {"drone": "matrix", "rover": "matrix"},
+        "c_d": [[0, 10, 1], [10, 0, 1], [1, 1, 0]],
+        "c_r": [[0, 1], [1, 0]],
+    }
+    inst_path, sol = tmp_path / "inst.json", tmp_path / "sol.json"
+    inst_path.write_text(json.dumps(doc))
+    assert main(["solve", "--algo", "exact", "--metric-closure", "-i",
+                 str(inst_path), "--out", str(sol)]) == 0
+    assert main(["validate", "-i", str(inst_path), "-s", str(sol)]) == 1
+    assert main(["validate", "--metric-closure", "-i", str(inst_path),
+                 "-s", str(sol)]) == 0
