@@ -141,17 +141,20 @@ class ExtendedCostModel:
         hover = np.maximum(0.0, c_r_slice - (c.c_tkof + flights))
         return c.xi_tkof + c.r_fl * flights + c.r_hov * hover + c.xi_land
 
-    def finalize_flight_matrix(self, flights: np.ndarray) -> np.ndarray:
+    def finalize_flight_matrix(self, flights: np.ndarray,
+                               rover: Optional[np.ndarray] = None) -> np.ndarray:
         out = flights.copy()
-        energy = self._energy_matrix(flights, self.c_r)
+        energy = self._energy_matrix(flights, self.c_r if rover is None else rover)
         out[energy > self.usable + self._etol] = np.inf
         return out
 
-    def makespan_matrix(self, flights: np.ndarray) -> np.ndarray:
+    def makespan_matrix(self, flights: np.ndarray,
+                        rover: Optional[np.ndarray] = None) -> np.ndarray:
         c = self.costs
-        hover = np.maximum(0.0, self.c_r - (c.c_tkof + flights))
+        rover = self.c_r if rover is None else rover
+        hover = np.maximum(0.0, rover - (c.c_tkof + flights))
         drone_time = c.c_tkof + flights + hover + c.c_land
-        out = np.maximum(drone_time, self.c_r) + c.c_swap
+        out = np.maximum(drone_time, rover) + c.c_swap
         out[~np.isfinite(flights)] = np.inf
         return out
 

@@ -208,9 +208,13 @@ class BaseCostModel:
       time and endpoint RLs; tour validation and tour pricing
       (``tour_makespan``, ``build_tour``) call them.
     - ``finalize_flight_matrix`` / ``makespan_matrix`` price a (start RL x
-      end RL) matrix of flight times: the first sets infeasible entries to
-      +inf, the second maps flights to makespans and keeps +inf. The
-      splitter, stage 1, stage 2 and the exact sweep call them.
+      end RL) matrix of flight times, or a stack of them: the first sets
+      infeasible entries to +inf, the second maps flights to makespans and
+      keeps +inf. The splitter, stage 1, stage 2 and the exact sweep call
+      them. Both take an optional ``rover`` operand of the same shape as
+      ``flights`` holding the rover times of each entry's endpoint pair
+      (default ``c_r``): the splitter prices rows of (block, start RL w)
+      against every end RL with ``c_r[w]`` rows.
 
     ``max_flight`` is the nominal flight-time cap and ``flight_cap`` that cap
     plus the model's feasibility tolerance, in flight units: no flight above
@@ -232,16 +236,18 @@ class BaseCostModel:
     def op_feasible(self, flight: float, w: int, w_prime: int) -> bool:
         return flight <= self.flight_cap
 
-    def finalize_flight_matrix(self, flights: np.ndarray) -> np.ndarray:
+    def finalize_flight_matrix(self, flights: np.ndarray,
+                               rover: Optional[np.ndarray] = None) -> np.ndarray:
         """Apply the feasibility filter to a (n_r, n_r) matrix of minimal
         flight times, or a stack of them; infeasible endpoint pairs become
-        +inf."""
+        +inf. The base model's filter does not read ``rover``."""
         out = flights.copy()
         out[out > self.flight_cap] = np.inf
         return out
 
-    def makespan_matrix(self, flights: np.ndarray) -> np.ndarray:
-        return np.maximum(flights, self.c_r)
+    def makespan_matrix(self, flights: np.ndarray,
+                        rover: Optional[np.ndarray] = None) -> np.ndarray:
+        return np.maximum(flights, self.c_r if rover is None else rover)
 
 
 def operation_flight_time(op: Operation, inst: Instance) -> float:

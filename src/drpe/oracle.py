@@ -94,64 +94,92 @@ def enumerate_valid_operation_sequences(n_d: int, p: int) -> set:
 # Optimal replenishment insertion for a fixed destination order
 # ---------------------------------------------------------------------------
 
+def _block_entries(x: tuple, inst: Instance, model) -> tuple:
+    """The finite operation entries of every block of x: arrays (i, j, w,
+    w', makespan) for the block x[i:j] flown from RL w to RL w', sorted by
+    block start i, then block length, then start RL w, then end RL w'.
+
+    Blocks are enumerated one length at a time for all start cuts at once.
+    A (block, start RL) row survives to the next length only while every
+    prefix flight of the block so far stayed within ``model.flight_cap``;
+    each surviving row is priced against every end RL with the rover times
+    of its start RL."""
+    n_d, n_r = inst.n_d, inst.n_r
+    c_r, cap = inst.c_r, model.flight_cap
+    xs = np.asarray(x, dtype=np.intp)
+    land = inst.cd_dr[xs]  # landing from position t at each RL
+    hop = inst.cd_dd[xs[:-1], xs[1:]]  # flight from position t to t + 1
+    i = np.repeat(np.arange(n_d), n_r)
+    w = np.tile(np.arange(n_r), n_d)
+    acc = inst.cd_rd[w, xs[i]]  # partial flight through position last
+    parts = []
+    for length in range(n_d + 1):
+        last = i + length
+        rover = c_r[w]
+        weight = model.makespan_matrix(
+            model.finalize_flight_matrix(acc[:, None] + land[last], rover), rover)
+        k = np.flatnonzero(np.isfinite(weight))  # 2-D nonzero is ~10x slower
+        r, wp = np.divmod(k, n_r)
+        parts.append((i[r], last[r] + 1, w[r], wp, weight.reshape(-1)[k]))
+        keep = (acc <= cap) & (last + 1 < n_d)
+        if not keep.any():
+            break
+        i, w = i[keep], w[keep]
+        acc = acc[keep] + hop[last[keep]]
+    cols = [np.concatenate(col) for col in zip(*parts)]
+    order = np.argsort(cols[0], kind="stable")
+    return tuple(col[order] for col in cols)
+
+
 def split_optimal(x: Sequence[int], inst: Instance,
                   model: Optional[object] = None) -> DroneTour:
     """Minimum-makespan tour whose destination order is exactly x.
 
     Dynamic program over (visited prefix length, current RL); every
-    contiguous block of x is considered as one operation followed by one
-    (possibly trivial) recharging leg. O(n_d^2 n_r^2), one (start RL x end
-    RL) makespan matrix per block. Ties keep the first minimum: the first
-    (block start, start RL) for an operation, the first leg start for a leg.
+    contiguous block of x is one candidate operation followed by one
+    (possibly trivial) recharging leg. Only the finite (block, start RL, end
+    RL) entries are kept (``_block_entries``). Pricing them costs
+    O(L n_d n_r^2) for L the longest block that some (block, start RL) row
+    reaches within the flight cap. From the TSP order of Basis-large s1
+    (n_d=100, n_r=49) that is L=9 and 8,740 rows, 4,900 of them at length
+    one: 428k priced values, of which 9,176 are finite. The forward pass
+    scatters each cut's entries into the pre-leg labels g with one
+    ``minimum.at`` and takes the leg minimum into f, O(E + n_d n_r^2) for E
+    entries. The walk-back finds each step by exact float equality, O(E)
+    per operation. Ties keep the leg from the lowest RL, then the lowest
+    block start, then the lowest start RL.
     """
     x = tuple(x)
     if sorted(x) != list(range(inst.n_d)):
         raise ValueError("x must be a permutation of all destinations")
     model = model or BaseCostModel(inst)
-    n_d, n_r = inst.n_d, inst.n_r
-    c_r, cd_rd, cd_dr, cd_dd = inst.c_r, inst.cd_rd, inst.cd_dr, inst.cd_dd
-    cut = model.flight_cap
+    n_d, n_r, c_r = inst.n_d, inst.n_r, inst.c_r
+    start, end, rl, end_rl, weight = _block_entries(x, inst, model)
 
     # f[i, w]: best makespan after the first i destinations and the following
-    # recharging leg, ending at RL w; g[j, w']: the same before that leg.
+    # recharging leg, ending at RL w; g[j, w']: the same before that leg
     f = np.full((n_d + 1, n_r), np.inf)
     g = np.full((n_d + 1, n_r), np.inf)
-    f_parent = np.zeros((n_d + 1, n_r), dtype=np.intp)  # leg start RL
-    g_parent = np.zeros((n_d + 1, n_r), dtype=np.intp)  # i * n_r + start RL
     f[0] = c_r[inst.w0]
-
+    bounds = np.searchsorted(start, np.arange(n_d + 1))
+    target = end * n_r + end_rl
     for i in range(n_d):
-        # partial flight of block x[i:j] from each start RL; +inf marks a start
-        # that is unreachable or whose partial flight already broke the cap
-        acc = np.where(np.isfinite(f[i]), cd_rd[:, x[i]], np.inf)
-        for j in range(i + 1, n_d + 1):
-            last = x[j - 1]
-            flights = model.finalize_flight_matrix(acc[:, None] + cd_dr[last])
-            cand = f[i][:, None] + model.makespan_matrix(flights)
-            best = cand.min(axis=0)
-            better = best < g[j]
-            if better.any():
-                g[j, better] = best[better]
-                g_parent[j, better] = i * n_r + cand.argmin(axis=0)[better]
-            acc[acc > cut] = np.inf
-            if j == n_d or not np.isfinite(acc).any():
-                break
-            acc += cd_dd[last, x[j]]
-        legs = g[i + 1][:, None] + c_r
-        f[i + 1] = legs.min(axis=0)
-        f_parent[i + 1] = legs.argmin(axis=0)
+        cut = slice(bounds[i], bounds[i + 1])
+        np.minimum.at(g.reshape(-1), target[cut], f[i, rl[cut]] + weight[cut])
+        f[i + 1] = (g[i + 1][:, None] + c_r).min(axis=0)
 
     if not np.isfinite(f[n_d, inst.wt]):
         raise InfeasibleError("no feasible replenishment insertion for this order")
 
-    # walk the parents back from (n_d, wt)
     rev = []
     j, w = n_d, inst.wt
     while j > 0:
-        wp = int(f_parent[j, w])
+        wp = int(np.flatnonzero(g[j] + c_r[:, w] == f[j, w])[0])
         rev.append(RechargingLeg(wp, w))
-        i, ws = divmod(int(g_parent[j, wp]), n_r)
-        rev.append(Operation(ws, tuple(x[i:j]), wp))
+        into = np.flatnonzero(target == j * n_r + wp)
+        k = into[f[start[into], rl[into]] + weight[into] == g[j, wp]][0]
+        i, ws = int(start[k]), int(rl[k])
+        rev.append(Operation(ws, x[i:j], wp))
         j, w = i, ws
     rev.append(RechargingLeg(inst.w0, w))
     return build_tour(inst, reversed(rev), model)

@@ -41,8 +41,6 @@ def shifted_permutations(x: Sequence[int], p: int) -> list:
     out, seen = [], {tuple(x)}
     for a in range(min(p - 1, n)):
         for b in range(p - 1 - a):
-            if a + b > p - 2:
-                break
             y = list(x)
             v = y.pop(a)
             y.insert(len(y) - b, v)
@@ -66,6 +64,8 @@ def vlsn(inst: Instance, x: Sequence[int], p: int,
 
     For single-depot instances the wrap-around orders excluded by the
     neighborhood are additionally evaluated with the optimal splitter.
+    ``extras["layers"]`` holds the seconds spent in stage 1, stage 2 and
+    those splits.
     """
     x = tuple(x)
     model = model or BaseCostModel(inst)
@@ -75,12 +75,15 @@ def vlsn(inst: Instance, x: Sequence[int], p: int,
     best, meta_stats = solve_meta(table, inst, x, p, model=model)
 
     extra_orders = 0
+    t_split = time.perf_counter()
     if inst.w0 == inst.wt and p >= 2:
         for y in shifted_permutations(x, p):
             extra_orders += 1
             cand = split_optimal(y, inst, model=model)
             if cand.makespan < best.makespan - EPS:
                 best = cand
+    layers = {"stage1_s": table.stats.elapsed, "stage2_s": meta_stats.elapsed,
+              "split_s": time.perf_counter() - t_split}
 
     return SolveReport(
         algorithm=f"vlsn(p={p})",
@@ -93,7 +96,7 @@ def vlsn(inst: Instance, x: Sequence[int], p: int,
         meta_arcs=meta_stats.arcs,
         wall_time=time.perf_counter() - t0,
         extras={"p": p, "shifted_orders": extra_orders,
-                "table_entries": table.stats.terminal_entries},
+                "table_entries": table.stats.terminal_entries, "layers": layers},
     )
 
 
@@ -103,14 +106,18 @@ def _accumulate(total: SolveReport, part: SolveReport) -> None:
     total.ops_arcs += part.ops_arcs
     total.meta_states += part.meta_states
     total.meta_arcs += part.meta_arcs
+    for key, val in part.extras["layers"].items():
+        total.extras["layers"][key] += val
 
 
 def _descend(inst, x0, p0, p_max, model, config, algorithm, extras):
     """Search the neighborhood of the incumbent's order at width p, starting
     at p0: re-center and fall back to p0 after an improvement, widen
     otherwise, and stop past p_max (or when the time budget runs out
-    between searches). At p = n_d the neighborhood already contains every
-    order, so widths beyond n_d are searched at n_d."""
+    between searches, flagged by ``extras["timed_out"]``). At p = n_d the
+    neighborhood already contains every order, so widths beyond n_d are
+    searched at n_d. ``extras["layers"]`` sums the searches' layer times
+    and adds the initial order's and its split's."""
     model = model or BaseCostModel(inst)
     config = config or SearchConfig()
     t0 = time.perf_counter()
@@ -118,14 +125,19 @@ def _descend(inst, x0, p0, p_max, model, config, algorithm, extras):
         from .baselines import initial_tsp_sequence
         x0 = initial_tsp_sequence(inst)
     x0 = tuple(x0)
-
+    t_split = time.perf_counter()
     incumbent = split_optimal(x0, inst, model=model)
+    layers = {"initial_order_s": t_split - t0,
+              "initial_split_s": time.perf_counter() - t_split,
+              "stage1_s": 0.0, "stage2_s": 0.0, "split_s": 0.0}
     report = SolveReport(algorithm=algorithm, tour=incumbent,
-                         makespan=incumbent.makespan, iterations=0)
+                         makespan=incumbent.makespan, iterations=0,
+                         extras={"layers": layers})
     p_stop = min(p_max, inst.n_d)
     p = p_reset = min(p0, p_stop)
     while p <= p_stop:
         if config.time_limit is not None and time.perf_counter() - t0 >= config.time_limit:
+            report.extras["timed_out"] = True
             break
         center = report.tour.destination_order()
         try:

@@ -217,6 +217,17 @@ def test_time_limit_reaches_exact_and_limop(tmp_path, capsys):
     assert rows["exact"]["failed"] == "1" and rows["rts"]["failed"] == "0"
 
 
+def test_search_stats_print_layers_and_timeout(tmp_path, capsys):
+    out = _gen(tmp_path, count=1)
+    inst_path = str(next(out.glob("Basis_small_s1.json")))
+    for algo in ("vlsn-ls", "vlsn-vnd"):
+        assert main(["solve", "--algo", algo, "-i", inst_path,
+                     "--time-limit", "0", "--stats"]) == 0
+        printed = capsys.readouterr().out
+        assert "iters=0" in printed and "timed_out: True" in printed
+        assert "layers: {'initial_order_s': " in printed
+
+
 def test_validate_metric_closure(tmp_path):
     # the direct 0-1 flight is longer than the detour through node 2, so the
     # instance loads only with the closure

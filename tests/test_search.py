@@ -160,3 +160,30 @@ def test_single_depot_extension_only_helps():
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(p0=5, p_max=3)
+
+
+SEARCH_LAYERS = ["initial_order_s", "initial_split_s", "split_s", "stage1_s", "stage2_s"]
+
+
+def test_search_reports_carry_layer_times():
+    inst = random_instance(3, n_d=7, n_r=3, single_depot=True)
+    x = initial_tsp_sequence(inst)
+    step = vlsn(inst, x, 3)
+    assert sorted(step.extras["layers"]) == ["split_s", "stage1_s", "stage2_s"]
+    for rep in (vlsn_ls(inst, p=3), vlsn_vnd(inst, config=SearchConfig(p0=2, p_max=4))):
+        layers = rep.extras["layers"]
+        assert sorted(layers) == SEARCH_LAYERS
+        assert all(v >= 0.0 for v in layers.values())
+        assert layers["stage1_s"] > 0.0 and layers["split_s"] > 0.0
+        assert "timed_out" not in rep.extras
+
+
+def test_time_limit_returns_the_split_incumbent():
+    inst = random_instance(5, n_d=7, n_r=3)
+    x = initial_tsp_sequence(inst)
+    split = split_optimal(x, inst)
+    for rep in (vlsn_ls(inst, p=3, config=SearchConfig(time_limit=0)),
+                vlsn_vnd(inst, config=SearchConfig(time_limit=0))):
+        assert rep.iterations == 0 and rep.neighborhoods == 0
+        assert rep.extras["timed_out"] is True
+        assert repr(rep.tour) == repr(split)
