@@ -12,14 +12,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exact import ND_CAP, _masks_by_popcount, check_deadline, full_meta_sweep
-from .model import BaseCostModel, Instance, SizeGuardError
+from .exact import ND_CAP, _masks_by_popcount, full_meta_sweep
+from .model import BaseCostModel, Instance, SizeGuardError, check_deadline
 from .oracle import split_optimal
 from .reports import SolveReport
 
-# exact initial order up to the small benchmark size; the subset DP stays
-# under half a second there and the split-based solvers are very sensitive
-# to the quality of the initial order
+# exact initial order up to the small benchmark size; the subset DP takes
+# about 0.06 s per call there (Basis-small, one core of a 2-core x86_64
+# machine) and the split-based solvers are very sensitive to the quality
+# of the initial order
 HELD_KARP_LIMIT = 16
 KLIM_GUARD = 4
 
@@ -47,19 +48,21 @@ def _held_karp_path(inst: Instance) -> tuple:
     val = np.full((full + 1, n), np.inf)
     for v in range(n):
         val[1 << v, v] = start[v]
-    masks_pc = _masks_by_popcount(n)
-    for k in range(1, n):
-        Ms = masks_pc[k]
-        A = val[Ms]
-        rows = np.isfinite(A).any(axis=1)
-        Ms, A = Ms[rows], A[rows]
-        B = (A[:, :, None] + cd_dd[None, :, :]).min(axis=1)
-        for u in range(n):
-            free = (Ms >> u) & 1 == 0
-            if not free.any():
-                continue
-            tgt = Ms[free] | (1 << u)
-            val[tgt, u] = np.minimum(val[tgt, u], B[free, u])
+    flat = val.reshape(-1)
+    bits = np.arange(n)[:, None]
+    for Ms in _masks_by_popcount(n)[1:n]:
+        # Bt[u, s] = min over the last destination v of val[Ms[s], v] +
+        # cd_dd[v, u], folded one v at a time (min is exact, so the order
+        # of the fold does not matter)
+        At = val[Ms].T.copy()
+        Bt = cd_dd[0][:, None] + At[0]
+        step = np.empty_like(Bt)
+        for v in range(1, n):
+            np.minimum(Bt, np.add(cd_dd[v][:, None], At[v], out=step), out=Bt)
+        # (S | u, u) is reached from S alone, so each target is written once
+        free = (Ms >> bits) & 1 == 0
+        u, s = np.nonzero(free)
+        flat[(Ms[s] | (1 << u)) * n + u] = Bt[free]
 
     ends = val[full] + finish
     order = []
@@ -96,86 +99,80 @@ def _nearest_neighbor(inst: Instance) -> list:
     return order
 
 
+def _framed(order, inst) -> np.ndarray:
+    """The order as c_d node ids between the start and the target depot."""
+    return np.array([inst.n_d + inst.w0, *order, inst.n_d + inst.wt], dtype=np.intp)
+
+
 def _two_opt(order, inst) -> list:
-    # segment reversal needs a symmetric drone metric
-    if not np.allclose(inst.c_d, inst.c_d.T):
-        return list(order)
-    order = list(order)
-    n = len(order)
+    """First-improvement 2-opt sweeps until none improves; needs a symmetric
+    drone metric. For each first position i, the gains of every end
+    position j are one vector; after the first improving reversal the scan
+    goes on from j + 1 against the new order."""
     cd = inst.c_d
-    nd = inst.n_d
-
-    def node(i):
-        if i < 0:
-            return nd + inst.w0
-        if i >= n:
-            return nd + inst.wt
-        return order[i]
-
+    path = _framed(order, inst)  # path[i + 1] is order[i]
+    n = len(order)
     improved = True
     while improved:
         improved = False
         for i in range(n - 1):
-            a = node(i - 1)
-            for j in range(i + 1, n):
-                b = node(j + 1)
-                delta = (cd[a, order[j]] + cd[order[i], b]
-                         - cd[a, order[i]] - cd[order[j], b])
-                if delta < -1e-9:
-                    order[i:j + 1] = reversed(order[i:j + 1])
-                    improved = True
-    return order
+            a = path[i]
+            j0 = i + 1
+            while j0 < n:
+                oi, oj, b = path[i + 1], path[j0 + 1:n + 1], path[j0 + 2:]
+                delta = cd[a, oj] + cd[oi, b] - cd[a, oi] - cd[oj, b]
+                hits = np.flatnonzero(delta < -1e-9)
+                if not hits.size:
+                    break
+                j = j0 + int(hits[0])
+                path[i + 1:j + 2] = path[j + 1:i:-1]
+                improved = True
+                j0 = j + 1
+    return path[1:-1].tolist()
 
 
 def _or_opt(order, inst) -> list:
-    order = list(order)
-    n = len(order)
+    """Best-insertion moves of segments of 1, 2 and 3 destinations until
+    none improves. For each segment, the gains of every insertion point are
+    one vector; the first best one below -1e-9 is taken."""
     cd = inst.c_d
-    nd = inst.n_d
-
-    def node(i):
-        if i < 0:
-            return nd + inst.w0
-        if i >= len(order):
-            return nd + inst.wt
-        return order[i]
-
+    path = _framed(order, inst)
+    n = len(order)
     improved = True
     while improved:
         improved = False
         for seg in (1, 2, 3):
             for i in range(0, n - seg + 1):
-                chunk = order[i:i + seg]
-                rest = order[:i] + order[i + seg:]
-                base_gain = (cd[node(i - 1), chunk[0]]
-                             + cd[chunk[-1], node(i + seg)]
-                             - cd[node(i - 1), node(i + seg)])
-                best_j, best_delta = None, -1e-9
-                for j in range(len(rest) + 1):
-                    if j == i:
-                        continue
-                    prev = rest[j - 1] if j > 0 else nd + inst.w0
-                    nxt = rest[j] if j < len(rest) else nd + inst.wt
-                    add = cd[prev, chunk[0]] + cd[chunk[-1], nxt] - cd[prev, nxt]
-                    delta = add - base_gain
-                    if delta < best_delta:
-                        best_delta, best_j = delta, j
-                if best_j is not None:
-                    order = rest[:best_j] + chunk + rest[best_j:]
+                head, tail = path[i + 1], path[i + seg]
+                base_gain = (cd[path[i], head] + cd[tail, path[i + seg + 1]]
+                             - cd[path[i], path[i + seg + 1]])
+                # the path without the segment; insertion point j sits
+                # between rest[j] and rest[j + 1]
+                rest = np.concatenate((path[:i + 1], path[i + seg + 1:]))
+                prev, nxt = rest[:-1], rest[1:]
+                delta = cd[prev, head] + cd[tail, nxt] - cd[prev, nxt] - base_gain
+                delta[i] = np.inf
+                j = int(np.argmin(delta))
+                if delta[j] < -1e-9:
+                    path = np.concatenate((rest[:j + 1], path[i + 1:i + seg + 1],
+                                           rest[j + 1:]))
                     improved = True
-    return order
+    return path[1:-1].tolist()
 
 
 def initial_tsp_sequence(inst: Instance) -> tuple:
     """Shortest aerial path from w0 through all destinations to wt: exact
     below the subset-DP limit, nearest neighbor plus 2-opt and or-opt
-    descent above it. Deterministic."""
+    descent above it (2-opt only on a symmetric drone metric).
+    Deterministic."""
     if inst.n_d <= HELD_KARP_LIMIT:
         return _held_karp_path(inst)
+    symmetric = np.allclose(inst.c_d, inst.c_d.T)
     order = _nearest_neighbor(inst)
     while True:
         before = _path_cost(order, inst)
-        order = _two_opt(order, inst)
+        if symmetric:
+            order = _two_opt(order, inst)
         order = _or_opt(order, inst)
         if _path_cost(order, inst) >= before - 1e-9:
             break
@@ -186,12 +183,14 @@ def initial_tsp_sequence(inst: Instance) -> tuple:
 # Capped operation size
 # ---------------------------------------------------------------------------
 
-def _capped_op_table(inst: Instance, klim: int, model) -> dict:
+def _capped_op_table(inst: Instance, klim: int, model, deadline=None) -> dict:
     """Minimal flight per (w, set, w') over sets of at most klim
-    destinations, by exhaustive ordering."""
+    destinations, by exhaustive ordering; ``deadline`` is checked once per
+    set size."""
     n = inst.n_d
     flights = {}
     for size in range(1, klim + 1):
+        check_deadline(deadline)
         for combo in itertools.combinations(range(n), size):
             best = np.full((inst.n_r, inst.n_r), np.inf)
             for perm in itertools.permutations(combo):
@@ -223,9 +222,8 @@ def limop(inst: Instance, klim: int = 2, model: Optional[object] = None,
     model = model or BaseCostModel(inst)
     t0 = time.perf_counter()
     deadline = None if time_limit is None else t0 + time_limit
-    flights = _capped_op_table(inst, klim, model)
+    flights = _capped_op_table(inst, klim, model, deadline)
     stage1_s = time.perf_counter() - t0
-    check_deadline(deadline)
 
     tour, stats = full_meta_sweep(inst, flights, model, deadline)
     return SolveReport(algorithm=f"limop(klim={klim})", tour=tour,

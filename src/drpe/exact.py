@@ -23,7 +23,7 @@ from .model import (
     InfeasibleError,
     Instance,
     SizeGuardError,
-    TimeLimitError,
+    check_deadline,
 )
 from .metagraph import chunks, relax, walk_back
 from .opsgraph import build_ops_graph
@@ -31,12 +31,6 @@ from .reports import SolveReport
 
 ND_CAP = 18
 STATE_BUDGET = 1 << 26  # max n_r * 2^n_d meta values
-
-
-def check_deadline(deadline) -> None:
-    """Raise ``TimeLimitError`` past a ``time.perf_counter()`` deadline."""
-    if deadline is not None and time.perf_counter() > deadline:
-        raise TimeLimitError("time limit reached before the sweep finished")
 
 
 @lru_cache(maxsize=8)
@@ -134,7 +128,7 @@ def solve_exact(inst: Instance, model=None, nd_cap: int = ND_CAP,
                 time_limit: Optional[float] = None) -> SolveReport:
     """Provably optimal tour; refuses instances beyond the size guards and
     raises ``TimeLimitError`` once ``time_limit`` seconds have passed,
-    checked after stage 1 and at each level of the sweep."""
+    checked at each level of stage 1 and of the sweep."""
     if inst.n_d > nd_cap:
         raise SizeGuardError(
             f"exact solver capped at {nd_cap} destinations (instance has "
@@ -146,8 +140,8 @@ def solve_exact(inst: Instance, model=None, nd_cap: int = ND_CAP,
     model = model or BaseCostModel(inst)
     t0 = time.perf_counter()
     deadline = None if time_limit is None else t0 + time_limit
-    table = build_ops_graph(inst, tuple(range(inst.n_d)), None, model=model)
-    check_deadline(deadline)
+    table = build_ops_graph(inst, tuple(range(inst.n_d)), None, model=model,
+                            deadline=deadline)
     tour, stats = full_meta_sweep(inst, table.entries, model, deadline)
     return SolveReport(
         algorithm="exact",

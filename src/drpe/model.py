@@ -16,6 +16,7 @@ combined drone travel-time matrix ``c_d``.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
@@ -50,6 +51,13 @@ class SchemaError(DrpeError):
 
 class TimeLimitError(DrpeError):
     pass
+
+
+def check_deadline(deadline) -> None:
+    """Raise ``TimeLimitError`` past a ``time.perf_counter()`` deadline
+    (None: no limit)."""
+    if deadline is not None and time.perf_counter() > deadline:
+        raise TimeLimitError("time limit reached")
 
 
 @dataclass

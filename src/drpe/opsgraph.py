@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import BaseCostModel, Instance, SizeGuardError
+from .model import BaseCostModel, Instance, SizeGuardError, check_deadline
 
 SEARCH_STATE_BUDGET = 8_000_000  # (set, position, start RL) values of a build at width p
 
@@ -180,12 +180,15 @@ def _levels(inst, x, p, cap, within, starts=slice(None)):
 
 def build_ops_graph(inst: Instance, x: Sequence[int], p: Optional[int],
                     model: Optional[object] = None,
-                    size_cap: Optional[int] = None) -> OperationCostTable:
+                    size_cap: Optional[int] = None,
+                    deadline: Optional[float] = None) -> OperationCostTable:
     """Forward DP over partial operations; returns the operation cost table.
 
     p=None drops the neighborhood restriction (all subsets), which is the
     exact solver's stage 1; only builds at a width p are held to
-    SEARCH_STATE_BUDGET. size_cap limits the operation size.
+    SEARCH_STATE_BUDGET. size_cap limits the operation size. Past
+    ``deadline`` (a ``time.perf_counter()`` value, checked once per level)
+    the build raises ``TimeLimitError``.
     """
     x = tuple(x)
     if sorted(x) != list(range(inst.n_d)):
@@ -204,6 +207,7 @@ def build_ops_graph(inst: Instance, x: Sequence[int], p: Optional[int],
     levels = _levels(inst, x, p, model.flight_cap, (1 << n) - 1)
     for k, (sets, count, first, pos, val) in enumerate(
             itertools.islice(levels, top), start=1):
+        check_deadline(deadline)
         stats.per_stage[k] = int(np.isfinite(val).sum())
         held += val.size
         if p is not None and held > SEARCH_STATE_BUDGET:

@@ -64,7 +64,8 @@ def vlsn(inst: Instance, x: Sequence[int], p: int,
 
     For single-depot instances the wrap-around orders excluded by the
     neighborhood are additionally evaluated with the optimal splitter.
-    ``extras["layers"]`` holds the seconds spent in stage 1, stage 2 and
+    ``extras["layers"]`` holds the seconds spent in stage 1, stage 2's
+    forward pass, the recovery of the tour and its operation orders, and
     those splits.
     """
     x = tuple(x)
@@ -83,6 +84,7 @@ def vlsn(inst: Instance, x: Sequence[int], p: int,
             if cand.makespan < best.makespan - EPS:
                 best = cand
     layers = {"stage1_s": table.stats.elapsed, "stage2_s": meta_stats.elapsed,
+              "recovery_s": meta_stats.recovery_elapsed,
               "split_s": time.perf_counter() - t_split}
 
     return SolveReport(
@@ -129,7 +131,7 @@ def _descend(inst, x0, p0, p_max, model, config, algorithm, extras):
     incumbent = split_optimal(x0, inst, model=model)
     layers = {"initial_order_s": t_split - t0,
               "initial_split_s": time.perf_counter() - t_split,
-              "stage1_s": 0.0, "stage2_s": 0.0, "split_s": 0.0}
+              "stage1_s": 0.0, "stage2_s": 0.0, "recovery_s": 0.0, "split_s": 0.0}
     report = SolveReport(algorithm=algorithm, tour=incumbent,
                          makespan=incumbent.makespan, iterations=0,
                          extras={"layers": layers})
@@ -180,12 +182,17 @@ def vlsn_vnd(inst: Instance, x0: Optional[Sequence[int]] = None,
 def rts(inst: Instance, model: Optional[object] = None,
         x0: Optional[Sequence[int]] = None) -> SolveReport:
     """Route first, split second: optimal replenishment insertion into the
-    shortest-path destination order."""
+    shortest-path destination order. ``extras["layers"]`` holds the seconds
+    spent on the order and on its split."""
     t0 = time.perf_counter()
     if x0 is None:
         from .baselines import initial_tsp_sequence
         x0 = initial_tsp_sequence(inst)
+    t_split = time.perf_counter()
     tour = split_optimal(tuple(x0), inst, model=model)
+    t1 = time.perf_counter()
     return SolveReport(algorithm="rts", tour=tour, makespan=tour.makespan,
-                       wall_time=time.perf_counter() - t0,
-                       extras={"x0": list(x0)})
+                       wall_time=t1 - t0,
+                       extras={"x0": list(x0),
+                               "layers": {"initial_order_s": t_split - t0,
+                                          "initial_split_s": t1 - t_split}})

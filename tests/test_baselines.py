@@ -1,21 +1,224 @@
+"""Baselines; the initial order against the scalar subset DP and descents
+it replaced, kept here as oracles."""
+
 import itertools
 
 import numpy as np
 import pytest
 
 from drpe.baselines import (
+    HELD_KARP_LIMIT,
     BaselineConfig,
+    _nearest_neighbor,
     _path_cost,
     initial_tsp_sequence,
     limop,
     rts_3nn,
     sa_rts_3opt,
 )
-from drpe.exact import solve_exact
-from drpe.generator import metrics_from_coords, random_instance
+from drpe.exact import _masks_by_popcount, solve_exact
+from drpe.generator import get_setting, generate, metrics_from_coords, random_instance
 from drpe.model import Instance, SizeGuardError, validate_tour
 from drpe.oracle import split_optimal
 from drpe.search import rts
+
+
+# ---------------------------------------------------------------------------
+# initial order
+# ---------------------------------------------------------------------------
+
+def _scalar_held_karp_path(inst):
+    """The subset DP with one (sets x n x n) broadcast per level."""
+    n = inst.n_d
+    cd_dd, start, finish = inst.cd_dd, inst.cd_rd[inst.w0], inst.cd_dr[:, inst.wt]
+    full = (1 << n) - 1
+    val = np.full((full + 1, n), np.inf)
+    for v in range(n):
+        val[1 << v, v] = start[v]
+    masks_pc = _masks_by_popcount(n)
+    for k in range(1, n):
+        Ms = masks_pc[k]
+        A = val[Ms]
+        rows = np.isfinite(A).any(axis=1)
+        Ms, A = Ms[rows], A[rows]
+        B = (A[:, :, None] + cd_dd[None, :, :]).min(axis=1)
+        for u in range(n):
+            free = (Ms >> u) & 1 == 0
+            if not free.any():
+                continue
+            tgt = Ms[free] | (1 << u)
+            val[tgt, u] = np.minimum(val[tgt, u], B[free, u])
+
+    ends = val[full] + finish
+    order = []
+    v = int(np.argmin(ends))
+    mask = full
+    while mask:
+        order.append(v)
+        prev = mask & ~(1 << v)
+        if prev == 0:
+            break
+        cand = val[prev] + cd_dd[:, v]
+        v = int(np.argmin(np.where(np.isfinite(val[prev]), cand, np.inf)))
+        mask = prev
+    order.reverse()
+    return tuple(order)
+
+
+def _scalar_two_opt(order, inst):
+    """First-improvement 2-opt, one scalar gain at a time."""
+    if not np.allclose(inst.c_d, inst.c_d.T):
+        return list(order)
+    order = list(order)
+    n = len(order)
+    cd = inst.c_d
+    nd = inst.n_d
+
+    def node(i):
+        if i < 0:
+            return nd + inst.w0
+        if i >= n:
+            return nd + inst.wt
+        return order[i]
+
+    improved = True
+    while improved:
+        improved = False
+        for i in range(n - 1):
+            a = node(i - 1)
+            for j in range(i + 1, n):
+                b = node(j + 1)
+                delta = (cd[a, order[j]] + cd[order[i], b]
+                         - cd[a, order[i]] - cd[order[j], b])
+                if delta < -1e-9:
+                    order[i:j + 1] = reversed(order[i:j + 1])
+                    improved = True
+    return order
+
+
+def _scalar_or_opt(order, inst):
+    """Best-insertion or-opt, one scalar gain at a time."""
+    order = list(order)
+    n = len(order)
+    cd = inst.c_d
+    nd = inst.n_d
+
+    def node(i):
+        if i < 0:
+            return nd + inst.w0
+        if i >= len(order):
+            return nd + inst.wt
+        return order[i]
+
+    improved = True
+    while improved:
+        improved = False
+        for seg in (1, 2, 3):
+            for i in range(0, n - seg + 1):
+                chunk = order[i:i + seg]
+                rest = order[:i] + order[i + seg:]
+                base_gain = (cd[node(i - 1), chunk[0]]
+                             + cd[chunk[-1], node(i + seg)]
+                             - cd[node(i - 1), node(i + seg)])
+                best_j, best_delta = None, -1e-9
+                for j in range(len(rest) + 1):
+                    if j == i:
+                        continue
+                    prev = rest[j - 1] if j > 0 else nd + inst.w0
+                    nxt = rest[j] if j < len(rest) else nd + inst.wt
+                    add = cd[prev, chunk[0]] + cd[chunk[-1], nxt] - cd[prev, nxt]
+                    delta = add - base_gain
+                    if delta < best_delta:
+                        best_delta, best_j = delta, j
+                if best_j is not None:
+                    order = rest[:best_j] + chunk + rest[best_j:]
+                    improved = True
+    return order
+
+
+def _scalar_initial_order(inst):
+    if inst.n_d <= HELD_KARP_LIMIT:
+        return _scalar_held_karp_path(inst)
+    order = _nearest_neighbor(inst)
+    while True:
+        before = _path_cost(order, inst)
+        order = _scalar_two_opt(order, inst)
+        order = _scalar_or_opt(order, inst)
+        if _path_cost(order, inst) >= before - 1e-9:
+            break
+    return tuple(order)
+
+
+def _asymmetric(inst, seed):
+    """The instance with every drone leg lengthened by its own random
+    amount, so that c_d is no longer symmetric."""
+    rng = np.random.default_rng(seed)
+    c_d = inst.c_d + rng.uniform(0.0, 5.0, inst.c_d.shape)
+    np.fill_diagonal(c_d, 0.0)
+    return Instance(n_d=inst.n_d, n_r=inst.n_r, c_d=c_d, c_r=inst.c_r,
+                    w0=inst.w0, wt=inst.wt, e_max=inst.e_max)
+
+
+def _grid_instance(n_d, line=False, single_depot=False):
+    """Destinations on unit grid points (or one line), RLs on the corners:
+    many equal distances, so every tie rule is exercised."""
+    side = int(np.ceil(np.sqrt(n_d)))
+    cells = np.arange(n_d)
+    dest = (np.stack([cells, np.zeros(n_d)], axis=1) if line
+            else np.stack([cells % side, cells // side], axis=1)).astype(float)
+    far = dest.max(axis=0)
+    rls = np.array([[-1.0, -1.0], [far[0] + 1, -1.0], [-1.0, far[1] + 1],
+                    [far[0] + 1, far[1] + 1]])
+    c_d, c_r = metrics_from_coords(dest, rls, 1.0)
+    return Instance(n_d=n_d, n_r=4, c_d=c_d, c_r=c_r, w0=0,
+                    wt=0 if single_depot else 3, e_max=50.0)
+
+
+@pytest.mark.parametrize("n_d", range(1, HELD_KARP_LIMIT + 1))
+def test_held_karp_matches_scalar_oracle(n_d):
+    for seed in range(2):
+        inst = random_instance(seed, n_d=n_d, n_r=3, single_depot=seed == 1)
+        assert initial_tsp_sequence(inst) == _scalar_held_karp_path(inst)
+
+
+@pytest.mark.parametrize("n_d", [17, 23, 31, 48, 75, 120])
+def test_descent_matches_scalar_oracle(n_d):
+    for seed in range(2):
+        inst = random_instance(seed, n_d=n_d, n_r=4, single_depot=seed == 1)
+        assert initial_tsp_sequence(inst) == _scalar_initial_order(inst)
+
+
+@pytest.mark.parametrize("n_d", [9, 16, 17, 40])
+def test_asymmetric_metric_skips_two_opt(n_d):
+    inst = _asymmetric(random_instance(n_d, n_d=n_d, n_r=3), n_d)
+    assert not np.allclose(inst.c_d, inst.c_d.T)
+    assert initial_tsp_sequence(inst) == _scalar_initial_order(inst)
+
+
+@pytest.mark.parametrize("n_d", [6, 12, 16, 17, 24, 30, 49, 81])
+@pytest.mark.parametrize("line", [False, True])
+def test_equal_distances_keep_the_tie_rules(n_d, line):
+    for single_depot in (False, True):
+        inst = _grid_instance(n_d, line=line, single_depot=single_depot)
+        assert initial_tsp_sequence(inst) == _scalar_initial_order(inst)
+
+
+def test_gains_at_the_threshold_are_not_taken():
+    # a zero metric but for one edge of 1e-9 on the nearest-neighbor path:
+    # the 2-opt reversal and the or-opt insertion that drop it both gain
+    # exactly 1e-9, which is not an improvement
+    n_d = HELD_KARP_LIMIT + 1
+    c_d = np.zeros((n_d + 2, n_d + 2))
+    c_d[n_d - 2, n_d - 1] = c_d[n_d - 1, n_d - 2] = 1e-9
+    inst = Instance(n_d=n_d, n_r=2, c_d=c_d, c_r=np.zeros((2, 2)), w0=0, wt=1,
+                    e_max=1.0)
+    assert initial_tsp_sequence(inst) == _scalar_initial_order(inst) == tuple(range(n_d))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_basis_large_matches_scalar_oracle(seed):
+    inst = generate(get_setting("Basis", "large"), seed)
+    assert initial_tsp_sequence(inst) == _scalar_initial_order(inst)
 
 
 def test_tsp_collinear_order():

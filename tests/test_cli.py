@@ -226,6 +226,9 @@ def test_search_stats_print_layers_and_timeout(tmp_path, capsys):
         printed = capsys.readouterr().out
         assert "iters=0" in printed and "timed_out: True" in printed
         assert "layers: {'initial_order_s': " in printed
+        assert "'recovery_s': " in printed
+    assert main(["solve", "--algo", "rts", "-i", inst_path, "--stats"]) == 0
+    assert "layers: {'initial_order_s': " in capsys.readouterr().out
 
 
 def test_validate_metric_closure(tmp_path):

@@ -1,6 +1,9 @@
 """Stage 2's batched relaxation and exact-equality walk-back against the
 per-arc loops they replaced, kept here as oracles."""
 
+import dataclasses
+import time
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -200,6 +203,19 @@ def test_exact_equals_brute_force_and_full_width(seed, n_d, n_r, emax_factor,
     meta, _ = solve_meta(build_ops_graph(inst, x, n_d, model=model), inst, x,
                          n_d, model)
     assert meta.makespan == pytest.approx(exact, abs=1e-9)
+
+
+def test_time_limit_trips_inside_the_stage1_build():
+    # the p=None build of the loose instance holds 2.9M states; a limit far
+    # below its run time must stop it between two of its levels
+    setting = dataclasses.replace(get_setting("Basis", "small"), e_max=3000.0)
+    inst = generate(setting, 1)
+    order = tuple(range(inst.n_d))
+    with pytest.raises(TimeLimitError):
+        build_ops_graph(inst, order, None, deadline=time.perf_counter())
+    with pytest.raises(TimeLimitError) as raised:
+        solve_exact(inst, time_limit=0.05)
+    assert any(entry.name == "build_ops_graph" for entry in raised.traceback)
 
 
 def test_time_limit_stops_exact_and_limop():

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from drpe.exact import solve_exact
 from drpe.generator import random_instance
 from drpe.metagraph import solve_meta
-from drpe.model import BaseCostModel, validate_tour
+from drpe.model import EPS, BaseCostModel, validate_tour
 from drpe.opsgraph import build_ops_graph
 from drpe.oracle import brute_force_optimum, is_bs_neighbor, split_optimal
 from drpe.search import (
@@ -162,20 +164,28 @@ def test_search_config_validation():
         SearchConfig(p0=5, p_max=3)
 
 
-SEARCH_LAYERS = ["initial_order_s", "initial_split_s", "split_s", "stage1_s", "stage2_s"]
+VLSN_LAYERS = ["recovery_s", "split_s", "stage1_s", "stage2_s"]
+SEARCH_LAYERS = ["initial_order_s", "initial_split_s", *VLSN_LAYERS]
 
 
 def test_search_reports_carry_layer_times():
     inst = random_instance(3, n_d=7, n_r=3, single_depot=True)
     x = initial_tsp_sequence(inst)
     step = vlsn(inst, x, 3)
-    assert sorted(step.extras["layers"]) == ["split_s", "stage1_s", "stage2_s"]
+    assert sorted(step.extras["layers"]) == VLSN_LAYERS
+    assert step.extras["layers"]["recovery_s"] > 0.0
     for rep in (vlsn_ls(inst, p=3), vlsn_vnd(inst, config=SearchConfig(p0=2, p_max=4))):
         layers = rep.extras["layers"]
         assert sorted(layers) == SEARCH_LAYERS
         assert all(v >= 0.0 for v in layers.values())
         assert layers["stage1_s"] > 0.0 and layers["split_s"] > 0.0
+        assert layers["recovery_s"] > 0.0
         assert "timed_out" not in rep.extras
+    for rep in (rts(inst), rts(inst, x0=x)):
+        layers = rep.extras["layers"]
+        assert sorted(layers) == ["initial_order_s", "initial_split_s"]
+        assert all(v >= 0.0 for v in layers.values())
+        assert layers["initial_split_s"] > 0.0
 
 
 def test_time_limit_returns_the_split_incumbent():
@@ -187,3 +197,23 @@ def test_time_limit_returns_the_split_incumbent():
         assert rep.iterations == 0 and rep.neighborhoods == 0
         assert rep.extras["timed_out"] is True
         assert repr(rep.tour) == repr(split)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 10_000), n_d=st.integers(1, 6), n_r=st.integers(1, 4),
+       emax_factor=st.sampled_from([1.1, 1.6, 4.0]), single_depot=st.booleans(),
+       make_model=st.sampled_from([BaseCostModel, binding_extended_model]))
+def test_property_value_monotone_in_width_and_tours_validate(
+        seed, n_d, n_r, emax_factor, single_depot, make_model):
+    inst = random_instance(seed, n_d=n_d, n_r=n_r, emax_factor=emax_factor,
+                           single_depot=single_depot)
+    model = make_model(inst)
+    x = tuple(np.random.default_rng(seed).permutation(n_d).tolist())
+    values = []
+    for p in range(1, n_d + 1):
+        rep = vlsn(inst, x, p, model=model)
+        assert validate_tour(rep.tour, inst, model).passed
+        values.append(rep.makespan)
+    for a, b in zip(values, values[1:]):
+        assert b <= a + EPS
