@@ -8,6 +8,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -18,9 +19,10 @@ from .oracle import split_optimal
 from .reports import SolveReport
 
 # exact initial order up to the small benchmark size; the subset DP takes
-# about 0.06 s per call there (Basis-small, one core of a 2-core x86_64
-# machine) and the split-based solvers are very sensitive to the quality
-# of the initial order
+# about 0.035 s per call there (Basis-small, one core of a 2-core x86_64
+# machine; the first call at a size also builds its index tables) and the
+# split-based solvers are very sensitive to the quality of the initial
+# order
 HELD_KARP_LIMIT = 16
 KLIM_GUARD = 4
 
@@ -41,40 +43,60 @@ class BaselineConfig:
 # Initial destination sequence (aerial shortest path w0 -> all -> wt)
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=2)
+def _held_karp_steps(n: int) -> tuple:
+    """(rank, steps) for the subset DP over n destinations: ``rank[S]`` is
+    the index of S among the sets of its size, ascending, and ``steps[k-1]``
+    holds the (source, target) flat indices that carry each value (S, u)
+    of a (destination x size-k set) array, u not in S, to (S | u, u) of
+    the size-k+1 array, and that array's number of sets."""
+    levels = _masks_by_popcount(n)
+    rank = np.empty(1 << n, dtype=np.intp)
+    for Ms in levels:
+        rank[Ms] = np.arange(Ms.size)
+    steps = []
+    for Ms, up in zip(levels[1:n], levels[2:]):
+        u, s = np.nonzero((Ms >> np.arange(n)[:, None]) & 1 == 0)
+        steps.append(((u * Ms.size + s).astype(np.int32),
+                      (u * up.size + rank[Ms[s] | (1 << u)]).astype(np.int32),
+                      up.size))
+    return rank, steps
+
+
 def _held_karp_path(inst: Instance) -> tuple:
     n = inst.n_d
     cd_dd, start, finish = inst.cd_dd, inst.cd_rd[inst.w0], inst.cd_dr[:, inst.wt]
-    full = (1 << n) - 1
-    val = np.full((full + 1, n), np.inf)
-    for v in range(n):
-        val[1 << v, v] = start[v]
-    flat = val.reshape(-1)
-    bits = np.arange(n)[:, None]
-    for Ms in _masks_by_popcount(n)[1:n]:
-        # Bt[u, s] = min over the last destination v of val[Ms[s], v] +
+    rank, steps = _held_karp_steps(n)
+    # vals[k][v, rank[S]]: shortest path over the size-k set S ending at v
+    first = np.full((n, n), np.inf)
+    np.fill_diagonal(first, start)
+    vals = [None, first]
+    for src, dst, size in steps:
+        At = vals[-1]
+        # Bt[u, s] = min over the last destination v of At[v, s] +
         # cd_dd[v, u], folded one v at a time (min is exact, so the order
         # of the fold does not matter)
-        At = val[Ms].T.copy()
         Bt = cd_dd[0][:, None] + At[0]
         step = np.empty_like(Bt)
         for v in range(1, n):
             np.minimum(Bt, np.add(cd_dd[v][:, None], At[v], out=step), out=Bt)
         # (S | u, u) is reached from S alone, so each target is written once
-        free = (Ms >> bits) & 1 == 0
-        u, s = np.nonzero(free)
-        flat[(Ms[s] | (1 << u)) * n + u] = Bt[free]
+        nxt = np.full((n, size), np.inf)
+        nxt.reshape(-1)[dst] = Bt.reshape(-1)[src]
+        vals.append(nxt)
 
-    ends = val[full] + finish
+    ends = vals[n][:, 0] + finish
     order = []
     v = int(np.argmin(ends))
-    mask = full
+    mask = (1 << n) - 1
     while mask:
         order.append(v)
         prev = mask & ~(1 << v)
         if prev == 0:
             break
-        cand = val[prev] + cd_dd[:, v]
-        v = int(np.argmin(np.where(np.isfinite(val[prev]), cand, np.inf)))
+        before = vals[prev.bit_count()][:, rank[prev]]
+        cand = before + cd_dd[:, v]
+        v = int(np.argmin(np.where(np.isfinite(before), cand, np.inf)))
         mask = prev
     order.reverse()
     return tuple(order)

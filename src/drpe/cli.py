@@ -15,7 +15,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -224,6 +224,7 @@ class BenchmarkResult:
     seed: int
     config_hash: str
     status: str = "ok"
+    layers: dict = field(default_factory=dict)  # seconds per solver layer
 
 
 def _config_hash(payload: dict) -> str:
@@ -235,16 +236,18 @@ def _bench_cell(payload):
     ns = argparse.Namespace(**payload["args"])
     inst = load_instance(payload["path"])
     t0 = time.perf_counter()
+    layers = {}
     try:
         report = _run_algorithm(inst, payload["algo"], ns)
         value = report.makespan
         status = "ok"
+        layers = report.extras.get("layers", {})
     except (SizeGuardError, InfeasibleError, TimeLimitError) as exc:
         value, status = float("nan"), f"error: {exc}"
     elapsed = time.perf_counter() - t0
     return {"path": payload["path"], "algo": payload["algo"], "value": value,
             "time": elapsed, "status": status, "setting": payload["setting"],
-            "seed": payload["args"].get("seed", 0)}
+            "seed": payload["args"].get("seed", 0), "layers": layers}
 
 
 def _instance_files(directory: Path) -> list:
@@ -353,20 +356,25 @@ def cmd_bench(args) -> int:
             setting=r["setting"], instance=Path(r["path"]).name,
             algorithm=r["algo"], value=r["value"], reference=ref, gap_pct=gap,
             runtime_s=r["time"], seed=r["seed"], config_hash=config_hash,
-            status=r["status"]))
+            status=r["status"], layers=r["layers"]))
 
     if args.per_instance:
+        # every layer any solver reported, as trailing columns; empty where
+        # a cell's report has no such layer
+        layer_names = sorted({name for r in rows for name in r.layers})
         with open(args.per_instance, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["setting", "instance", "algorithm", "value",
-                             "reference", "gap_pct", "runtime_s", "seed", "config"])
+                             "reference", "gap_pct", "runtime_s", "seed", "config",
+                             *layer_names])
             for r in sorted(rows, key=lambda r: (r.setting, r.instance, r.algorithm)):
                 writer.writerow([
                     r.setting, r.instance, r.algorithm,
                     "" if not np.isfinite(r.value) else f"{r.value:.9g}",
                     "" if r.reference is None else f"{r.reference:.9g}",
                     "" if r.gap_pct is None else f"{r.gap_pct:.6f}",
-                    f"{r.runtime_s:.3f}", r.seed, r.config_hash])
+                    f"{r.runtime_s:.3f}", r.seed, r.config_hash,
+                    *(f"{r.layers[n]:.6f}" if n in r.layers else "" for n in layer_names)])
 
     summary = {}
     for r in rows:

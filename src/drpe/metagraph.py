@@ -5,7 +5,10 @@ Meta states record how many destinations have been visited (stage k), which
 RL the drone currently sits at, and a *pattern*: the set of reference-order
 positions pulled forward past k (S-) paired with the set pushed back (S+).
 Patterns are stage-independent, so validity and pattern-to-pattern
-transitions are precomputed once per p as a lookup table. Values live in
+transitions are precomputed once per p as a lookup table, held as arrays
+per gap. An arc's operation has a stage-1 set key linear in the stage, so
+``table_arcs`` finds every arc the cost table holds with one sorted
+search per gap before the forward pass. Values live in
 two (state row x RL) arrays, row k * n_pat + b: ``eps`` on arrival by an
 operation, ``zeta`` after the recharging leg that follows. Each stage's
 operation arcs are priced as one stack and relaxed at once by ``relax``
@@ -32,9 +35,10 @@ from .model import (
     Instance,
     Operation,
     RechargingLeg,
+    SizeGuardError,
     build_tour,
 )
-from .opsgraph import OperationCostTable, recover_operation_order
+from .opsgraph import OperationCostTable, _ctz, _top_bit, recover_operation_order
 
 
 @dataclass(frozen=True)
@@ -103,30 +107,78 @@ class TransitionLookup:
     exists iff ``bits[a]`` lies inside ``reach``, and its operation is the
     bitmask ``reach & ~bits[a]``, which at source stage k flies positions
     ``ops << k >> (p - 1)``. ``successors(a, h)`` lists ``(b, ops)`` in
-    ascending b."""
+    ascending b; ``arcs(h, q)`` holds the same arcs as arrays, keyed for
+    a stage-1 table of width q."""
 
     p: int
     patterns: list = field(default_factory=list)
     bits: list = field(default_factory=list)
-    _table: dict = field(default_factory=dict)
+    _gaps: dict = field(default_factory=dict)
+    _arcs: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.patterns = enumerate_valid_patterns(self.p)
         self.bits = [pat.visited(self.p - 1) for pat in self.patterns]
+        self._early = np.array([max(pat.minus, default=0) for pat in self.patterns])
+        self._late = np.array([min(pat.plus, default=1) for pat in self.patterns])
+
+    def valid_at(self, n_d: int) -> np.ndarray:
+        """(n_d + 1, patterns) bool: pattern b is valid at stage k."""
+        k = np.arange(n_d + 1)[:, None]
+        return (k + self._early <= n_d) & (k + self._late >= 1)
+
+    def _cut(self, h: int, q: int) -> int:
+        return min(h, 2 * self.p - 1 + q)
+
+    def _gap(self, g: int):
+        """(a, b, ops) of the arcs over a gap of g, ascending in a then b."""
+        got = self._gaps.get(g)
+        if got is None:
+            if g + 2 * self.p - 2 > 62:
+                raise SizeGuardError(f"pattern width p={self.p} is too wide for stage 2")
+            bits = np.array(self.bits, dtype=np.int64)
+            reach = ((1 << g) - 1) | (bits << g)
+            a, b = np.nonzero(bits[:, None] & ~reach[None, :] == 0)
+            got = self._gaps[g] = (a, b, reach[b] & ~bits[a])
+        return got
 
     def successors(self, a_id: int, h: int) -> list:
-        rows = self._table.get(h)
-        if rows is None:
-            rows = []
-            for a in self.bits:
-                succ = []
-                for b_id, b in enumerate(self.bits):
-                    reach = (1 << h) - 1 | b << h
-                    if a & ~reach == 0:
-                        succ.append((b_id, reach & ~a))
-                rows.append(succ)
-            self._table[h] = rows
-        return rows[a_id]
+        """(b, ops) of the arcs from a over h; also fills ``arcs(h)``."""
+        self.arcs(h)
+        a, b, _ = self._gap(self._cut(h, self.p))
+        lo, hi = np.searchsorted(a, [a_id, a_id + 1])
+        reach_low, bits_a = (1 << h) - 1, self.bits[a_id]
+        return [(b_id, (reach_low | self.bits[b_id] << h) & ~bits_a)
+                for b_id in b[lo:hi].tolist()]
+
+    def arcs(self, h: int, q: Optional[int] = None):
+        """The arcs over h as arrays ``(a, b, lo, hi, shape)``, ascending in
+        a then b: from source stage k the operation's lowest and highest
+        positions are k + lo and k + hi, and its ``SetKey`` at width q
+        (default p) is ``shape + (k + lo << shift_m) + (k + hi << shift_M)``.
+        An operation with a hole in its window's interior at width q gets
+        the key of the set that fills the hole, which has more positions,
+        so a search among the sets of the operation's own size misses it.
+
+        Positions 2p-2 (where ``bits`` end) to h-1 of every operation are
+        present, so the key fields, which reach q-1 positions in from
+        either end, are read off the gap g <= h that keeps q+1 of them;
+        positions past g sit h-g higher in the real operation."""
+        q = self.p if q is None else q
+        g = self._cut(h, q)
+        got = self._arcs.get((g, q))
+        if got is None:
+            a, b, ops = self._gap(g)
+            lo, top = _ctz(ops), _top_bit(ops)
+            low = (1 << (q - 1)) - 1
+            base = top - (q - 1)
+            tail = np.where(base >= 0, ops >> np.maximum(base, 0),
+                            ops << np.maximum(-base, 0)) & low
+            got = self._arcs[(g, q)] = (
+                a, b, lo - (self.p - 1), top - (self.p - 1),
+                ((ops >> (lo + 1)) & low) << (q - 1) | tail)
+        a, b, lo, hi, shape = got
+        return a, b, lo, hi + (h - g), shape
 
 
 @lru_cache(maxsize=16)
@@ -220,60 +272,76 @@ def walk_back(inst: Instance, x: tuple, p: Optional[int], zeta, eps, row: int,
     return tour
 
 
+def table_arcs(costs: OperationCostTable, lookup: TransitionLookup, valid_at):
+    """Every stage-2 arc whose operation the table holds, as arrays
+    ``(stage, gap, a, b, keys, rows)`` ascending in source stage, then gap,
+    then source pattern, then target pattern: from pattern a at ``stage``
+    to pattern b ``gap`` stages on, both valid there (``valid_at``, one
+    row per stage), over the set with ``costs.layout`` key ``keys``, whose
+    flights are row ``rows`` of ``costs.flights[gap]``. An arc's key is
+    linear in its stage, so each gap costs one key computation and one
+    table search for all stages at once."""
+    layout, n_d = costs.layout, valid_at.shape[0] - 1
+    parts = []
+    for h in range(1, min(costs.max_op_size, n_d) + 1):
+        a, b, lo, hi, shape = lookup.arcs(h, layout.p)
+        k = np.arange(n_d + 1 - h)[:, None]
+        k, j = np.nonzero(valid_at[k, a] & valid_at[k + h, b])
+        keys = (shape[j] + ((k + lo[j]) << layout.shift_m)
+                + ((k + hi[j]) << layout.shift_M))
+        rows = costs.rows(h, keys)
+        hit = rows >= 0
+        parts.append((k[hit], np.full(hit.sum(), h), a[j[hit]], b[j[hit]],
+                      keys[hit], rows[hit]))
+    parts = [np.concatenate(part) for part in zip(*parts)] or [np.empty(0, int)] * 6
+    order = np.argsort(parts[0], kind="stable")
+    return tuple(part[order] for part in parts)
+
+
 def _meta_values(costs: OperationCostTable, inst: Instance, p: int, model):
     """Forward pass of ``solve_meta``: (zeta, eps, stats, arcs_into), the
     value arrays with row k * n_pat + b for pattern b at stage k and the
     walk-back's arc source."""
     n_d, n_r, c_r = inst.n_d, inst.n_r, inst.c_r
     lookup = get_transition_lookup(p)
+    layout = costs.layout
     n_pat = len(lookup.patterns)
-    valid_at = [[pat.valid_at_stage(k, n_d) for pat in lookup.patterns]
-                for k in range(n_d + 1)]
+    valid_at = lookup.valid_at(n_d)
     zeta = np.full(((n_d + 1) * n_pat, n_r), np.inf)
     eps = np.full(((n_d + 1) * n_pat, n_r), np.inf)
     zeta[0] = c_r[inst.w0]
-    h_max = min(costs.max_op_size, n_d)
-    per_stage = [sum(valid) for valid in valid_at]
+    per_stage = valid_at.sum(axis=1).tolist()
     stats = MetaStats(states=sum(per_stage) * n_r, patterns_per_stage=per_stage)
 
-    def arcs_out(k, a_id, h):
-        # (target row, operation) of the lookup's arcs from (k, a) over h
-        valid, base = valid_at[k + h], (k + h) * n_pat
-        return [(base + b_id, ops << k >> (p - 1))
-                for b_id, ops in lookup.successors(a_id, h) if valid[b_id]]
+    stage, gap, a, b, keys, rows = table_arcs(costs, lookup, valid_at)
+    bounds = np.searchsorted(stage, np.arange(n_d + 2))
+    target = (stage + gap) * n_pat + b
 
     def arcs_into(row, wp):
         # source stage ascending, then source pattern ascending
-        k1 = row // n_pat
-        src, masks = zip(*[
-            (k * n_pat + a_id, mask) for k in range(max(0, k1 - h_max), k1)
-            for a_id in range(n_pat) if valid_at[k][a_id]
-            for target, mask in arcs_out(k, a_id, k1 - k)
-            if target == row and mask in costs.entries])
-        flights = np.array([costs.entries[m] for m in masks])
-        yield np.array(src), masks, model.makespan_matrix(flights)[:, :, wp]
+        sel = np.flatnonzero(target == row)
+        flights = costs.stack(gap[sel], rows[sel])
+        yield (stage[sel] * n_pat + a[sel], layout.masks(keys[sel]).tolist(),
+               model.makespan_matrix(flights)[:, :, wp])
 
     for k in range(n_d + 1):
-        rows = k * n_pat + np.flatnonzero(valid_at[k])
+        states = k * n_pat + np.flatnonzero(valid_at[k])
         if k > 0:
-            E = eps[rows]
+            E = eps[states]
             live = np.isfinite(E).any(axis=1)
-            zeta[rows[live]] = (E[live][:, :, None] + c_r[None, :, :]).min(axis=1)
-        arcs = [(row, target, costs.entries[mask])
-                for row in rows[np.isfinite(zeta[rows]).any(axis=1)].tolist()
-                for h in range(1, min(h_max, n_d - k) + 1)
-                for target, mask in arcs_out(k, row - k * n_pat, h)
-                if mask in costs.entries]
-        stats.arcs += len(arcs)
-        for sl in chunks(len(arcs), n_r * n_r):
-            src, tgt, flights = (np.array(a) for a in zip(*arcs[sl]))
-            W = model.makespan_matrix(flights)
+            zeta[states[live]] = (E[live][:, :, None] + c_r[None, :, :]).min(axis=1)
+        reached = np.isfinite(zeta[k * n_pat:(k + 1) * n_pat]).any(axis=1)
+        out = bounds[k] + np.flatnonzero(reached[a[bounds[k]:bounds[k + 1]]])
+        src, tgt = k * n_pat + a[out], target[out]
+        stats.arcs += out.size
+        for sl in chunks(out.size, n_r * n_r):
+            W = model.makespan_matrix(costs.stack(gap[out[sl]], rows[out[sl]]))
             # relax on the start and end RLs where some arc is finite
             finite = np.isfinite(W).any(axis=0)
             starts = np.flatnonzero(finite.any(axis=1))
             ends = np.flatnonzero(finite.any(axis=0))
-            relax(eps, zeta[src[:, None], starts], W[:, starts[:, None], ends],
-                  tgt, ends)
+            relax(eps, zeta[src[sl, None], starts], W[:, starts[:, None], ends],
+                  tgt[sl], ends)
     return zeta, eps, stats, arcs_into
 
 

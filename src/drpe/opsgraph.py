@@ -16,9 +16,12 @@ only if it could still reach its closest RL within the cost model's
 flight cap.
 
 One engine serves every size and width: a level-synchronous frontier DP
-whose sets are Python ints (any n_d) and whose per-state values are
-vectors over the starting RL, reduced with vectorised gathers. Order
-recovery runs the same DP within one entry's set and walks its levels back.
+whose sets are int64 ``SetKey`` keys (the window's ends and its boundary
+bits), grown and grouped by array operations on a whole level, and whose
+per-state values are vectors over the starting RL, reduced with
+vectorised gathers. The cost table keeps the keys and flight matrices
+per operation size. Order recovery replays the same DP within one
+entry's set and walks its levels back.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -74,6 +78,117 @@ def valid_successor_indices(mask: int, p: int, n_d: int) -> list:
 
 
 # ---------------------------------------------------------------------------
+# Set keys
+# ---------------------------------------------------------------------------
+
+def _ctz(x):
+    """Index of the lowest set bit of each nonzero int64."""
+    return np.frexp((x & -x).astype(np.float64))[1] - 1
+
+
+def _top_bit(x):
+    """Index of the highest set bit of each positive int64."""
+    out = np.zeros(x.shape, dtype=np.int64)
+    for s in (32, 16, 8, 4, 2, 1):
+        big = (x >> s) > 0
+        x = np.where(big, x >> s, x)
+        out += s * big
+    return out
+
+
+class SetKey:
+    """Canonical int64 key of a window-valid set of positions 0..n-1 at
+    width p (widths at or above n, and p=None, act as n).
+
+    Such a set is fixed by its lowest and highest positions m and M and by
+    which positions of (m, m+p) and of (M-p, M) it holds, since every
+    position of [m+p, M-p] is in it. The key packs, from the top: m, M
+    (``bits`` bits each), the presence bits of positions m+1..m+p-1 and
+    those of M-p+1..M-1, so 2*bits + 2p - 2 bits in all; a width whose key
+    cannot fit in 63 bits raises ``SizeGuardError``. Keys of sets that are
+    not window-valid alias other sets' keys and must never be formed.
+    """
+
+    def __init__(self, n: int, p: Optional[int]):
+        self.n = n
+        self.p = n if p is None else min(p, n)
+        self.bits = max(1, (n - 1).bit_length())
+        self.low = (1 << (self.p - 1)) - 1
+        self.shift_M = 2 * self.p - 2
+        self.shift_m = self.shift_M + self.bits
+        if self.shift_m + self.bits > 63:
+            raise SizeGuardError(
+                f"neighborhood width p={p} needs {self.shift_m + self.bits}-bit "
+                f"set keys at {n} destinations (63 available); lower p")
+
+    def pack(self, m, M, head, tail):
+        return (m << self.shift_m) | (M << self.shift_M) | (head << (self.p - 1)) | tail
+
+    def fields(self, keys):
+        """(m, M, head, tail) of each key: head holds positions m+1.. and
+        tail positions M-p+1.., bit 0 first."""
+        return (keys >> self.shift_m, (keys >> self.shift_M) & ((1 << self.bits) - 1),
+                (keys >> (self.p - 1)) & self.low, keys & self.low)
+
+    def key(self, mask: int) -> int:
+        """The key of one window-valid bitmask."""
+        m = (mask & -mask).bit_length() - 1
+        M = mask.bit_length() - 1
+        base = M - self.p + 1
+        tail = mask >> base if base >= 0 else mask << -base
+        return self.pack(m, M, (mask >> (m + 1)) & self.low, tail & self.low)
+
+    def masks(self, keys) -> np.ndarray:
+        """The bitmasks of these keys: int64 up to 62 positions, Python ints
+        (an object array) beyond."""
+        p = self.p
+        m, M, head, tail = self.fields(np.asarray(keys, dtype=np.int64))
+        if self.n > 62:
+            m, M, head, tail = (f.astype(object) for f in (m, M, head, tail))
+        base = M - (p - 1)
+        tail = np.where(base >= 0, tail << np.maximum(base, 0), tail >> np.maximum(-base, 0))
+        # the interior [m+p, M-p], empty when lo == hi
+        lo = np.minimum(m + p, M + 1)
+        hi = np.maximum(base, lo)
+        return (((head << 1) | 1) << m) | tail | (1 << M) | ((1 << hi) - (1 << lo))
+
+    def successors(self, keys):
+        """``valid_successor_indices`` of every set at once: (owner, u),
+        the index into ``keys`` and a position u, owner ascending and u
+        ascending within an owner. The interval [M-p+1, g+p-1] lies in the
+        3p-1 positions from M-p+1 (g <= max(M+1, m+p)); the window bits give
+        the presence of the first p of them."""
+        p = self.p
+        m, M, _, tail = self.fields(keys)
+        window = tail | (1 << (p - 1))
+        # g: the first absent position at or above m+p, at or above the
+        # window's offset of m+p (bits past p are absent)
+        gap = _ctz(~window & np.left_shift(-1, np.maximum(m - M + 2 * p - 1, 0)))
+        t = np.arange(3 * p - 1)
+        u = (M - (p - 1))[:, None] + t
+        ok = ((t <= gap[:, None] + (p - 1)) & ((window[:, None] >> t) & 1 == 0)
+              & (u >= 0) & (u < self.n))
+        owner, col = np.nonzero(ok)
+        return owner, u[owner, col]
+
+    def grow(self, keys, u):
+        """Keys of the sets S | {u} for u a successor of S."""
+        p = self.p
+        m, M, head, tail = self.fields(keys)
+        # positions min(m, u) onward; below m, u is within p-1 of M, so the
+        # whole set shifts into the head
+        head = (head << 1) | 1
+        head = np.where(u < m, (head << np.maximum(m - u, 0)) | 1,
+                        head | (1 << np.clip(u - m, 0, p)))
+        # positions max(M, u)-p+1 .. max(M, u)
+        window = tail | (1 << (p - 1))
+        window = np.where(u > M, (window >> np.maximum(u - M, 0)) | (1 << (p - 1)),
+                          window | (1 << np.clip(u - M + p - 1, 0, 2 * p)))
+        return self.pack(np.minimum(m, u), np.maximum(M, u), (head >> 1) & self.low,
+                         window & self.low)
+
+
+# ---------------------------------------------------------------------------
 # Result container
 # ---------------------------------------------------------------------------
 
@@ -90,9 +205,15 @@ class OpsGraphStats:
 class OperationCostTable:
     """Minimal feasible flight time per (start RL, set, end RL); the matrix
     entry is +inf when no feasible operation over that set exists for the
-    endpoint pair, and sets without any feasible endpoint pair are absent."""
+    endpoint pair, and sets without any feasible endpoint pair are absent.
 
-    entries: dict
+    One array pair per operation size k: ``keys[k]``, the ascending
+    ``layout`` keys of the size-k sets, and ``flights[k]``, their stacked
+    (n_r, n_r) matrices in the same order."""
+
+    keys: list
+    flights: list
+    layout: SetKey
     p: Optional[int]  # None: every subset
     x: tuple
     n_r: int
@@ -100,82 +221,119 @@ class OperationCostTable:
 
     @property
     def max_op_size(self) -> int:
-        return max((m.bit_count() for m in self.entries), default=0)
+        return max((k for k, ks in enumerate(self.keys) if ks.size), default=0)
+
+    def rows(self, k: int, keys) -> np.ndarray:
+        """Row in ``flights[k]`` of each key, -1 where the table has none."""
+        table = self.keys[k] if k < len(self.keys) else np.empty(0, np.int64)
+        if not table.size:
+            return np.full(len(keys), -1)
+        at = np.minimum(np.searchsorted(table, keys), table.size - 1)
+        return np.where(table[at] == keys, at, -1)
+
+    def stack(self, sizes, rows) -> np.ndarray:
+        """The matrices of row ``rows[i]`` of ``flights[sizes[i]]``, stacked
+        into one new array, one gather per run of equal sizes."""
+        out = np.empty((len(rows), self.n_r, self.n_r))
+        bounds = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), len(rows)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            if lo < hi:
+                np.take(self.flights[sizes[lo]], rows[lo:hi], axis=0, out=out[lo:hi])
+        return out
+
+    @cached_property
+    def entries(self) -> dict:
+        """bitmask -> (n_r, n_r) matrix, a view of ``flights``, ascending."""
+        sizes = [k for k, ks in enumerate(self.keys) if ks.size]
+        if not sizes:
+            return {}
+        masks = np.concatenate([self.layout.masks(self.keys[k]) for k in sizes])
+        mats = [mat for k in sizes for mat in self.flights[k]]
+        order = np.argsort(masks).tolist()
+        masks = masks.tolist()
+        return {masks[i]: mats[i] for i in order}
 
 
 # ---------------------------------------------------------------------------
 # Graph construction
 # ---------------------------------------------------------------------------
 
-def _min_over_rows(count, first, owner, value):
-    """For each item, the min of ``value(rows, sel)`` over the rows of its
-    set (``owner`` maps items to sets), one slot at a time: slot j passes
-    the j-th row of every item's set that has one, and ``sel`` the items
-    concerned. Slot 0 covers every item, since a live set has a row."""
-    count, first = count[owner], first[owner]
-    out = value(first, slice(None))
+def _min_over_rows(count, first, owner, value, shape):
+    """(order, best): for each item, by decreasing row count of its set
+    (``owner`` maps items to sets), the item's index and the min over the
+    rows of its set of the values ``value(rows, sel, out)`` writes to
+    ``out``, one ``shape`` block per item. Taken one slot at a time: slot
+    j passes the j-th row of every set that has one and, in ``sel``, the
+    items concerned, a prefix of the order; slot 0 covers every item,
+    since a live set has a row."""
+    count = count[owner]
+    order = np.argsort(-count.astype(np.int16), kind="stable")
+    count, first = count[order], first[owner][order]
+    best = np.empty((order.size, *shape))
+    value(first, order, best)
+    step = np.empty_like(best[:int(np.searchsorted(-count, -1))])
     for j in range(1, int(count.max(initial=0))):
-        sel = np.flatnonzero(count > j)
-        out[sel] = np.minimum(out[sel], value(first[sel] + j, sel))
-    return out
+        n = int(np.searchsorted(-count, -j))
+        value(first[:n] + j, order[:n], step[:n])
+        np.minimum(best[:n], step[:n], out=best[:n])
+    return order, best
 
 
-def _levels(inst, x, p, cap, within, starts=slice(None)):
-    """Forward DP over partial operations, yielding one level (operation
-    size) at a time as ``(sets, count, first, pos, val)``.
+def _levels(layout, P, dd, val, reach=None, cap=np.inf):
+    """Forward DP over partial operations on the ascending positions P,
+    yielding one level (operation size) at a time as
+    ``(keys, count, first, pos, src, val)``.
 
-    A level holds its live states (S, v) as rows grouped by set: ``sets``
-    lists the sets (Python ints, so any n_d works), ``count`` the rows of
-    each and ``first`` the first row of each, ``pos`` the position v of
-    every row and ``val`` its partial flight times over the start RLs
-    selected by ``starts``. Sets grow by ``valid_successor_indices`` at
-    width p (p=None: every subset). Only the positions in the bitmask
-    ``within`` are used, and a partial flight that cannot reach its nearest
-    RL within ``cap`` is +inf.
+    ``dd[i, j]`` is the flight from position P[i] to P[j] and ``val`` holds
+    the level-1 values, one row per position of P and one column per start
+    RL. A level holds its live states (S, v) as rows grouped by set:
+    ``keys`` lists the sets' ``layout`` keys ascending, ``count`` the rows
+    of each and ``first`` the first row of each, ``pos`` the index into P
+    of every row's v, ``src`` the previous level's set that every row
+    extends and ``val`` its partial flight times. Sets grow by the
+    layout's successor rule, restricted to P. Given ``reach`` (per position
+    of P, the flight to its nearest RL), a partial flight that cannot reach
+    its nearest RL within ``cap`` is +inf.
     Extending (S, v) by u can only reach (S | u, u), so the one reduction
     per step is a min over the rows of a set, taken slot by slot: slot j
     gathers the j-th row of every set at once.
     """
-    n = inst.n_d
-    p = n if p is None else p
-    idx = np.asarray(x, dtype=int)
-    cdp_dd = inst.cd_dd[idx][:, idx]
-    minrl = inst.nearest_rl_time()[idx]
+    local = np.full(layout.n, -1)
+    local[P] = np.arange(P.size)
+    if reach is not None:
+        val[val + reach[:, None] > cap] = np.inf
+    pos = np.flatnonzero(np.isfinite(val).any(axis=1))
+    val = val[pos]
+    keys = layout.pack(P[pos], P[pos], 0, 0)
+    count = np.ones(keys.size, dtype=np.intp)
+    src = np.zeros(keys.size, dtype=np.intp)
 
-    pos = np.array([t for t in range(n) if (within >> t) & 1], dtype=np.intp)
-    val = inst.cd_rd[starts][:, idx[pos]].T
-    val[val + minrl[pos, None] > cap] = np.inf
-    live = np.isfinite(val).any(axis=1)
-    pos, val = pos[live], val[live]
-    sets = [1 << int(t) for t in pos]
-    count = np.ones(len(sets), dtype=np.intp)
-
-    while sets:
+    while keys.size:
         first = np.cumsum(count) - count
-        yield sets, count, first, pos, val
+        yield keys, count, first, pos, src, val
 
         # extension arcs (S, u), valued as a min over the rows of S
-        succ = [valid_successor_indices(s, p, n) for s in sets]
-        if within != (1 << n) - 1:
-            succ = [[u for u in us if (within >> u) & 1] for us in succ]
-        owner = np.repeat(np.arange(len(sets)), [len(us) for us in succ])
-        u = np.fromiter(itertools.chain.from_iterable(succ), dtype=np.intp,
-                        count=owner.size)
-        ext = _min_over_rows(
+        owner, u = layout.successors(keys)
+        to = local[u]
+        inside = np.flatnonzero(to >= 0)
+        owner, u, to = owner[inside], u[inside], to[inside]
+        order, ext = _min_over_rows(
             count, first, owner,
-            lambda rows, sel: val[rows] + cdp_dd[pos[rows], u[sel]][:, None])
-        ext[ext + minrl[u][:, None] > cap] = np.inf
+            lambda rows, sel, out: np.add(val[rows], dd[pos[rows], to[sel]][:, None], out=out),
+            val.shape[1:])
+        owner, u, to = owner[order], u[order], to[order]
+        if reach is not None:
+            ext[ext + reach[to][:, None] > cap] = np.inf
 
         # the next level: one state (S | u, u) per live arc, grouped by set
         live = np.flatnonzero(np.isfinite(ext).any(axis=1))
-        index = {}
-        group = np.array([index.setdefault(sets[s] | (1 << t), len(index))
-                          for s, t in zip(owner[live].tolist(), u[live].tolist())],
-                         dtype=np.intp)
-        live = live[np.argsort(group, kind="stable")]
-        sets = list(index)
-        count = np.bincount(group, minlength=len(sets))
-        val, pos = ext[live], u[live]
+        grown = layout.grow(keys[owner[live]], u[live])
+        order = np.argsort(grown, kind="stable")
+        live, grown = live[order], grown[order]
+        head = np.flatnonzero(np.diff(grown, prepend=-1))
+        keys = grown[head]
+        count = np.diff(head, append=grown.size)
+        val, pos, src = ext[live], to[live], owner[live]
 
 
 def build_ops_graph(inst: Instance, x: Sequence[int], p: Optional[int],
@@ -197,15 +355,19 @@ def build_ops_graph(inst: Instance, x: Sequence[int], p: Optional[int],
         raise ValueError("p must be >= 1")
     model = model or BaseCostModel(inst)
     n = inst.n_d
-    cdp_dr = inst.cd_dr[list(x)]
+    layout = SetKey(n, p)
+    idx = np.asarray(x, dtype=np.intp)
+    cdp_dr = inst.cd_dr[idx]
     top = n if size_cap is None else min(n, size_cap)
 
     t0 = time.perf_counter()
     stats = OpsGraphStats(per_stage=[0] * (n + 2))
-    entries = {}
+    keys, flights = [np.empty(0, np.int64)], [np.empty((0, inst.n_r, inst.n_r))]
     held = 0
-    levels = _levels(inst, x, p, model.flight_cap, (1 << n) - 1)
-    for k, (sets, count, first, pos, val) in enumerate(
+    levels = _levels(layout, np.arange(n), inst.cd_dd[np.ix_(idx, idx)],
+                     inst.cd_rd[:, idx].T, inst.nearest_rl_time()[idx],
+                     model.flight_cap)
+    for k, (set_keys, count, first, pos, _, val) in enumerate(
             itertools.islice(levels, top), start=1):
         check_deadline(deadline)
         stats.per_stage[k] = int(np.isfinite(val).sum())
@@ -216,21 +378,24 @@ def build_ops_graph(inst: Instance, x: Sequence[int], p: Optional[int],
                 f"budget on this instance; lower p")
         # close the operation at every RL; sets without a feasible endpoint
         # pair get no entry
-        close = _min_over_rows(
-            count, first, np.arange(len(sets)),
-            lambda rows, sel: val[rows][:, :, None] + cdp_dr[pos[rows]][:, None, :])
+        order, close = _min_over_rows(
+            count, first, np.arange(set_keys.size),
+            lambda rows, sel, out: np.add(val[rows][:, :, None],
+                                          cdp_dr[pos[rows]][:, None, :], out=out),
+            (val.shape[1], inst.n_r))
         close = model.finalize_flight_matrix(close)
         feasible = np.isfinite(close)
         stats.terminal_entries += int(feasible.sum())
         keep = np.flatnonzero(feasible.any(axis=(1, 2)))
-        entries.update(zip([sets[i] for i in keep], close[keep]))
+        keep = keep[np.argsort(order[keep])]
+        keys.append(set_keys[order[keep]])
+        flights.append(close[keep])
     # every live arc is one finite value of the level it reaches
     stats.arcs = sum(stats.per_stage[2:])
     stats.nonterminal_states = sum(stats.per_stage)
-    entries = {mask: entries[mask] for mask in sorted(entries)}
     stats.elapsed = time.perf_counter() - t0
-    return OperationCostTable(entries=entries, p=p, x=x, n_r=inst.n_r,
-                              stats=stats)
+    return OperationCostTable(keys=keys, flights=flights, layout=layout, p=p,
+                              x=x, n_r=inst.n_r, stats=stats)
 
 
 def ops_nonterminal_state_bound(n_d: int, n_r: int, p: int) -> float:
@@ -244,37 +409,80 @@ def ops_nonterminal_state_bound(n_d: int, n_r: int, p: int) -> float:
 # Order recovery
 # ---------------------------------------------------------------------------
 
+def _recovery_plan(shape: int, p: Optional[int]) -> list:
+    """Value-free structure of stage 1's level DP on the positions of
+    ``shape`` (a bitmask with bit 0 set), found by running ``_levels`` on
+    zero flights: one ``(first, count, pos, src, arcs)`` per level, as
+    ``_levels`` yields them, where ``src`` is the previous level's set of
+    each row. ``arcs = (rows, cells, starts)`` lists, grouped by row, the
+    previous level's rows ``rows`` that extend to it and their flights as
+    flat indices ``cells`` into the positions' flight matrix, so a level's
+    values are ``np.minimum.reduceat(val[rows] + dd.flat[cells], starts)``.
+    The successor rule looks at position differences only, so a plan
+    serves every entry of the same shape."""
+    P = np.flatnonzero([(shape >> t) & 1 for t in range(shape.bit_length())])
+    s = P.size
+    plan, prev = [], None
+    for _, count, first, pos, src, _ in itertools.islice(
+            _levels(SetKey(shape.bit_length(), p), P, np.zeros((s, s)),
+                    np.zeros((s, 1))), s):
+        arcs = None
+        if prev is not None:
+            p_count, p_first, p_pos = prev
+            n_in = p_count[src]
+            starts = np.cumsum(n_in) - n_in
+            rows = np.repeat(p_first[src] - starts, n_in) + np.arange(n_in.sum())
+            arcs = (rows, p_pos[rows] * s + np.repeat(pos, n_in), starts)
+        plan.append((first, count, pos, src, arcs))
+        prev = count, first, pos
+    return plan
+
+
+# plans of entries up to this size are kept: the structure of a small
+# entry costs more than its values, and small shapes recur
+_cached_plan = lru_cache(maxsize=256)(_recovery_plan)
+CACHED_PLAN_SIZE = 6
+
+
 def recover_operation_order(inst: Instance, x: Sequence[int], mask: int,
                             w: int, w_prime: int,
                             p: Optional[int]) -> tuple:
     """Re-derive the visiting order behind a cost-table entry built at
     width p (None: every subset).
 
-    Runs stage 1's level DP on the entry's set alone, from start RL w only
-    and without energy pruning, and walks it back from the end: each
-    position is the one whose flight plus the next leg equals the current
-    value exactly, the smallest position on ties. Returns destination
-    positions in visiting order.
+    Replays stage 1's level DP on the entry's positions alone, from start
+    RL w only and without energy pruning (``_recovery_plan``), and walks
+    it back from the end: each position is the one whose flight plus the
+    next leg equals the current value exactly, the smallest position on
+    ties. Returns destination positions in visiting order.
     """
-    idx = np.asarray(x, dtype=int)
-    levels = list(itertools.islice(
-        _levels(inst, x, p, np.inf, mask, [w]), mask.bit_count()))
-    if len(levels) < mask.bit_count():
+    P, rest = [], mask
+    while rest:
+        low = rest & -rest
+        P.append(low.bit_length() - 1)
+        rest ^= low
+    plan = (_cached_plan if len(P) <= CACHED_PLAN_SIZE else _recovery_plan)(
+        mask >> P[0], p)
+    if len(plan) < len(P):
         raise ValueError("entry is not reachable in the stage-1 graph at this width")
-    order = []
-    leg = inst.cd_dr[idx, w_prime]
-    for sets, count, first, pos, val in reversed(levels):
-        i = sets.index(mask)
+    ids = [x[t] for t in P]
+    dd = inst.cd_dd[np.ix_(ids, ids)]
+    vals = [inst.cd_rd[w, ids]]
+    for *_, (rows, cells, starts) in plan[1:]:
+        vals.append(np.minimum.reduceat(vals[-1][rows] + dd.flat[cells], starts))
+
+    order, i = [], 0
+    leg = inst.cd_dr[ids, w_prime]
+    for (first, count, pos, src, _), val in zip(reversed(plan), reversed(vals)):
         rows = np.arange(first[i], first[i] + count[i])
-        cand = val[rows, 0] + leg[pos[rows]]
+        cand = val[rows] + leg[pos[rows]]
         if not order:
             target = cand.min()
             if not np.isfinite(target):
                 raise ValueError("entry is not reachable in the stage-1 graph at this width")
         hit = rows[cand == target]
         r = hit[np.argmin(pos[hit])]
-        order.append(int(pos[r]))
-        mask &= ~(1 << order[-1])
-        target, leg = val[r, 0], inst.cd_dd[idx, idx[order[-1]]]
+        order.append(P[pos[r]])
+        target, leg, i = val[r], dd[:, pos[r]], src[r]
     order.reverse()
     return tuple(order)

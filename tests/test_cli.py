@@ -167,6 +167,22 @@ def test_bench_deterministic_value_columns(tmp_path):
     assert float(rows["exact"]["avg_gap_pct"]) == 0.0
 
 
+def test_bench_per_instance_appends_layer_columns(tmp_path):
+    out = _gen(tmp_path, count=1)
+    cells = tmp_path / "cells.csv"
+    assert main(["bench", "--instances", str(out), "--algos", "vlsn-ls,sa",
+                 "--out", str(tmp_path / "b.csv"), "--per-instance", str(cells)]) == 0
+    header, *rows = list(csv.reader(cells.open()))
+    assert header[:9] == ["setting", "instance", "algorithm", "value", "reference",
+                          "gap_pct", "runtime_s", "seed", "config"]
+    layers = header[9:]
+    assert {"stage1_s", "stage2_s", "recovery_s"} <= set(layers)
+    by_algo = {row[2]: dict(zip(layers, row[9:])) for row in rows}
+    assert all(float(v) >= 0.0 for v in by_algo["vlsn-ls"].values())
+    # sa reports no layers
+    assert set(by_algo["sa"].values()) == {""}
+
+
 def test_bench_registry_keeps_cost_models_apart(tmp_path, capsys):
     # with e_max=1250 the base model's tours are shorter than the default
     # extended model's; keyed by file hash alone, the extended run's values

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from drpe.generator import metrics_from_coords, random_instance
 from drpe.model import BaseCostModel, Instance, Operation, operation_flight_time
@@ -254,3 +256,41 @@ def test_recover_breaks_bitwise_ties_at_the_smallest_position():
             assert recover_operation_order(inst, x, _mask(lo, hi), w, wp, 2) == (hi, lo)
             assert recover_operation_order(inst, x, _mask(lo, hi), w, wp,
                                            None) == (hi, lo)
+
+
+def _check_recovered_orders(inst, x, p, model, per_table=None):
+    """Every recovered order (or ``per_table`` sampled ones), re-flown,
+    reproduces its table entry bitwise."""
+    table = build_ops_graph(inst, x, p, model=model)
+    cells = [(m, int(w), int(wp)) for m, mat in table.entries.items()
+             for w, wp in zip(*np.nonzero(np.isfinite(mat)))]
+    if per_table is not None and len(cells) > per_table:
+        pick = np.random.default_rng(len(cells)).choice(len(cells), per_table, replace=False)
+        cells = [cells[i] for i in sorted(pick)]
+    for m, w, wp in cells:
+        order = recover_operation_order(inst, x, m, w, wp, p)
+        assert sorted(order) == [t for t in range(inst.n_d) if (m >> t) & 1]
+        op = Operation(w, tuple(x[t] for t in order), wp)
+        assert operation_flight_time(op, inst) == table.entries[m][w, wp]
+    return len(cells)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 10_000), n_d=st.integers(1, 8), n_r=st.integers(1, 4),
+       emax_factor=st.sampled_from([1.6, 4.0]), p=st.sampled_from([2, 3, 4, 5, None]),
+       make_model=st.sampled_from([BaseCostModel, binding_extended_model]))
+def test_property_recovered_orders_reproduce_their_entries(seed, n_d, n_r, emax_factor,
+                                                           p, make_model):
+    inst = random_instance(seed, n_d=n_d, n_r=n_r, emax_factor=emax_factor)
+    x = tuple(np.random.default_rng(seed).permutation(n_d).tolist())
+    _check_recovered_orders(inst, x, p, make_model(inst), per_table=300)
+
+
+@pytest.mark.parametrize("make_model", [BaseCostModel, binding_extended_model])
+def test_recovered_orders_reproduce_their_entries_past_64_destinations(make_model):
+    # sets are wider than an int64 bitmask here
+    inst = random_instance(64, n_d=70, n_r=3, emax_factor=2.5)
+    x = tuple(np.random.default_rng(64).permutation(70).tolist())
+    for p in (2, 3, 4, 5):
+        assert _check_recovered_orders(inst, x, p, make_model(inst), per_table=80) == 80
