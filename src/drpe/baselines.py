@@ -206,11 +206,11 @@ def initial_tsp_sequence(inst: Instance) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _capped_op_table(inst: Instance, klim: int, model, deadline=None) -> dict:
-    """Minimal flight per (w, set, w') over sets of at most klim
-    destinations, by exhaustive ordering; ``deadline`` is checked once per
-    set size."""
+    """Makespan of the minimal flight per (w, set, w') over sets of at most
+    klim destinations, by exhaustive ordering; ``deadline`` is checked once
+    per set size."""
     n = inst.n_d
-    flights = {}
+    makespans = {}
     for size in range(1, klim + 1):
         check_deadline(deadline)
         for combo in itertools.combinations(range(n), size):
@@ -222,13 +222,13 @@ def _capped_op_table(inst: Instance, klim: int, model, deadline=None) -> dict:
                 mat = (inst.cd_rd[:, perm[0], None] + chain
                        + inst.cd_dr[None, perm[-1], :])
                 np.minimum(best, mat, out=best)
-            best = model.finalize_flight_matrix(best)
+            best = model.price(best)
             if np.isfinite(best).any():
                 mask = 0
                 for v in combo:
                     mask |= 1 << v
-                flights[mask] = best
-    return flights
+                makespans[mask] = best
+    return makespans
 
 
 def limop(inst: Instance, klim: int = 2, model: Optional[object] = None,
@@ -244,16 +244,16 @@ def limop(inst: Instance, klim: int = 2, model: Optional[object] = None,
     model = model or BaseCostModel(inst)
     t0 = time.perf_counter()
     deadline = None if time_limit is None else t0 + time_limit
-    flights = _capped_op_table(inst, klim, model, deadline)
+    makespans = _capped_op_table(inst, klim, model, deadline)
     stage1_s = time.perf_counter() - t0
 
-    tour, stats = full_meta_sweep(inst, flights, model, deadline)
+    tour, stats = full_meta_sweep(inst, makespans, model, deadline)
     return SolveReport(algorithm=f"limop(klim={klim})", tour=tour,
                        makespan=tour.makespan,
                        meta_states=stats["meta_states"],
                        meta_arcs=stats["meta_arcs"],
                        wall_time=time.perf_counter() - t0,
-                       extras={"klim": klim, "op_sets": len(flights),
+                       extras={"klim": klim, "op_sets": len(makespans),
                                "layers": {"stage1_s": stage1_s, **stats["layers"]}})
 
 

@@ -76,6 +76,8 @@ class ExtendedCosts:
     residual: float = 0.10
 
     def __post_init__(self):
+        if not self.r_fl > 0:
+            raise ValueError("flight current r_fl must be positive")
         if self.r_hov > self.r_fl:
             raise ValueError("hover current above flight current would break "
                              "the minimal-flight-time optimality of the solver")
@@ -117,18 +119,20 @@ class ExtendedCostModel:
         # hover only adds energy, so the tolerance bounds every feasible flight
         self.flight_cap = self.max_flight + self._etol / c.r_fl
 
-    def _hover(self, flight, w, w_prime):
-        return np.maximum(0.0, self.c_r[w, w_prime] - (self.costs.c_tkof + flight))
+    def _costs(self, flights, rover):
+        """(hover, energy, feasible, makespan) of operations flying
+        ``flights`` against rover times ``rover``, scalars or arrays; the
+        hover enters both the energy and the makespan."""
+        c = self.costs
+        hover = np.maximum(0.0, rover - (c.c_tkof + flights))
+        energy = c.xi_tkof + c.r_fl * flights + c.r_hov * hover + c.xi_land
+        makespan = np.maximum(c.c_tkof + flights + hover + c.c_land, rover) + c.c_swap
+        return hover, energy, energy <= self.usable + self._etol, makespan
 
     def op_cost(self, flight: float, w: int, w_prime: int) -> ExtendedOpCost:
-        c = self.costs
-        hover = float(self._hover(flight, w, w_prime))
-        drone_time = c.c_tkof + flight + hover + c.c_land
-        makespan = max(drone_time, self.c_r[w, w_prime]) + c.c_swap
-        energy = c.xi_tkof + c.r_fl * flight + c.r_hov * hover + c.xi_land
+        hover, energy, feasible, makespan = self._costs(flight, self.c_r[w, w_prime])
         return ExtendedOpCost(makespan=float(makespan), energy=float(energy),
-                              feasible=bool(energy <= self.usable + self._etol),
-                              hover=hover)
+                              feasible=bool(feasible), hover=float(hover))
 
     def op_makespan(self, flight: float, w: int, w_prime: int) -> float:
         return self.op_cost(flight, w, w_prime).makespan
@@ -136,26 +140,9 @@ class ExtendedCostModel:
     def op_feasible(self, flight: float, w: int, w_prime: int) -> bool:
         return self.op_cost(flight, w, w_prime).feasible
 
-    def _energy_matrix(self, flights, c_r_slice):
-        c = self.costs
-        hover = np.maximum(0.0, c_r_slice - (c.c_tkof + flights))
-        return c.xi_tkof + c.r_fl * flights + c.r_hov * hover + c.xi_land
-
-    def finalize_flight_matrix(self, flights: np.ndarray,
-                               rover: Optional[np.ndarray] = None) -> np.ndarray:
-        out = flights.copy()
-        energy = self._energy_matrix(flights, self.c_r if rover is None else rover)
-        out[energy > self.usable + self._etol] = np.inf
-        return out
-
-    def makespan_matrix(self, flights: np.ndarray,
-                        rover: Optional[np.ndarray] = None) -> np.ndarray:
-        c = self.costs
-        rover = self.c_r if rover is None else rover
-        hover = np.maximum(0.0, rover - (c.c_tkof + flights))
-        drone_time = c.c_tkof + flights + hover + c.c_land
-        out = np.maximum(drone_time, rover) + c.c_swap
-        out[~np.isfinite(flights)] = np.inf
+    def price(self, flights: np.ndarray, rover: Optional[np.ndarray] = None) -> np.ndarray:
+        _, _, feasible, out = self._costs(flights, self.c_r if rover is None else rover)
+        out[~feasible] = np.inf  # NaN energy is infeasible too
         return out
 
 

@@ -43,31 +43,30 @@ def _masks_by_popcount(n_d: int):
     return [masks[pc == k] for k in range(n_d + 1)]
 
 
-def _makespans(op_flights: dict, masks: np.ndarray, model) -> np.ndarray:
-    return model.makespan_matrix(np.array([op_flights[m] for m in masks.tolist()]))
+def _stack(op_makespans: dict, masks: np.ndarray) -> np.ndarray:
+    return np.array([op_makespans[m] for m in masks.tolist()])
 
 
-def _sweep_values(inst: Instance, op_flights: dict, model, deadline=None):
+def _sweep_values(inst: Instance, op_makespans: dict, deadline=None):
     """Forward pass of ``full_meta_sweep``: (zeta, eps, arcs), the value
     arrays indexed by visited bitmask and RL and the number of arcs."""
     n, n_r, c_r = inst.n_d, inst.n_r, inst.c_r
     full = (1 << n) - 1
 
     # group entries by the start and end RLs with a finite makespan
-    masks = np.array(sorted(op_flights), dtype=np.int64)
+    masks = np.array(sorted(op_makespans), dtype=np.int64)
     pcs = np.array([m.bit_count() for m in masks.tolist()], dtype=np.int64)
-    signatures = np.empty((masks.size, 2 * n_r), dtype=bool)
-    for sl in chunks(masks.size, n_r * n_r):
-        finite = np.isfinite(_makespans(op_flights, masks[sl], model))
-        signatures[sl] = np.hstack([finite.any(axis=2), finite.any(axis=1)])
-    uniq, inverse = np.unique(signatures, axis=0, return_inverse=True)
+    finite = np.array([np.isfinite(op_makespans[m]) for m in masks.tolist()],
+                      dtype=bool).reshape(-1, n_r, n_r)
+    uniq, inverse = np.unique(np.hstack([finite.any(axis=2), finite.any(axis=1)]),
+                              axis=0, return_inverse=True)
     groups = []
     for g, sig in enumerate(uniq):
         rows, cols = np.flatnonzero(sig[:n_r]), np.flatnonzero(sig[n_r:])
         ids = np.flatnonzero(inverse.ravel() == g)
         W = np.empty((ids.size, rows.size, cols.size))
         for sl in chunks(ids.size, n_r * n_r):
-            W[sl] = _makespans(op_flights, masks[ids[sl]], model)[:, rows[:, None], cols]
+            W[sl] = _stack(op_makespans, masks[ids[sl]])[:, rows[:, None], cols]
         if rows.size:
             groups.append((masks[ids], pcs[ids], rows, cols, W))
 
@@ -95,26 +94,27 @@ def _sweep_values(inst: Instance, op_flights: dict, model, deadline=None):
     return zeta, eps, arcs
 
 
-def full_meta_sweep(inst: Instance, op_flights: dict, model=None, deadline=None):
-    """Optimal tour over all operation compositions in ``op_flights``
-    (bitmask -> (n_r, n_r) minimal-flight matrix). Returns (tour, stats);
+def full_meta_sweep(inst: Instance, op_makespans: dict, model=None, deadline=None):
+    """Optimal tour over all operation compositions in ``op_makespans``
+    (bitmask -> (n_r, n_r) makespan matrix, as the cost model's ``price``
+    gives it; ``model`` prices the recovered tour). Returns (tour, stats);
     each operation's visiting order is recovered by the unrestricted
     stage-1 DP over its set. Raises ``TimeLimitError`` at the first level
     that starts after ``deadline`` (a ``time.perf_counter()`` value)."""
     model = model or BaseCostModel(inst)
     full = (1 << inst.n_d) - 1
     t0 = time.perf_counter()
-    zeta, eps, arcs = _sweep_values(inst, op_flights, model, deadline)
+    zeta, eps, arcs = _sweep_values(inst, op_makespans, deadline)
     t1 = time.perf_counter()
     if not np.isfinite(zeta[full, inst.wt]):
         raise InfeasibleError("no feasible tour exists")
-    masks = np.array(sorted(op_flights), dtype=np.int64)
+    masks = np.array(sorted(op_makespans), dtype=np.int64)
 
     def arcs_into(S, wp):
         inside = masks[masks & S == masks]
         for sl in chunks(inside.size, inst.n_r * inst.n_r):
             yield (S & ~inside[sl], inside[sl].tolist(),
-                   _makespans(op_flights, inside[sl], model)[:, :, wp])
+                   _stack(op_makespans, inside[sl])[:, :, wp])
 
     tour = walk_back(inst, tuple(range(inst.n_d)), None, zeta, eps, full,
                      arcs_into, model)

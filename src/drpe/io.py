@@ -69,15 +69,37 @@ def _metric_closure(m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _typed(value, what: str, kinds, low=None):
+    """``value`` if it has a type in ``kinds`` (a JSON bool is no number)
+    and, given ``low``, is finite and at least ``low``."""
+    if (isinstance(value, bool) or not isinstance(value, kinds)
+            or low is not None and not low <= value < np.inf):
+        raise SchemaError(f"{what} is malformed: {value!r}")
+    return value
+
+
 def instance_from_dict(doc: dict, metric_closure: bool = False,
                        validate: bool = True) -> Instance:
     try:
-        n_d, n_r = int(doc["n_d"]), int(doc["n_r"])
-        w0, wt = int(doc["depot_start"]), int(doc["depot_target"])
-        e_max = float(doc["e_max"])
-        metrics = doc.get("metrics", {})
+        inst = _instance_fields(doc, metric_closure)
     except KeyError as exc:
         raise SchemaError(f"instance file missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"instance file malformed: {exc}") from exc
+    if validate:
+        problems = check_instance(inst)
+        if problems:
+            raise SchemaError("invalid instance: " + "; ".join(problems))
+    return inst
+
+
+def _instance_fields(doc: dict, metric_closure: bool) -> Instance:
+    n_d, n_r, w0, wt = (_typed(doc[key], key, int)
+                        for key in ("n_d", "n_r", "depot_start", "depot_target"))
+    if _typed(doc.get("version", INSTANCE_VERSION), "version", int) != INSTANCE_VERSION:
+        raise SchemaError(f"unsupported instance version {doc['version']}")
+    e_max = float(_typed(doc["e_max"], "e_max", (int, float)))
+    metrics = _typed(doc.get("metrics", {}), "metrics", dict)
 
     dest_xy = np.array(doc["destinations"], dtype=float) if "destinations" in doc else None
     rl_xy = np.array(doc["rls"], dtype=float) if "rls" in doc else None
@@ -88,7 +110,9 @@ def instance_from_dict(doc: dict, metric_closure: bool = False,
 
     drone_metric = metrics.get("drone", "matrix" if "c_d" in doc else "euclidean")
     rover_metric = metrics.get("rover", "matrix" if "c_r" in doc else "manhattan")
-    rover_speed = float(doc.get("rover_speed", 1.0))
+    rover_speed = float(_typed(doc.get("rover_speed", 1.0), "rover_speed", (int, float), 0))
+    if rover_speed == 0:
+        raise SchemaError("rover_speed must be positive")
 
     c_d = c_r = None
     if drone_metric != "matrix" or rover_metric != "matrix":
@@ -109,18 +133,13 @@ def instance_from_dict(doc: dict, metric_closure: bool = False,
         c_d = _metric_closure(c_d)
         c_r = _metric_closure(c_r)
 
-    meta = dict(doc.get("extra", {}))
+    meta = dict(_typed(doc.get("extra", {}), "extra", dict))
     meta.update({"rover_speed": rover_speed,
                  "drone_metric": "matrix" if "c_d" in doc else drone_metric,
                  "rover_metric": "matrix" if "c_r" in doc else rover_metric})
-    inst = Instance(n_d=n_d, n_r=n_r, c_d=c_d, c_r=c_r, w0=w0, wt=wt,
+    return Instance(n_d=n_d, n_r=n_r, c_d=c_d, c_r=c_r, w0=w0, wt=wt,
                     e_max=e_max, dest_xy=dest_xy, rl_xy=rl_xy,
                     name=str(doc.get("name", "")), meta=meta)
-    if validate:
-        problems = check_instance(inst)
-        if problems:
-            raise SchemaError("invalid instance: " + "; ".join(problems))
-    return inst
 
 
 def load_instance(path: PathLike, metric_closure: bool = False,
@@ -152,15 +171,17 @@ def load_solution(path: PathLike) -> DroneTour:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
         elements = []
-        for item in doc["elements"]:
+        for item in _typed(doc["elements"], "elements", list):
             if item["type"] == "leg":
-                elements.append(RechargingLeg(int(item["from"]), int(item["to"])))
+                elements.append(RechargingLeg(_typed(item["from"], "from", int, 0),
+                                              _typed(item["to"], "to", int, 0)))
             elif item["type"] == "op":
-                elements.append(Operation(int(item["start"]),
-                                          tuple(int(v) for v in item["dests"]),
-                                          int(item["end"])))
+                dests = tuple(_typed(v, "dests", int, 0) for v in item["dests"])
+                elements.append(Operation(_typed(item["start"], "start", int, 0), dests,
+                                          _typed(item["end"], "end", int, 0)))
             else:
                 raise SchemaError(f"unknown element type {item['type']!r}")
-        return DroneTour(elements=tuple(elements), makespan=float(doc["makespan"]))
-    except (KeyError, TypeError) as exc:
+        makespan = float(_typed(doc["makespan"], "makespan", (int, float), 0))
+        return DroneTour(elements=tuple(elements), makespan=makespan)
+    except (KeyError, TypeError, OverflowError) as exc:
         raise SchemaError(f"solution file malformed: {exc}") from exc

@@ -8,15 +8,15 @@ Patterns are stage-independent, so validity and pattern-to-pattern
 transitions are precomputed once per p as a lookup table, held as arrays
 per gap. An arc's operation has a stage-1 set key linear in the stage, so
 ``table_arcs`` finds every arc the cost table holds with one sorted
-search per gap before the forward pass. Values live in
-two (state row x RL) arrays, row k * n_pat + b: ``eps`` on arrival by an
-operation, ``zeta`` after the recharging leg that follows. Each stage's
-operation arcs are priced as one stack and relaxed at once by ``relax``
-(min-plus one start RL at a time, exact scatter-min), in batches of at
-most ``CHUNK_VALUES`` weights. No pointers are kept: ``walk_back`` takes
-the first exact-equality match in the forward order (leg from the lowest
-RL; arc from the lowest source stage, then pattern, then start RL). The
-exact sweep shares ``relax`` and ``walk_back``.
+search per gap before the forward pass. Values live in two (state row
+x RL) arrays, row k * n_pat + b: ``eps`` on arrival by an operation,
+``zeta`` after the recharging leg that follows. Each stage's operation
+arcs read their makespans from the table as one stack and are relaxed at
+once by ``relax`` (min-plus one start RL at a time, exact scatter-min),
+in batches of at most ``CHUNK_VALUES`` weights. No pointers are kept:
+``walk_back`` takes the first exact-equality match in the forward order
+(leg from the lowest RL; arc from the lowest source stage, then pattern,
+then start RL). The exact sweep shares ``relax`` and ``walk_back``.
 """
 
 from __future__ import annotations
@@ -278,7 +278,7 @@ def table_arcs(costs: OperationCostTable, lookup: TransitionLookup, valid_at):
     then source pattern, then target pattern: from pattern a at ``stage``
     to pattern b ``gap`` stages on, both valid there (``valid_at``, one
     row per stage), over the set with ``costs.layout`` key ``keys``, whose
-    flights are row ``rows`` of ``costs.flights[gap]``. An arc's key is
+    makespans are row ``rows`` of ``costs.makespans[gap]``. An arc's key is
     linear in its stage, so each gap costs one key computation and one
     table search for all stages at once."""
     layout, n_d = costs.layout, valid_at.shape[0] - 1
@@ -298,7 +298,7 @@ def table_arcs(costs: OperationCostTable, lookup: TransitionLookup, valid_at):
     return tuple(part[order] for part in parts)
 
 
-def _meta_values(costs: OperationCostTable, inst: Instance, p: int, model):
+def _meta_values(costs: OperationCostTable, inst: Instance, p: int):
     """Forward pass of ``solve_meta``: (zeta, eps, stats, arcs_into), the
     value arrays with row k * n_pat + b for pattern b at stage k and the
     walk-back's arc source."""
@@ -320,9 +320,8 @@ def _meta_values(costs: OperationCostTable, inst: Instance, p: int, model):
     def arcs_into(row, wp):
         # source stage ascending, then source pattern ascending
         sel = np.flatnonzero(target == row)
-        flights = costs.stack(gap[sel], rows[sel])
         yield (stage[sel] * n_pat + a[sel], layout.masks(keys[sel]).tolist(),
-               model.makespan_matrix(flights)[:, :, wp])
+               costs.stack(gap[sel], rows[sel])[:, :, wp])
 
     for k in range(n_d + 1):
         states = k * n_pat + np.flatnonzero(valid_at[k])
@@ -335,7 +334,7 @@ def _meta_values(costs: OperationCostTable, inst: Instance, p: int, model):
         src, tgt = k * n_pat + a[out], target[out]
         stats.arcs += out.size
         for sl in chunks(out.size, n_r * n_r):
-            W = model.makespan_matrix(costs.stack(gap[out[sl]], rows[out[sl]]))
+            W = costs.stack(gap[out[sl]], rows[out[sl]])
             # relax on the start and end RLs where some arc is finite
             finite = np.isfinite(W).any(axis=0)
             starts = np.flatnonzero(finite.any(axis=1))
@@ -356,7 +355,7 @@ def solve_meta(costs: OperationCostTable, inst: Instance, x: Sequence[int],
     """
     model = model or BaseCostModel(inst)
     t0 = time.perf_counter()
-    zeta, eps, stats, arcs_into = _meta_values(costs, inst, p, model)
+    zeta, eps, stats, arcs_into = _meta_values(costs, inst, p)
     t1 = time.perf_counter()
     stats.elapsed = t1 - t0
     final = inst.n_d * len(get_transition_lookup(p).patterns)

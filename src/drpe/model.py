@@ -131,6 +131,8 @@ def check_instance(inst: Instance, require_reachable: bool = True) -> list[str]:
     """Verify instance invariants; returns a list of violation messages."""
     problems = []
     for label, m in (("c_d", inst.c_d), ("c_r", inst.c_r)):
+        if np.isnan(m).any():
+            problems.append(f"{label} has NaN entries")
         if np.any(m < -EPS):
             problems.append(f"{label} has negative entries")
         if np.any(np.abs(np.diag(m)) > EPS):
@@ -139,8 +141,8 @@ def check_instance(inst: Instance, require_reachable: bool = True) -> list[str]:
         if bad is not None:
             problems.append(
                 f"{label} violates the triangle inequality at {bad}")
-    if inst.e_max <= 0:
-        problems.append("e_max must be positive")
+    if not 0 < inst.e_max < np.inf:
+        problems.append("e_max must be positive and finite")
     if require_reachable and inst.n_d > 0:
         worst = float((2.0 * inst.nearest_rl_time()).max())
         if worst > inst.e_max + EPS:
@@ -209,20 +211,18 @@ class BaseCostModel:
     flight time stays within e_max; its makespan is the slower of drone and
     rover.
 
-    A cost model (this class or ``ExtendedCostModel``) provides two pairs of
-    methods over the minimal flight time of an operation:
+    A cost model (this class or ``ExtendedCostModel``) has one pricing
+    method and one scalar pair:
 
-    - ``op_feasible`` / ``op_makespan`` price one operation given its flight
-      time and endpoint RLs; tour validation and tour pricing
-      (``tour_makespan``, ``build_tour``) call them.
-    - ``finalize_flight_matrix`` / ``makespan_matrix`` price a (start RL x
-      end RL) matrix of flight times, or a stack of them: the first sets
-      infeasible entries to +inf, the second maps flights to makespans and
-      keeps +inf. The splitter, stage 1, stage 2 and the exact sweep call
-      them. Both take an optional ``rover`` operand of the same shape as
-      ``flights`` holding the rover times of each entry's endpoint pair
-      (default ``c_r``): the splitter prices rows of (block, start RL w)
-      against every end RL with ``c_r[w]`` rows.
+    - ``price(flights, rover=None)`` maps minimal flight times to operation
+      makespans, +inf where the flight is infeasible. ``flights`` is a
+      (start RL x end RL) matrix, a stack of them, or any array of the
+      shape of ``rover``, the rover time of each entry (default ``c_r``).
+      The splitter, stage 1 and limop's table call it once per value;
+      stage 2 and the exact sweep read the makespans they stored.
+    - ``op_feasible`` / ``op_makespan`` price one operation from its flight
+      time and endpoint RLs, for tour validation and tour pricing
+      (``tour_makespan``, ``build_tour``).
 
     ``max_flight`` is the nominal flight-time cap and ``flight_cap`` that cap
     plus the model's feasibility tolerance, in flight units: no flight above
@@ -244,18 +244,10 @@ class BaseCostModel:
     def op_feasible(self, flight: float, w: int, w_prime: int) -> bool:
         return flight <= self.flight_cap
 
-    def finalize_flight_matrix(self, flights: np.ndarray,
-                               rover: Optional[np.ndarray] = None) -> np.ndarray:
-        """Apply the feasibility filter to a (n_r, n_r) matrix of minimal
-        flight times, or a stack of them; infeasible endpoint pairs become
-        +inf. The base model's filter does not read ``rover``."""
-        out = flights.copy()
-        out[out > self.flight_cap] = np.inf
+    def price(self, flights: np.ndarray, rover: Optional[np.ndarray] = None) -> np.ndarray:
+        out = np.maximum(flights, self.c_r if rover is None else rover)
+        out[flights > self.flight_cap] = np.inf
         return out
-
-    def makespan_matrix(self, flights: np.ndarray,
-                        rover: Optional[np.ndarray] = None) -> np.ndarray:
-        return np.maximum(flights, self.c_r if rover is None else rover)
 
 
 def operation_flight_time(op: Operation, inst: Instance) -> float:

@@ -1,5 +1,5 @@
-"""Stage-1 dynamic program: minimal feasible flight time for every
-relevant (start RL, destination set, end RL) operation.
+"""Stage-1 dynamic program: the makespan of the minimal feasible flight of
+every relevant (start RL, destination set, end RL) operation.
 
 States are (start RL w, visited set S, current position v) arranged in
 stages by |S|. At width p only sets and successor choices that can occur
@@ -19,9 +19,9 @@ One engine serves every size and width: a level-synchronous frontier DP
 whose sets are int64 ``SetKey`` keys (the window's ends and its boundary
 bits), grown and grouped by array operations on a whole level, and whose
 per-state values are vectors over the starting RL, reduced with
-vectorised gathers. The cost table keeps the keys and flight matrices
-per operation size. Order recovery replays the same DP within one
-entry's set and walks its levels back.
+vectorised gathers. The cost table keeps the keys and makespan matrices
+per operation size. Order recovery replays the same DP within one entry's
+set and walks its levels back.
 """
 
 from __future__ import annotations
@@ -203,16 +203,17 @@ class OpsGraphStats:
 
 @dataclass
 class OperationCostTable:
-    """Minimal feasible flight time per (start RL, set, end RL); the matrix
-    entry is +inf when no feasible operation over that set exists for the
-    endpoint pair, and sets without any feasible endpoint pair are absent.
+    """Makespan of the minimal-flight operation per (start RL, set, end
+    RL), as the cost model's ``price`` gives it; the matrix entry is +inf
+    when no feasible operation over that set exists for the endpoint pair,
+    and sets without any feasible endpoint pair are absent.
 
     One array pair per operation size k: ``keys[k]``, the ascending
-    ``layout`` keys of the size-k sets, and ``flights[k]``, their stacked
+    ``layout`` keys of the size-k sets, and ``makespans[k]``, their stacked
     (n_r, n_r) matrices in the same order."""
 
     keys: list
-    flights: list
+    makespans: list
     layout: SetKey
     p: Optional[int]  # None: every subset
     x: tuple
@@ -224,7 +225,7 @@ class OperationCostTable:
         return max((k for k, ks in enumerate(self.keys) if ks.size), default=0)
 
     def rows(self, k: int, keys) -> np.ndarray:
-        """Row in ``flights[k]`` of each key, -1 where the table has none."""
+        """Row in ``makespans[k]`` of each key, -1 where the table has none."""
         table = self.keys[k] if k < len(self.keys) else np.empty(0, np.int64)
         if not table.size:
             return np.full(len(keys), -1)
@@ -232,23 +233,23 @@ class OperationCostTable:
         return np.where(table[at] == keys, at, -1)
 
     def stack(self, sizes, rows) -> np.ndarray:
-        """The matrices of row ``rows[i]`` of ``flights[sizes[i]]``, stacked
+        """The matrices of row ``rows[i]`` of ``makespans[sizes[i]]``, stacked
         into one new array, one gather per run of equal sizes."""
         out = np.empty((len(rows), self.n_r, self.n_r))
         bounds = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), len(rows)]
         for lo, hi in zip(bounds, bounds[1:]):
             if lo < hi:
-                np.take(self.flights[sizes[lo]], rows[lo:hi], axis=0, out=out[lo:hi])
+                np.take(self.makespans[sizes[lo]], rows[lo:hi], axis=0, out=out[lo:hi])
         return out
 
     @cached_property
     def entries(self) -> dict:
-        """bitmask -> (n_r, n_r) matrix, a view of ``flights``, ascending."""
+        """bitmask -> (n_r, n_r) matrix, a view of ``makespans``, ascending."""
         sizes = [k for k, ks in enumerate(self.keys) if ks.size]
         if not sizes:
             return {}
         masks = np.concatenate([self.layout.masks(self.keys[k]) for k in sizes])
-        mats = [mat for k in sizes for mat in self.flights[k]]
+        mats = [mat for k in sizes for mat in self.makespans[k]]
         order = np.argsort(masks).tolist()
         masks = masks.tolist()
         return {masks[i]: mats[i] for i in order}
@@ -362,7 +363,7 @@ def build_ops_graph(inst: Instance, x: Sequence[int], p: Optional[int],
 
     t0 = time.perf_counter()
     stats = OpsGraphStats(per_stage=[0] * (n + 2))
-    keys, flights = [np.empty(0, np.int64)], [np.empty((0, inst.n_r, inst.n_r))]
+    keys, makespans = [np.empty(0, np.int64)], [np.empty((0, inst.n_r, inst.n_r))]
     held = 0
     levels = _levels(layout, np.arange(n), inst.cd_dd[np.ix_(idx, idx)],
                      inst.cd_rd[:, idx].T, inst.nearest_rl_time()[idx],
@@ -383,18 +384,18 @@ def build_ops_graph(inst: Instance, x: Sequence[int], p: Optional[int],
             lambda rows, sel, out: np.add(val[rows][:, :, None],
                                           cdp_dr[pos[rows]][:, None, :], out=out),
             (val.shape[1], inst.n_r))
-        close = model.finalize_flight_matrix(close)
+        close = model.price(close)
         feasible = np.isfinite(close)
         stats.terminal_entries += int(feasible.sum())
         keep = np.flatnonzero(feasible.any(axis=(1, 2)))
         keep = keep[np.argsort(order[keep])]
         keys.append(set_keys[order[keep]])
-        flights.append(close[keep])
+        makespans.append(close[keep])
     # every live arc is one finite value of the level it reaches
     stats.arcs = sum(stats.per_stage[2:])
     stats.nonterminal_states = sum(stats.per_stage)
     stats.elapsed = time.perf_counter() - t0
-    return OperationCostTable(keys=keys, flights=flights, layout=layout, p=p,
+    return OperationCostTable(keys=keys, makespans=makespans, layout=layout, p=p,
                               x=x, n_r=inst.n_r, stats=stats)
 
 

@@ -115,9 +115,7 @@ def _block_entries(x: tuple, inst: Instance, model) -> tuple:
     parts = []
     for length in range(n_d + 1):
         last = i + length
-        rover = c_r[w]
-        weight = model.makespan_matrix(
-            model.finalize_flight_matrix(acc[:, None] + land[last], rover), rover)
+        weight = model.price(acc[:, None] + land[last], c_r[w])
         k = np.flatnonzero(np.isfinite(weight))  # 2-D nonzero is ~10x slower
         r, wp = np.divmod(k, n_r)
         parts.append((i[r], last[r] + 1, w[r], wp, weight.reshape(-1)[k]))

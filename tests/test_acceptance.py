@@ -33,7 +33,7 @@ from drpe.metagraph import (
     get_transition_lookup,
     solve_meta,
 )
-from drpe.model import validate_tour
+from drpe.model import BaseCostModel, validate_tour
 from drpe.opsgraph import build_ops_graph, ops_nonterminal_state_bound
 from drpe.oracle import (
     brute_force_optimum,
@@ -43,6 +43,7 @@ from drpe.oracle import (
 )
 from drpe.search import vlsn, vlsn_ls
 
+from tests.conftest import FlightPricing
 from tests.test_metagraph import PUBLISHED_PATTERNS_P4, PUBLISHED_TRANSITIONS_P4
 
 
@@ -148,7 +149,8 @@ def test_c07_ops_table_optimality_unlimited_energy():
                         w0=base.w0, wt=base.wt, e_max=1e18)
         x = tuple(np.random.default_rng(seed).permutation(6).tolist())
         for p in (2, 3):
-            table = build_ops_graph(inst, x, p)
+            # the table holds flights, not makespans, to compare with them
+            table = build_ops_graph(inst, x, p, model=FlightPricing(BaseCostModel(inst)))
             oracle = {}
             for s in enumerate_valid_operation_sequences(6, p):
                 m = sum(1 << t for t in s)

@@ -2,6 +2,8 @@ import csv
 import json
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from drpe.cli import main
 from drpe.io import load_instance, load_solution, save_instance, save_solution
@@ -117,6 +119,53 @@ def test_malformed_extended_file_is_clean_error(tmp_path, capsys):
                      str(costs), "-i", str(inst_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and why in err
+
+
+def test_zero_flight_current_is_clean_error(tmp_path, capsys):
+    inst_path, costs = tmp_path / "inst.json", tmp_path / "costs.json"
+    save_instance(random_instance(2, n_d=4, n_r=3), inst_path)
+    costs.write_text(json.dumps({"r_fl": 0, "r_hov": 0}))
+    assert main(["solve", "--algo", "rts", "--model", "extended", "--extended",
+                 str(costs), "-i", str(inst_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "r_fl" in err
+
+
+# a JSON number that parses to +inf
+BIG = "__1e400__"
+# top-level fields of a saved instance (the free-text name aside), and the
+# fields of a saved solution: its own and those of its first leg and first
+# operation
+INSTANCE_FIELDS = ("version", "n_d", "n_r", "depot_start", "depot_target", "e_max",
+                   "rover_speed", "metrics", "destinations", "rls", "extra")
+SOLUTION_FIELDS = ("makespan", "elements", "type", "from", "to", "start", "dests", "end")
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(target=st.tuples(st.just("instance"), st.sampled_from(INSTANCE_FIELDS))
+       | st.tuples(st.just("solution"), st.sampled_from(SOLUTION_FIELDS)),
+       value=st.sampled_from([None, [None], BIG, -1, True, False]) | st.text(max_size=4))
+def test_malformed_field_is_clean_error(tmp_path, capsys, target, value):
+    inst = random_instance(2, n_d=4, n_r=3)
+    inst_path, sol_path = tmp_path / "inst.json", tmp_path / "sol.json"
+    save_instance(inst, inst_path)
+    save_solution(split_optimal(tuple(range(4)), inst), sol_path)
+    kind, key = target
+    path = inst_path if kind == "instance" else sol_path
+    doc = json.loads(path.read_text())
+    owner = (doc["elements"][0] if key in ("type", "from", "to")
+             else doc["elements"][1] if key in ("start", "dests", "end") else doc)
+    assume(json.dumps(owner[key]) != json.dumps(value))  # False == 0 in Python
+    owner[key] = value
+    path.write_text(json.dumps(doc).replace(json.dumps(BIG), "1e400"))
+    capsys.readouterr()
+    if kind == "instance":
+        rc = main(["solve", "--algo", "vlsn", "--p", "2", "-i", str(inst_path)])
+    else:
+        rc = main(["validate", "-i", str(inst_path), "-s", str(sol_path)])
+    assert rc in (1, 3)
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_enumerate_subcommand(capsys):

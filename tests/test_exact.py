@@ -3,7 +3,7 @@ import pytest
 
 from drpe.exact import full_meta_sweep, solve_exact
 from drpe.generator import random_instance
-from drpe.model import SizeGuardError, validate_tour
+from drpe.model import BaseCostModel, SizeGuardError, validate_tour
 from drpe.oracle import brute_force_optimum
 from drpe.search import vlsn
 from drpe.baselines import initial_tsp_sequence
@@ -56,13 +56,11 @@ def test_meta_arc_budget():
 def test_sweep_accepts_custom_tables():
     # a table with only single-destination sorties forces a swap per visit
     inst = random_instance(3, n_d=4, n_r=3)
-    flights = {}
+    makespans = {}
     for v in range(4):
         mat = inst.cd_rd[:, v][:, None] + inst.cd_dr[v, :][None, :]
-        mat = mat.copy()
-        mat[mat > inst.e_max] = np.inf
-        flights[1 << v] = mat
-    tour, _ = full_meta_sweep(inst, flights)
+        makespans[1 << v] = BaseCostModel(inst).price(mat)
+    tour, _ = full_meta_sweep(inst, makespans)
     assert len(tour.operations()) == 4
     assert validate_tour(tour, inst).passed
     assert tour.makespan >= solve_exact(inst).makespan - 1e-9

@@ -109,3 +109,19 @@ def test_instance_from_dict_rejects_wrong_shapes():
                             "depot_target": 0, "e_max": 1.0,
                             "destinations": [[0, 0]], "rls": [[1, 1]],
                             "metrics": {"drone": "euclidean", "rover": "manhattan"}})
+
+
+def test_non_finite_e_max_and_nan_matrix_entries_are_rejected():
+    inst = random_instance(1, n_d=4, n_r=3)
+    doc = instance_to_dict(inst)
+    for e_max in (float("nan"), float("inf")):
+        with pytest.raises(SchemaError, match="e_max must be positive and finite"):
+            instance_from_dict({**doc, "e_max": e_max})
+    doc.update(metrics={"drone": "matrix", "rover": "matrix"},
+               c_d=inst.c_d.tolist(), c_r=inst.c_r.tolist())
+    assert np.array_equal(instance_from_dict(doc).c_d, inst.c_d)
+    for key in ("c_d", "c_r"):
+        bad = np.array(doc[key])
+        bad[0, 1] = np.nan
+        with pytest.raises(SchemaError, match=f"{key} has NaN entries"):
+            instance_from_dict({**doc, key: bad.tolist()})

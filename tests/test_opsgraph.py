@@ -15,7 +15,7 @@ from drpe.opsgraph import (
     valid_successor_indices,
 )
 from drpe.oracle import enumerate_valid_operation_sequences
-from tests.conftest import binding_extended_model
+from tests.conftest import FlightPricing, binding_extended_model
 
 
 def _mask(*positions):
@@ -126,8 +126,20 @@ def test_p1_table_is_exactly_contiguous_blocks():
 def _finalized(table, model):
     """Apply the cost model's feasibility filter to {set: flight matrix};
     sets left without a feasible endpoint pair drop out, as in stage 1."""
-    out = {m: model.finalize_flight_matrix(mat) for m, mat in table.items()}
+    out = {m: FlightPricing(model).price(mat) for m, mat in table.items()}
     return {m: mat for m, mat in out.items() if np.isfinite(mat).any()}
+
+
+def _flight_table(inst, x, p, model, **kwargs):
+    """Stage 1's table built with ``FlightPricing(model)``, so it holds
+    minimal flights, once the table built with ``model`` itself is checked
+    to hold exactly ``model.price`` of them."""
+    flights = build_ops_graph(inst, x, p, model=FlightPricing(model), **kwargs)
+    table = build_ops_graph(inst, x, p, model=model, **kwargs)
+    assert set(table.entries) == set(flights.entries)
+    for m, mat in flights.entries.items():
+        assert np.array_equal(table.entries[m], model.price(mat))
+    return flights
 
 
 def _sequence_flights(inst, x, sequences):
@@ -180,7 +192,7 @@ def test_table_matches_ordering_oracle_unlimited(p):
             inst = energy(random_instance(seed, n_d=5, n_r=3))
             model = make_model(inst)
             x = tuple(np.random.default_rng(seed + 9).permutation(5).tolist())
-            table = build_ops_graph(inst, x, p, model=model)
+            table = _flight_table(inst, x, p, model)
             _assert_same_table(table, _oracle_table(inst, x, p, model))
 
 
@@ -191,14 +203,14 @@ def test_unrestricted_size_cap_matches_capped_bruteforce(size_cap):
             inst = energy(random_instance(seed + 30, n_d=5, n_r=3))
             model = make_model(inst)
             x = tuple(np.random.default_rng(seed + 9).permutation(5).tolist())
-            table = build_ops_graph(inst, x, None, model=model, size_cap=size_cap)
+            table = _flight_table(inst, x, None, model, size_cap=size_cap)
             assert table.max_op_size <= size_cap
             _assert_same_table(table, _capped_table(inst, x, size_cap, model))
 
 
 def test_table_respects_energy_filter():
     inst = random_instance(4, n_d=5, n_r=3)
-    table = build_ops_graph(inst, tuple(range(5)), 2)
+    table = build_ops_graph(inst, tuple(range(5)), 2, model=FlightPricing(BaseCostModel(inst)))
     for m, mat in table.entries.items():
         finite = mat[np.isfinite(mat)]
         assert (finite <= inst.e_max + 1e-9).all()
@@ -207,7 +219,8 @@ def test_table_respects_energy_filter():
 def test_values_monotone_in_p():
     inst = random_instance(6, n_d=6, n_r=3)
     x = tuple(range(6))
-    tables = {p: build_ops_graph(inst, x, p) for p in (1, 2, 3, 6)}
+    model = FlightPricing(BaseCostModel(inst))
+    tables = {p: build_ops_graph(inst, x, p, model=model) for p in (1, 2, 3, 6)}
     for p_small, p_big in ((1, 2), (2, 3), (3, 6)):
         small, big = tables[p_small], tables[p_big]
         for m, mat in small.entries.items():
@@ -229,7 +242,7 @@ def test_recover_reproduces_best_order():
     # p=None: the exact solver's unrestricted table and recovery
     for make_model, p in itertools.product([BaseCostModel, binding_extended_model],
                                            [2, 3, 4, None]):
-        table = build_ops_graph(inst, x, p, model=make_model(inst))
+        table = build_ops_graph(inst, x, p, model=FlightPricing(make_model(inst)))
         checked = 0
         for m, mat in table.entries.items():
             for w, wp in zip(*np.nonzero(np.isfinite(mat))):
@@ -260,8 +273,8 @@ def test_recover_breaks_bitwise_ties_at_the_smallest_position():
 
 def _check_recovered_orders(inst, x, p, model, per_table=None):
     """Every recovered order (or ``per_table`` sampled ones), re-flown,
-    reproduces its table entry bitwise."""
-    table = build_ops_graph(inst, x, p, model=model)
+    reproduces its table entry bitwise (the table holds flights)."""
+    table = build_ops_graph(inst, x, p, model=FlightPricing(model))
     cells = [(m, int(w), int(wp)) for m, mat in table.entries.items()
              for w, wp in zip(*np.nonzero(np.isfinite(mat)))]
     if per_table is not None and len(cells) > per_table:

@@ -23,13 +23,14 @@ from drpe.model import (
 )
 from drpe.opsgraph import build_ops_graph, recover_operation_order
 from drpe.oracle import brute_force_optimum
-from tests.conftest import binding_extended_model
+from tests.conftest import FlightPricing, binding_extended_model, two_step_price
 
 MODELS = [BaseCostModel, binding_extended_model]
 
 
 def _per_arc_solve_meta(costs, inst, x, p, model):
-    """The per-arc stage-2 loop with pointer arrays: (zeta, eps, tour)."""
+    """The per-arc stage-2 loop with pointer arrays, pricing each arc's
+    flights from ``costs`` (a table of minimal flights): (zeta, eps, tour)."""
     n_d, n_r = inst.n_d, inst.n_r
     c_r = inst.c_r
     lookup = get_transition_lookup(p)
@@ -63,7 +64,7 @@ def _per_arc_solve_meta(costs, inst, x, p, model):
                     mask = ops << k >> (p - 1)
                     if not valid_at[k + h][b_id] or mask not in costs.entries:
                         continue
-                    cand = za[:, None] + model.makespan_matrix(costs.entries[mask])
+                    cand = za[:, None] + two_step_price(model, costs.entries[mask])
                     best = cand.min(axis=0)
                     improved = best < eps[k + h, b_id]
                     eps[k + h, b_id][improved] = best[improved]
@@ -84,14 +85,15 @@ def _per_arc_solve_meta(costs, inst, x, p, model):
 
 
 def _dense_sweep(inst, op_flights, model):
-    """The per-entry exact sweep on full (n_r, n_r) weights: (zeta, eps, arcs)."""
+    """The per-entry exact sweep on full (n_r, n_r) weights, priced from
+    minimal flights: (zeta, eps, arcs)."""
     n, n_r = inst.n_d, inst.n_r
     full = (1 << n) - 1
     c_r = inst.c_r
     masks_pc = _masks_by_popcount(n)
     items = []
     for mask in sorted(op_flights):
-        weights = model.makespan_matrix(op_flights[mask])
+        weights = two_step_price(model, op_flights[mask])
         if np.isfinite(weights).any():
             items.append((mask, mask.bit_count(), weights))
     zeta = np.full((full + 1, n_r), np.inf)
@@ -150,8 +152,9 @@ def test_batched_stage2_matches_per_arc_loop(make_model):
         model = make_model(inst)
         x = initial_tsp_sequence(inst)
         table = build_ops_graph(inst, x, p, model=model)
-        zeta, eps, tour = _per_arc_solve_meta(table, inst, x, p, model)
-        new_zeta, new_eps, _, _ = _meta_values(table, inst, p, model)
+        flights = build_ops_graph(inst, x, p, model=FlightPricing(model))
+        zeta, eps, tour = _per_arc_solve_meta(flights, inst, x, p, model)
+        new_zeta, new_eps, _, _ = _meta_values(table, inst, p)
         assert np.array_equal(new_zeta, zeta.reshape(new_zeta.shape))
         assert np.array_equal(new_eps, eps.reshape(new_eps.shape))
         assert repr(solve_meta(table, inst, x, p, model)[0]) == repr(tour)
@@ -165,8 +168,10 @@ def test_batched_sweep_matches_dense_loop(make_model):
     for inst in insts:
         model = make_model(inst)
         table = build_ops_graph(inst, tuple(range(inst.n_d)), None, model=model)
-        zeta, eps, arcs = _dense_sweep(inst, table.entries, model)
-        new_zeta, new_eps, new_arcs = _sweep_values(inst, table.entries, model)
+        flights = build_ops_graph(inst, tuple(range(inst.n_d)), None,
+                                  model=FlightPricing(model))
+        zeta, eps, arcs = _dense_sweep(inst, flights.entries, model)
+        new_zeta, new_eps, new_arcs = _sweep_values(inst, table.entries)
         assert np.array_equal(new_zeta, zeta) and np.array_equal(new_eps, eps)
         assert new_arcs == arcs
 

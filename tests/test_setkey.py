@@ -63,14 +63,14 @@ def test_array_rule_matches_scalar_rule_at_100_destinations(p):
 
 
 def _table(n_d, q, masks):
-    """A cost table at width q holding exactly ``masks`` (zero flights)."""
+    """A cost table at width q holding exactly ``masks`` (zero makespans)."""
     layout = SetKey(n_d, q)
     by_size = {}
     for m in masks:
         by_size.setdefault(m.bit_count(), []).append(layout.key(m))
     top = max(by_size, default=0)
     keys = [np.sort(np.array(by_size.get(k, []), dtype=np.int64)) for k in range(top + 1)]
-    return OperationCostTable(keys=keys, flights=[np.zeros((ks.size, 1, 1)) for ks in keys],
+    return OperationCostTable(keys=keys, makespans=[np.zeros((ks.size, 1, 1)) for ks in keys],
                               layout=layout, p=q, x=tuple(range(n_d)), n_r=1,
                               stats=OpsGraphStats())
 

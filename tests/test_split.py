@@ -19,7 +19,7 @@ from drpe.model import (
 )
 from drpe.oracle import split_optimal
 from drpe.search import shifted_permutations, vlsn
-from tests.conftest import binding_extended_model
+from tests.conftest import binding_extended_model, two_step_price
 from tests.test_oracle import _block_split_best
 from tests.test_relaxation import _twin_instance
 
@@ -41,8 +41,7 @@ def _per_block_split(x, inst, model):
         acc = np.where(np.isfinite(f[i]), cd_rd[:, x[i]], np.inf)
         for j in range(i + 1, n_d + 1):
             last = x[j - 1]
-            flights = model.finalize_flight_matrix(acc[:, None] + cd_dr[last])
-            cand = f[i][:, None] + model.makespan_matrix(flights)
+            cand = f[i][:, None] + two_step_price(model, acc[:, None] + cd_dr[last])
             best = cand.min(axis=0)
             better = best < g[j]
             if better.any():
