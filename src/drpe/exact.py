@@ -25,8 +25,8 @@ from .model import (
     SizeGuardError,
     check_deadline,
 )
-from .metagraph import chunks, relax, walk_back
-from .opsgraph import build_ops_graph
+from .metagraph import relax, walk_back
+from .opsgraph import build_ops_graph, chunks
 from .reports import SolveReport
 
 ND_CAP = 18

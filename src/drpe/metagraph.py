@@ -11,12 +11,14 @@ per gap. An arc's operation has a stage-1 set key linear in the stage, so
 search per gap before the forward pass. Values live in two (state row
 x RL) arrays, row k * n_pat + b: ``eps`` on arrival by an operation,
 ``zeta`` after the recharging leg that follows. Each stage's operation
-arcs read their makespans from the table as one stack and are relaxed at
-once by ``relax`` (min-plus one start RL at a time, exact scatter-min),
-in batches of at most ``CHUNK_VALUES`` weights. No pointers are kept:
-``walk_back`` takes the first exact-equality match in the forward order
-(leg from the lowest RL; arc from the lowest source stage, then pattern,
-then start RL). The exact sweep shares ``relax`` and ``walk_back``.
+arcs are relaxed at once from the table's sparse entries: every (start
+RL w, end RL w', makespan) entry of an arc's operation is one candidate
+``zeta[source, w] + makespan`` for ``eps[target, w']``, and one exact
+scatter-min takes each batch of about ``RELAX_BATCH`` candidates. No
+pointers are kept: ``walk_back`` takes the first exact-equality match in
+the forward order (leg from the lowest RL; arc from the lowest source
+stage, then pattern, then start RL). The exact sweep shares ``walk_back``
+and relaxes its dense entry groups with ``relax``.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .model import (
     RechargingLeg,
     SizeGuardError,
     build_tour,
+    check_deadline,
 )
 from .opsgraph import OperationCostTable, _ctz, _top_bit, recover_operation_order
 
@@ -222,15 +225,9 @@ class MetaStats:
     recovery_elapsed: float = 0.0  # walk-back and operation-order recovery
 
 
-# float64 values in one relaxation batch (arcs x start RLs x end RLs): 2 MB
-# temporaries; at 2^20 a small-loose pass peaked about 16 MB higher in RSS
-CHUNK_VALUES = 1 << 18
-
-
-def chunks(n: int, per_item: int):
-    """Slices of at most CHUNK_VALUES // per_item items covering range(n)."""
-    step = max(1, CHUNK_VALUES // max(per_item, 1))
-    return (slice(i, i + step) for i in range(0, n, step))
+# candidates per stage-2 relaxation batch, 0.5 MB per index or value array;
+# on small-loose, batches of 2^14 and of 2^18 ran slower
+RELAX_BATCH = 1 << 16
 
 
 def relax(eps, start, weights, targets, cols) -> None:
@@ -277,10 +274,10 @@ def table_arcs(costs: OperationCostTable, lookup: TransitionLookup, valid_at):
     ``(stage, gap, a, b, keys, rows)`` ascending in source stage, then gap,
     then source pattern, then target pattern: from pattern a at ``stage``
     to pattern b ``gap`` stages on, both valid there (``valid_at``, one
-    row per stage), over the set with ``costs.layout`` key ``keys``, whose
-    makespans are row ``rows`` of ``costs.makespans[gap]``. An arc's key is
-    linear in its stage, so each gap costs one key computation and one
-    table search for all stages at once."""
+    row per stage), over the set with ``costs.layout`` key ``keys``, which
+    is row ``rows`` of the table's size ``gap``. An arc's key is linear in
+    its stage, so each gap costs one key computation and one table search
+    for all stages at once."""
     layout, n_d = costs.layout, valid_at.shape[0] - 1
     parts = []
     for h in range(1, min(costs.max_op_size, n_d) + 1):
@@ -298,7 +295,8 @@ def table_arcs(costs: OperationCostTable, lookup: TransitionLookup, valid_at):
     return tuple(part[order] for part in parts)
 
 
-def _meta_values(costs: OperationCostTable, inst: Instance, p: int):
+def _meta_values(costs: OperationCostTable, inst: Instance, p: int,
+                 deadline: Optional[float] = None):
     """Forward pass of ``solve_meta``: (zeta, eps, stats, arcs_into), the
     value arrays with row k * n_pat + b for pattern b at stage k and the
     walk-back's arc source."""
@@ -315,15 +313,42 @@ def _meta_values(costs: OperationCostTable, inst: Instance, p: int):
 
     stage, gap, a, b, keys, rows = table_arcs(costs, lookup, valid_at)
     bounds = np.searchsorted(stage, np.arange(n_d + 2))
-    target = (stage + gap) * n_pat + b
+    source = (stage * n_pat + a) * n_r
+    target = ((stage + gap) * n_pat + b) * n_r
+    # the entries of each arc: ``first`` .. ``first + size - 1`` of the
+    # table's arrays of its size, ``gap``
+    at = np.cumsum([0, *(len(ks) for ks in costs.keys[:-1])])[gap] + rows
+    first = np.concatenate(costs.starts)[at]
+    size = np.concatenate(costs.stops)[at] - first
+
+    def expand(arcs, *per_arc):
+        """(w, w', makespan) of every entry of these arcs, arc by arc, and
+        each array of ``per_arc`` repeated once per entry of its arc."""
+        n = size[arcs]
+        e = np.repeat(first[arcs] - (np.cumsum(n) - n), n)
+        e += np.arange(e.size)
+        cell, c = np.empty(e.size, costs.cells[0].dtype), np.empty(e.size)
+        # each run of arcs of one gap reads the arrays of that size; the
+        # indices are in range, and mode="clip" takes into ``out`` unbuffered
+        g = gap[arcs]
+        heads = np.flatnonzero(g[1:] != g[:-1]) + 1
+        ends = [0, *np.cumsum(n)[heads - 1].tolist(), e.size]
+        for h, lo, hi in zip([g[0], *g[heads]], ends, ends[1:]):
+            np.take(costs.cells[h], e[lo:hi], out=cell[lo:hi], mode="clip")
+            np.take(costs.values[h], e[lo:hi], out=c[lo:hi], mode="clip")
+        return (*costs.rls(cell), c, *(np.repeat(x, n) for x in per_arc))
 
     def arcs_into(row, wp):
         # source stage ascending, then source pattern ascending
-        sel = np.flatnonzero(target == row)
-        yield (stage[sel] * n_pat + a[sel], layout.masks(keys[sel]).tolist(),
-               costs.stack(gap[sel], rows[sel])[:, :, wp])
+        sel = np.flatnonzero(target == row * n_r)
+        w, end, c, j = expand(sel, np.arange(sel.size))
+        hit = end == wp
+        weights = np.full((sel.size, n_r), np.inf)
+        weights[j[hit], w[hit]] = c[hit]
+        yield source[sel] // n_r, layout.masks(keys[sel]).tolist(), weights
 
     for k in range(n_d + 1):
+        check_deadline(deadline)
         states = k * n_pat + np.flatnonzero(valid_at[k])
         if k > 0:
             E = eps[states]
@@ -331,31 +356,34 @@ def _meta_values(costs: OperationCostTable, inst: Instance, p: int):
             zeta[states[live]] = (E[live][:, :, None] + c_r[None, :, :]).min(axis=1)
         reached = np.isfinite(zeta[k * n_pat:(k + 1) * n_pat]).any(axis=1)
         out = bounds[k] + np.flatnonzero(reached[a[bounds[k]:bounds[k + 1]]])
-        src, tgt = k * n_pat + a[out], target[out]
         stats.arcs += out.size
-        for sl in chunks(out.size, n_r * n_r):
-            W = costs.stack(gap[out[sl]], rows[out[sl]])
-            # relax on the start and end RLs where some arc is finite
-            finite = np.isfinite(W).any(axis=0)
-            starts = np.flatnonzero(finite.any(axis=1))
-            ends = np.flatnonzero(finite.any(axis=0))
-            relax(eps, zeta[src[sl, None], starts], W[:, starts[:, None], ends],
-                  tgt[sl], ends)
+        # one candidate zeta[source, w] + makespan per entry of an arc,
+        # scattered onto eps[target, w'] by an exact minimum, in batches of
+        # about RELAX_BATCH entries
+        step = max(1, out.size * RELAX_BATCH // max(int(size[out].sum()), 1))
+        for lo in range(0, out.size, step):
+            arcs = out[lo:lo + step]
+            w, wp, cand, src, tgt = expand(arcs, source[arcs], target[arcs])
+            cand += zeta.reshape(-1)[src + w]
+            np.minimum.at(eps.reshape(-1), tgt + wp, cand)
     return zeta, eps, stats, arcs_into
 
 
 def solve_meta(costs: OperationCostTable, inst: Instance, x: Sequence[int],
-               p: int, model: Optional[object] = None):
+               p: int, model: Optional[object] = None,
+               deadline: Optional[float] = None):
     """Shortest path through the meta graph; returns (tour, stats).
 
     The returned tour's makespan is the optimum over all neighbor tours
     whose operations appear in the cost table. ``stats.elapsed`` times the
     forward pass and ``stats.recovery_elapsed`` the walk-back that
-    recovers the tour and its operation orders.
+    recovers the tour and its operation orders. Past ``deadline`` (a
+    ``time.perf_counter()`` value, checked at each stage of the forward
+    pass) it raises ``TimeLimitError``.
     """
     model = model or BaseCostModel(inst)
     t0 = time.perf_counter()
-    zeta, eps, stats, arcs_into = _meta_values(costs, inst, p)
+    zeta, eps, stats, arcs_into = _meta_values(costs, inst, p, deadline)
     t1 = time.perf_counter()
     stats.elapsed = t1 - t0
     final = inst.n_d * len(get_transition_lookup(p).patterns)

@@ -19,9 +19,12 @@ One engine serves every size and width: a level-synchronous frontier DP
 whose sets are int64 ``SetKey`` keys (the window's ends and its boundary
 bits), grown and grouped by array operations on a whole level, and whose
 per-state values are vectors over the starting RL, reduced with
-vectorised gathers. The cost table keeps the keys and makespan matrices
-per operation size. Order recovery replays the same DP within one entry's
-set and walks its levels back.
+vectorised gathers. Each level is closed at every end RL in blocks of
+about ``CHUNK_VALUES`` values, and only the flights within the cost
+model's cap are priced. The cost table keeps the finite makespans alone,
+per operation size: the set keys and each set's run of entries, a packed
+(start RL, end RL) cell and the makespan. Order recovery replays the same
+DP within one entry's set and walks its levels back.
 """
 
 from __future__ import annotations
@@ -37,6 +40,17 @@ import numpy as np
 from .model import BaseCostModel, Instance, SizeGuardError, check_deadline
 
 SEARCH_STATE_BUDGET = 8_000_000  # (set, position, start RL) values of a build at width p
+
+# float64 values in one block of stage 1's close or of the exact sweep's
+# relaxation: 2 MB temporaries; at 2^20 a small-loose pass peaked about
+# 16 MB higher in RSS
+CHUNK_VALUES = 1 << 18
+
+
+def chunks(n: int, per_item: int):
+    """Slices of at most CHUNK_VALUES // per_item items covering range(n)."""
+    step = max(1, CHUNK_VALUES // max(per_item, 1))
+    return (slice(i, i + step) for i in range(0, n, step))
 
 
 # ---------------------------------------------------------------------------
@@ -203,53 +217,62 @@ class OpsGraphStats:
 
 @dataclass
 class OperationCostTable:
-    """Makespan of the minimal-flight operation per (start RL, set, end
-    RL), as the cost model's ``price`` gives it; the matrix entry is +inf
-    when no feasible operation over that set exists for the endpoint pair,
-    and sets without any feasible endpoint pair are absent.
+    """Makespan of the minimal-flight operation per (start RL w, set, end
+    RL w'), as the cost model's ``price`` gives it. Only the finite
+    entries are stored; sets without any are absent.
 
-    One array pair per operation size k: ``keys[k]``, the ascending
-    ``layout`` keys of the size-k sets, and ``makespans[k]``, their stacked
-    (n_r, n_r) matrices in the same order."""
+    One group of arrays per operation size k: ``keys[k]`` lists the
+    ascending ``layout`` keys of the size-k sets, and set row r holds
+    entries ``starts[k][r]`` to ``stops[k][r] - 1`` of ``cells[k]`` and
+    ``values[k]`` (the makespans), ordered by w, then w'. A cell packs
+    (w, w') as ``w << b | w'``, b the bit length of n_r - 1, in the
+    smallest unsigned type that holds it (``rls`` unpacks it). The sets'
+    runs of entries follow stage 1's closing order."""
 
     keys: list
-    makespans: list
+    starts: list
+    stops: list
+    cells: list
+    values: list
     layout: SetKey
     p: Optional[int]  # None: every subset
     x: tuple
     n_r: int
     stats: OpsGraphStats
 
+    def rls(self, cells) -> tuple:
+        """(w, w') of each cell."""
+        bits = (self.n_r - 1).bit_length()
+        return cells >> bits, cells & ((1 << bits) - 1)
+
     @property
     def max_op_size(self) -> int:
         return max((k for k, ks in enumerate(self.keys) if ks.size), default=0)
 
     def rows(self, k: int, keys) -> np.ndarray:
-        """Row in ``makespans[k]`` of each key, -1 where the table has none."""
+        """Row in ``keys[k]`` of each key, -1 where the table has none."""
         table = self.keys[k] if k < len(self.keys) else np.empty(0, np.int64)
         if not table.size:
             return np.full(len(keys), -1)
         at = np.minimum(np.searchsorted(table, keys), table.size - 1)
         return np.where(table[at] == keys, at, -1)
 
-    def stack(self, sizes, rows) -> np.ndarray:
-        """The matrices of row ``rows[i]`` of ``makespans[sizes[i]]``, stacked
-        into one new array, one gather per run of equal sizes."""
-        out = np.empty((len(rows), self.n_r, self.n_r))
-        bounds = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), len(rows)]
-        for lo, hi in zip(bounds, bounds[1:]):
-            if lo < hi:
-                np.take(self.makespans[sizes[lo]], rows[lo:hi], axis=0, out=out[lo:hi])
-        return out
-
     @cached_property
     def entries(self) -> dict:
-        """bitmask -> (n_r, n_r) matrix, a view of ``makespans``, ascending."""
-        sizes = [k for k, ks in enumerate(self.keys) if ks.size]
-        if not sizes:
+        """bitmask -> (n_r, n_r) makespan matrix, +inf where no feasible
+        operation exists, ascending by bitmask; built on first use."""
+        masks, mats = [], []
+        for k, ks in enumerate(self.keys):
+            if ks.size:
+                runs = np.argsort(self.starts[k])
+                row = np.repeat(runs, (self.stops[k] - self.starts[k])[runs])
+                dense = np.full((ks.size, self.n_r, self.n_r), np.inf)
+                dense[(row, *self.rls(self.cells[k]))] = self.values[k]
+                masks.append(self.layout.masks(ks))
+                mats.extend(dense)
+        if not masks:
             return {}
-        masks = np.concatenate([self.layout.masks(self.keys[k]) for k in sizes])
-        mats = [mat for k in sizes for mat in self.makespans[k]]
+        masks = np.concatenate(masks)
         order = np.argsort(masks).tolist()
         masks = masks.tolist()
         return {masks[i]: mats[i] for i in order}
@@ -363,7 +386,15 @@ def build_ops_graph(inst: Instance, x: Sequence[int], p: Optional[int],
 
     t0 = time.perf_counter()
     stats = OpsGraphStats(per_stage=[0] * (n + 2))
-    keys, makespans = [np.empty(0, np.int64)], [np.empty((0, inst.n_r, inst.n_r))]
+    n_r = inst.n_r
+    bits = (n_r - 1).bit_length()
+    rl = np.arange(n_r, dtype=np.min_scalar_type((n_r - 1) << bits | (n_r - 1)))
+    step = max(1, CHUNK_VALUES // (n_r * n_r))  # sets closed at once
+    # (cell, rover time) of each value of a block of closed sets
+    of_cell = (rl[:, None] << bits | rl).ravel(), inst.c_r.ravel()
+    of_block = tuple(f[:0] for f in of_cell)
+    keys, starts, stops = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    cells, values = [rl[:0]], [np.empty(0)]
     held = 0
     levels = _levels(layout, np.arange(n), inst.cd_dd[np.ix_(idx, idx)],
                      inst.cd_rd[:, idx].T, inst.nearest_rl_time()[idx],
@@ -377,26 +408,45 @@ def build_ops_graph(inst: Instance, x: Sequence[int], p: Optional[int],
             raise SizeGuardError(
                 f"neighborhood width p={p} expands past the stage-1 state "
                 f"budget on this instance; lower p")
-        # close the operation at every RL; sets without a feasible endpoint
-        # pair get no entry
-        order, close = _min_over_rows(
-            count, first, np.arange(set_keys.size),
-            lambda rows, sel, out: np.add(val[rows][:, :, None],
-                                          cdp_dr[pos[rows]][:, None, :], out=out),
-            (val.shape[1], inst.n_r))
-        close = model.price(close)
-        feasible = np.isfinite(close)
-        stats.terminal_entries += int(feasible.sum())
-        keep = np.flatnonzero(feasible.any(axis=(1, 2)))
-        keep = keep[np.argsort(order[keep])]
-        keys.append(set_keys[order[keep]])
-        makespans.append(close[keep])
+        # close the operation at every RL and price the flights within the
+        # cost model's cap, keeping the finite makespans: blocks of sets of
+        # decreasing row count, so that each block's row minimum is short
+        by_rows = np.argsort(-count.astype(np.int16), kind="stable")
+        m = min(by_rows.size, step)
+        if of_block[0].size < m * n_r * n_r:
+            of_block = tuple(np.tile(f, m) for f in of_cell)
+        closed, n_e, parts = [], [], []
+        for sl in chunks(by_rows.size, n_r * n_r):
+            order, close = _min_over_rows(
+                count, first, by_rows[sl],
+                lambda rows, sel, out: np.add(val[rows][:, :, None],
+                                              cdp_dr[pos[rows]][:, None, :], out=out),
+                (n_r, n_r))
+            close = close.reshape(-1)
+            at = np.flatnonzero(close <= model.flight_cap)
+            cost = model.price(close[at], of_block[1][at])
+            if not np.isfinite(cost).all():
+                at, cost = at[np.isfinite(cost)], cost[np.isfinite(cost)]
+            closed.append(by_rows[sl][order])
+            n_e.append(np.diff(np.searchsorted(at, np.arange(0, close.size + 1, n_r * n_r))))
+            parts.append((of_block[0][at], cost))
+        for field, part in zip((cells, values), zip(*parts)):
+            field.append(np.concatenate(part))
+        # each set's entry count and first entry
+        run = np.zeros((2, set_keys.size), np.int64)
+        n_e = np.concatenate(n_e)
+        run[:, np.concatenate(closed)] = n_e, np.cumsum(n_e) - n_e
+        placed = np.flatnonzero(run[0])
+        keys.append(set_keys[placed])
+        starts.append(run[1, placed])
+        stops.append(run[1, placed] + run[0, placed])
+        stats.terminal_entries += values[-1].size
     # every live arc is one finite value of the level it reaches
     stats.arcs = sum(stats.per_stage[2:])
     stats.nonterminal_states = sum(stats.per_stage)
     stats.elapsed = time.perf_counter() - t0
-    return OperationCostTable(keys=keys, makespans=makespans, layout=layout, p=p,
-                              x=x, n_r=inst.n_r, stats=stats)
+    return OperationCostTable(keys=keys, starts=starts, stops=stops, cells=cells,
+                              values=values, layout=layout, p=p, x=x, n_r=n_r, stats=stats)
 
 
 def ops_nonterminal_state_bound(n_d: int, n_r: int, p: int) -> float:

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .model import EPS, BaseCostModel, Instance, SizeGuardError
+from .model import EPS, BaseCostModel, Instance, SizeGuardError, TimeLimitError, check_deadline
 from .metagraph import solve_meta
 from .opsgraph import build_ops_graph
 from .oracle import split_optimal
@@ -59,26 +59,30 @@ def shifted_permutations(x: Sequence[int], p: int) -> list:
 
 
 def vlsn(inst: Instance, x: Sequence[int], p: int,
-         model: Optional[object] = None) -> SolveReport:
+         model: Optional[object] = None,
+         deadline: Optional[float] = None) -> SolveReport:
     """Best tour in the order neighborhood of x at width p.
 
     For single-depot instances the wrap-around orders excluded by the
     neighborhood are additionally evaluated with the optimal splitter.
     ``extras["layers"]`` holds the seconds spent in stage 1, stage 2's
     forward pass, the recovery of the tour and its operation orders, and
-    those splits.
+    those splits. Past ``deadline`` (a ``time.perf_counter()`` value,
+    checked at each stage-1 level, each stage-2 stage and each wrap-around
+    order) the search raises ``TimeLimitError``.
     """
     x = tuple(x)
     model = model or BaseCostModel(inst)
     t0 = time.perf_counter()
 
-    table = build_ops_graph(inst, x, p, model=model)
-    best, meta_stats = solve_meta(table, inst, x, p, model=model)
+    table = build_ops_graph(inst, x, p, model=model, deadline=deadline)
+    best, meta_stats = solve_meta(table, inst, x, p, model=model, deadline=deadline)
 
     extra_orders = 0
     t_split = time.perf_counter()
     if inst.w0 == inst.wt and p >= 2:
         for y in shifted_permutations(x, p):
+            check_deadline(deadline)
             extra_orders += 1
             cand = split_optimal(y, inst, model=model)
             if cand.makespan < best.makespan - EPS:
@@ -115,14 +119,16 @@ def _accumulate(total: SolveReport, part: SolveReport) -> None:
 def _descend(inst, x0, p0, p_max, model, config, algorithm, extras):
     """Search the neighborhood of the incumbent's order at width p, starting
     at p0: re-center and fall back to p0 after an improvement, widen
-    otherwise, and stop past p_max (or when the time budget runs out
-    between searches, flagged by ``extras["timed_out"]``). At p = n_d the
-    neighborhood already contains every order, so widths beyond n_d are
-    searched at n_d. ``extras["layers"]`` sums the searches' layer times
-    and adds the initial order's and its split's."""
+    otherwise, and stop past p_max (or when the time budget runs out,
+    flagged by ``extras["timed_out"]``; a search that the limit stops
+    leaves the incumbent as it was). At p = n_d the neighborhood already
+    contains every order, so widths beyond n_d are searched at n_d.
+    ``extras["layers"]`` sums the searches' layer times and adds the
+    initial order's and its split's."""
     model = model or BaseCostModel(inst)
     config = config or SearchConfig()
     t0 = time.perf_counter()
+    deadline = None if config.time_limit is None else t0 + config.time_limit
     if x0 is None:
         from .baselines import initial_tsp_sequence
         x0 = initial_tsp_sequence(inst)
@@ -138,14 +144,17 @@ def _descend(inst, x0, p0, p_max, model, config, algorithm, extras):
     p_stop = min(p_max, inst.n_d)
     p = p_reset = min(p0, p_stop)
     while p <= p_stop:
-        if config.time_limit is not None and time.perf_counter() - t0 >= config.time_limit:
+        if deadline is not None and time.perf_counter() >= deadline:
             report.extras["timed_out"] = True
             break
         center = report.tour.destination_order()
         try:
-            step = vlsn(inst, center, p, model=model)
+            step = vlsn(inst, center, p, model=model, deadline=deadline)
         except SizeGuardError:
             report.extras["stopped_by_state_budget"] = True
+            break
+        except TimeLimitError:
+            report.extras["timed_out"] = True
             break
         report.iterations += 1
         _accumulate(report, step)

@@ -5,9 +5,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from drpe.generator import metrics_from_coords, random_instance
+import drpe.opsgraph
+from drpe.baselines import initial_tsp_sequence
+from drpe.generator import generate, get_setting, metrics_from_coords, random_instance
 from drpe.model import BaseCostModel, Instance, Operation, operation_flight_time
 from drpe.opsgraph import (
+    SetKey,
+    _levels,
+    _min_over_rows,
     build_ops_graph,
     ops_nonterminal_state_bound,
     recover_operation_order,
@@ -307,3 +312,90 @@ def test_recovered_orders_reproduce_their_entries_past_64_destinations(make_mode
     x = tuple(np.random.default_rng(64).permutation(70).tolist())
     for p in (2, 3, 4, 5):
         assert _check_recovered_orders(inst, x, p, make_model(inst), per_table=80) == 80
+
+
+def _dense_table(inst, x, p, model, size_cap=None):
+    """The dense close that the sparse table replaced, kept as its oracle:
+    every level's sets closed at every (w, w') pair at once and priced, and
+    each set with a finite makespan kept as bitmask -> (n_r, n_r) matrix,
+    ascending by bitmask."""
+    idx = np.asarray(x, dtype=np.intp)
+    layout = SetKey(inst.n_d, p)
+    cdp_dr = inst.cd_dr[idx]
+    levels = _levels(layout, np.arange(inst.n_d), inst.cd_dd[np.ix_(idx, idx)],
+                     inst.cd_rd[:, idx].T, inst.nearest_rl_time()[idx], model.flight_cap)
+    out = {}
+    for set_keys, count, first, pos, _, val in itertools.islice(levels, size_cap or inst.n_d):
+        order, close = _min_over_rows(
+            count, first, np.arange(set_keys.size),
+            lambda rows, sel, o: np.add(val[rows][:, :, None], cdp_dr[pos[rows]][:, None, :],
+                                        out=o),
+            (inst.n_r, inst.n_r))
+        close = model.price(close)
+        for m, mat in zip(layout.masks(set_keys[order]).tolist(), close):
+            if np.isfinite(mat).any():
+                out[m] = mat
+    return dict(sorted(out.items()))
+
+
+def _assert_matches_dense_close(inst, x, p, model, size_cap=None):
+    table = build_ops_graph(inst, x, p, model=model, size_cap=size_cap)
+    dense = _dense_table(inst, x, p, model, size_cap)
+    assert list(table.entries) == list(dense)
+    for m, mat in dense.items():
+        assert np.array_equal(table.entries[m], mat)
+    # each set row's run of entries, read through its own bounds
+    for k, ks in enumerate(table.keys):
+        for m, lo, hi in zip(table.layout.masks(ks).tolist(), table.starts[k], table.stops[k]):
+            mat = np.full((inst.n_r, inst.n_r), np.inf)
+            mat[table.rls(table.cells[k][lo:hi])] = table.values[k][lo:hi]
+            assert np.array_equal(mat, dense[m])
+    # the tracer's ``opsgraph.build_ops_graph.entries`` reads terminal_entries
+    stored = sum(v.size for v in table.values)
+    assert table.stats.terminal_entries == stored
+    assert stored == sum(int(np.isfinite(mat).sum()) for mat in dense.values())
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 10_000), n_d=st.integers(1, 8), n_r=st.integers(1, 4),
+       emax_factor=st.sampled_from([1.1, 1.6, 4.0]), p=st.sampled_from([1, 2, 3, 4, 5, None]),
+       size_cap=st.sampled_from([1, 2, 3, None]),
+       make_model=st.sampled_from([BaseCostModel, binding_extended_model]))
+def test_property_sparse_table_equals_dense_close(seed, n_d, n_r, emax_factor, p,
+                                                  size_cap, make_model):
+    inst = random_instance(seed, n_d=n_d, n_r=n_r, emax_factor=emax_factor)
+    x = tuple(np.random.default_rng(seed).permutation(n_d).tolist())
+    _assert_matches_dense_close(inst, x, p, make_model(inst), size_cap)
+
+
+@pytest.mark.parametrize("make_model", [BaseCostModel, binding_extended_model])
+def test_sparse_table_is_independent_of_the_close_block_size(make_model, monkeypatch):
+    # blocks of one to three sets split every level into many closes
+    for seed, n_r in ((0, 1), (1, 3), (2, 4)):
+        inst = random_instance(seed, n_d=8, n_r=n_r, emax_factor=4.0)
+        x = tuple(range(8))
+        for chunk in (1, 2 * n_r * n_r, 3 * n_r * n_r):
+            monkeypatch.setattr(drpe.opsgraph, "CHUNK_VALUES", chunk)
+            for p in (2, 4, None):
+                _assert_matches_dense_close(inst, x, p, make_model(inst))
+
+
+def test_close_keeps_a_flight_exactly_at_the_cap():
+    # a flight equal to the cost model's cap is feasible
+    inst = random_instance(7, n_d=5, n_r=3)
+    model = BaseCostModel(inst)
+    model.flight_cap = float(inst.cd_rd[0, 0] + inst.cd_dr[0, 0])
+    _assert_matches_dense_close(inst, tuple(range(5)), 2, model)
+    table = build_ops_graph(inst, tuple(range(5)), 2, model=model)
+    assert table.entries[1][0, 0] == model.flight_cap
+
+
+def test_large_p3_table_holds_under_2mb():
+    # the dense (n_r x n_r) matrices of this table took 35.8 MB, of which
+    # 0.39% was finite
+    inst = generate(get_setting("Basis", "large"), 1)
+    table = build_ops_graph(inst, initial_tsp_sequence(inst), 3)
+    arrays = table.keys, table.starts, table.stops, table.cells, table.values
+    assert table.stats.terminal_entries == 18_519
+    assert sum(a.nbytes for field in arrays for a in field) < 2_000_000

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from drpe.baselines import initial_tsp_sequence, limop
 from drpe.exact import _masks_by_popcount, _sweep_values, full_meta_sweep, solve_exact
 from drpe.generator import get_setting, generate, metrics_from_coords, random_instance
+import drpe.metagraph
 from drpe.metagraph import _meta_values, get_transition_lookup, solve_meta
 from drpe.model import (
     BaseCostModel,
@@ -174,6 +175,34 @@ def test_batched_sweep_matches_dense_loop(make_model):
         new_zeta, new_eps, new_arcs = _sweep_values(inst, table.entries)
         assert np.array_equal(new_zeta, zeta) and np.array_equal(new_eps, eps)
         assert new_arcs == arcs
+
+
+@pytest.mark.parametrize("make_model", MODELS)
+def test_stage2_values_do_not_depend_on_the_batch_size(make_model, monkeypatch):
+    # batches of one entry, and batches that span arcs of several gaps
+    cases = [(random_instance(seed, n_d=n_d, n_r=n_r, emax_factor=4.0), p)
+             for seed, n_d, n_r in ((0, 8, 3), (1, 9, 2)) for p in (2, 4)]
+    cases += [(_twin_instance(4), 3)]
+    for inst, p in cases:
+        model = make_model(inst)
+        x = initial_tsp_sequence(inst)
+        table = build_ops_graph(inst, x, p, model=model)
+        zeta, eps, stats, _ = _meta_values(table, inst, p)
+        tour = repr(solve_meta(table, inst, x, p, model)[0])
+        for batch in (1, 7, 64):
+            monkeypatch.setattr(drpe.metagraph, "RELAX_BATCH", batch)
+            new_zeta, new_eps, new_stats, _ = _meta_values(table, inst, p)
+            assert np.array_equal(new_zeta, zeta) and np.array_equal(new_eps, eps)
+            assert new_stats.arcs == stats.arcs
+            assert repr(solve_meta(table, inst, x, p, model)[0]) == tour
+
+
+def test_time_limit_stops_stage2_at_a_stage():
+    inst = random_instance(2, n_d=8, n_r=3)
+    x = initial_tsp_sequence(inst)
+    table = build_ops_graph(inst, x, 3)
+    with pytest.raises(TimeLimitError):
+        solve_meta(table, inst, x, 3, deadline=0.0)
 
 
 def _twin_exact(inst):

@@ -1,12 +1,15 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import drpe.search
 from drpe.exact import solve_exact
 from drpe.generator import random_instance
 from drpe.metagraph import solve_meta
-from drpe.model import EPS, BaseCostModel, validate_tour
+from drpe.model import EPS, BaseCostModel, TimeLimitError, validate_tour
 from drpe.opsgraph import build_ops_graph
 from drpe.oracle import brute_force_optimum, is_bs_neighbor, split_optimal
 from drpe.search import (
@@ -194,6 +197,37 @@ def test_time_limit_returns_the_split_incumbent():
     split = split_optimal(x, inst)
     for rep in (vlsn_ls(inst, p=3, config=SearchConfig(time_limit=0)),
                 vlsn_vnd(inst, config=SearchConfig(time_limit=0))):
+        assert rep.iterations == 0 and rep.neighborhoods == 0
+        assert rep.extras["timed_out"] is True
+        assert repr(rep.tour) == repr(split)
+
+
+def test_vlsn_past_its_deadline_raises():
+    inst = random_instance(5, n_d=7, n_r=3, single_depot=True)
+    x = initial_tsp_sequence(inst)
+    with pytest.raises(TimeLimitError):
+        vlsn(inst, x, 3, deadline=time.perf_counter())
+
+
+def test_time_limit_inside_the_first_neighborhood_keeps_the_split(monkeypatch):
+    # the search starts its first neighborhood before the limit, and stage
+    # 1 passes the limit while it builds
+    built = []
+
+    def slow_build(*args, deadline=None, **kwargs):
+        built.append(deadline)
+        time.sleep(max(0.0, deadline - time.perf_counter()) + 0.01)
+        return build_ops_graph(*args, deadline=deadline, **kwargs)
+
+    monkeypatch.setattr(drpe.search, "build_ops_graph", slow_build)
+    inst = random_instance(5, n_d=7, n_r=3)
+    x = initial_tsp_sequence(inst)
+    split = split_optimal(x, inst)
+    config = SearchConfig(p0=2, p_max=4, time_limit=0.3)
+    for search in (lambda: vlsn_ls(inst, x, p=3, config=config),
+                   lambda: vlsn_vnd(inst, x, config=config)):
+        rep = search()
+        assert built.pop() is not None and not built
         assert rep.iterations == 0 and rep.neighborhoods == 0
         assert rep.extras["timed_out"] is True
         assert repr(rep.tour) == repr(split)

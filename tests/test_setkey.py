@@ -70,7 +70,10 @@ def _table(n_d, q, masks):
         by_size.setdefault(m.bit_count(), []).append(layout.key(m))
     top = max(by_size, default=0)
     keys = [np.sort(np.array(by_size.get(k, []), dtype=np.int64)) for k in range(top + 1)]
-    return OperationCostTable(keys=keys, makespans=[np.zeros((ks.size, 1, 1)) for ks in keys],
+    rows = [np.arange(ks.size) for ks in keys]
+    return OperationCostTable(keys=keys, starts=rows, stops=[r + 1 for r in rows],
+                              cells=[np.zeros(ks.size, np.uint8) for ks in keys],
+                              values=[np.zeros(ks.size) for ks in keys],
                               layout=layout, p=q, x=tuple(range(n_d)), n_r=1,
                               stats=OpsGraphStats())
 
