@@ -13,8 +13,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exact import ND_CAP, _masks_by_popcount, full_meta_sweep
+from .exact import _masks_by_popcount, full_meta_sweep, size_guard
 from .model import BaseCostModel, Instance, SizeGuardError, check_deadline
+from .opsgraph import OperationEntries, rl_cells
 from .oracle import split_optimal
 from .reports import SolveReport
 
@@ -25,6 +26,10 @@ from .reports import SolveReport
 # order
 HELD_KARP_LIMIT = 16
 KLIM_GUARD = 4
+# annealing schedule: start at ``sa_t0_fraction`` of the initial value,
+# cool geometrically every few proposals
+SA_COOLING = 0.95
+SA_MOVES_PER_TEMP = 20
 
 
 @dataclass
@@ -32,11 +37,7 @@ class BaselineConfig:
     iterations: int = 200
     time_limit: Optional[float] = None
     seed: int = 0
-    # annealing schedule: start at a fraction of the initial value, cool
-    # geometrically every few proposals
     sa_t0_fraction: float = 0.05
-    sa_cooling: float = 0.95
-    sa_moves_per_temp: int = 20
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +206,13 @@ def initial_tsp_sequence(inst: Instance) -> tuple:
 # Capped operation size
 # ---------------------------------------------------------------------------
 
-def _capped_op_table(inst: Instance, klim: int, model, deadline=None) -> dict:
+def _capped_op_table(inst: Instance, klim: int, model, deadline=None) -> OperationEntries:
     """Makespan of the minimal flight per (w, set, w') over sets of at most
     klim destinations, by exhaustive ordering; ``deadline`` is checked once
     per set size."""
     n = inst.n_d
-    makespans = {}
+    pairs = rl_cells(inst.n_r)
+    masks, cells, values = [], [pairs[:0]], [np.empty(0)]
     for size in range(1, klim + 1):
         check_deadline(deadline)
         for combo in itertools.combinations(range(n), size):
@@ -222,38 +224,42 @@ def _capped_op_table(inst: Instance, klim: int, model, deadline=None) -> dict:
                 mat = (inst.cd_rd[:, perm[0], None] + chain
                        + inst.cd_dr[None, perm[-1], :])
                 np.minimum(best, mat, out=best)
-            best = model.price(best)
-            if np.isfinite(best).any():
-                mask = 0
-                for v in combo:
-                    mask |= 1 << v
-                makespans[mask] = best
-    return makespans
+            best = model.price(best).ravel()
+            at = np.flatnonzero(np.isfinite(best))
+            if at.size:
+                masks.append(sum(1 << v for v in combo))
+                cells.append(pairs[at])
+                values.append(best[at])
+    stops = np.cumsum([c.size for c in cells])
+    order = np.argsort(masks, kind="stable")
+    return OperationEntries(np.array(masks, dtype=np.int64)[order], stops[:-1][order],
+                            stops[1:][order], np.concatenate(cells), np.concatenate(values),
+                            inst.n_r)
 
 
 def limop(inst: Instance, klim: int = 2, model: Optional[object] = None,
           time_limit: Optional[float] = None) -> SolveReport:
     """Optimal tour among those whose operations visit at most klim
-    destinations each. Raises ``TimeLimitError`` as ``solve_exact`` does."""
+    destinations each. Refused by ``size_guard`` before any table is built,
+    and stopped by ``time_limit``, as ``solve_exact`` is."""
     if klim < 1:
         raise ValueError("klim must be >= 1")
     if klim > KLIM_GUARD:
         raise SizeGuardError(f"operation-size cap limited to {KLIM_GUARD}")
-    if inst.n_d > ND_CAP:
-        raise SizeGuardError(f"limop capped at {ND_CAP} destinations")
+    size_guard(inst, "limop")
     model = model or BaseCostModel(inst)
     t0 = time.perf_counter()
     deadline = None if time_limit is None else t0 + time_limit
-    makespans = _capped_op_table(inst, klim, model, deadline)
+    entries = _capped_op_table(inst, klim, model, deadline)
     stage1_s = time.perf_counter() - t0
 
-    tour, stats = full_meta_sweep(inst, makespans, model, deadline)
+    tour, stats = full_meta_sweep(inst, entries, model, deadline)
     return SolveReport(algorithm=f"limop(klim={klim})", tour=tour,
                        makespan=tour.makespan,
                        meta_states=stats["meta_states"],
                        meta_arcs=stats["meta_arcs"],
                        wall_time=time.perf_counter() - t0,
-                       extras={"klim": klim, "op_sets": len(makespans),
+                       extras={"klim": klim, "op_sets": entries.masks.size,
                                "layers": {"stage1_s": stage1_s, **stats["layers"]}})
 
 
@@ -346,9 +352,9 @@ def sa_rts_3opt(inst: Instance, config: Optional[BaselineConfig] = None,
             cur, cur_val = list(cand), tour.makespan
             if tour.makespan < best.makespan:
                 best = tour
-        if (it + 1) % config.sa_moves_per_temp == 0:
-            temp *= config.sa_cooling
+        if (it + 1) % SA_MOVES_PER_TEMP == 0:
+            temp *= SA_COOLING
     return SolveReport(algorithm="sa-rts-3opt", tour=best, makespan=best.makespan,
                        iterations=done, wall_time=time.perf_counter() - t0,
                        extras={"seed": config.seed, "t0": config.sa_t0_fraction,
-                               "cooling": config.sa_cooling})
+                               "cooling": SA_COOLING})

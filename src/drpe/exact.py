@@ -2,12 +2,13 @@
 restriction removed.
 
 Stage 1 enumerates every subset of destinations (forward DP with the same
-energy look-ahead pruning); stage 2 sweeps meta states (visited bitmask,
-RL) level by subset size with ``solve_meta``'s recursion. A level's arcs
-are its disjoint (reachable set, table entry) pairs. Entries are grouped
-by the start and end RLs where their makespan is finite, and each group is
-relaxed on those RLs only by ``metagraph.relax``; ``metagraph.walk_back``
-tries entries in mask order, so ties go to the smallest bitmask.
+energy look-ahead pruning) into one ``OperationEntries`` list; the sweep
+visits meta states (visited bitmask, RL) level by subset size with
+``solve_meta``'s recursion. A level's arcs are its disjoint (reachable
+set, listed set) pairs. Sets are grouped by the start and end RLs where
+they hold entries, and each group is relaxed on those RLs only by
+``relax``; ``metagraph.walk_back`` reads the list in mask order, so ties
+go to the smallest bitmask.
 """
 
 from __future__ import annotations
@@ -25,12 +26,22 @@ from .model import (
     SizeGuardError,
     check_deadline,
 )
-from .metagraph import relax, walk_back
-from .opsgraph import build_ops_graph, chunks
+from .metagraph import walk_back
+from .opsgraph import OperationEntries, build_ops_graph, cell_rls, chunks, recover_operation_order
 from .reports import SolveReport
 
 ND_CAP = 18
 STATE_BUDGET = 1 << 26  # max n_r * 2^n_d meta values
+
+
+def size_guard(inst: Instance, solver: str) -> None:
+    """Raise ``SizeGuardError`` past ND_CAP destinations or STATE_BUDGET meta values."""
+    if inst.n_d > ND_CAP:
+        raise SizeGuardError(f"{solver} capped at {ND_CAP} destinations (instance has "
+                             f"{inst.n_d}); use the neighborhood search instead")
+    if inst.n_r * (1 << inst.n_d) > STATE_BUDGET:
+        raise SizeGuardError(f"{solver}: meta state space exceeds the configured memory "
+                             "budget; use the neighborhood search instead")
 
 
 @lru_cache(maxsize=8)
@@ -43,32 +54,45 @@ def _masks_by_popcount(n_d: int):
     return [masks[pc == k] for k in range(n_d + 1)]
 
 
-def _stack(op_makespans: dict, masks: np.ndarray) -> np.ndarray:
-    return np.array([op_makespans[m] for m in masks.tolist()])
+def relax(eps, start, weights, targets, cols) -> None:
+    """Set ``eps[targets[a], cols]`` to its min with ``min_i start[a, i] +
+    weights[a, i]``, one start RL i at a time. ``minimum.at`` is exact, so
+    the order of the arcs does not matter; eps must be C-contiguous."""
+    best = start[:, 0, None] + weights[:, 0]
+    step = np.empty_like(best)
+    for i in range(1, start.shape[1]):
+        np.minimum(best, np.add(start[:, i, None], weights[:, i], out=step), out=best)
+    flat = targets[:, None] * eps.shape[1] + cols
+    np.minimum.at(eps.reshape(-1), flat.ravel(), best.ravel())
 
 
-def _sweep_values(inst: Instance, op_makespans: dict, deadline=None):
+def _sweep_values(inst: Instance, entries: OperationEntries, deadline=None):
     """Forward pass of ``full_meta_sweep``: (zeta, eps, arcs), the value
     arrays indexed by visited bitmask and RL and the number of arcs."""
     n, n_r, c_r = inst.n_d, inst.n_r, inst.c_r
     full = (1 << n) - 1
 
-    # group entries by the start and end RLs with a finite makespan
-    masks = np.array(sorted(op_makespans), dtype=np.int64)
+    # group the sets by the start and end RLs where they hold entries; a
+    # group's W[i] holds set i's makespans there, +inf where it has none
+    masks, sets = entries.masks, np.arange(entries.masks.size)
+    signature = np.zeros((masks.size, 2 * n_r), dtype=bool)
+    for sl in chunks(masks.size, n_r * n_r):
+        owner, at = entries.select(sets[sl])
+        w, wp = cell_rls(entries.cells[at], n_r)
+        signature[sl][owner, w] = signature[sl][owner, n_r + wp] = True
+    uniq, inverse, counts = np.unique(signature, axis=0, return_inverse=True,
+                                      return_counts=True)
+    by_sig = np.split(np.argsort(inverse.ravel(), kind="stable"), np.cumsum(counts)[:-1])
     pcs = np.array([m.bit_count() for m in masks.tolist()], dtype=np.int64)
-    finite = np.array([np.isfinite(op_makespans[m]) for m in masks.tolist()],
-                      dtype=bool).reshape(-1, n_r, n_r)
-    uniq, inverse = np.unique(np.hstack([finite.any(axis=2), finite.any(axis=1)]),
-                              axis=0, return_inverse=True)
     groups = []
-    for g, sig in enumerate(uniq):
+    for sig, ids in zip(uniq, by_sig):
         rows, cols = np.flatnonzero(sig[:n_r]), np.flatnonzero(sig[n_r:])
-        ids = np.flatnonzero(inverse.ravel() == g)
-        W = np.empty((ids.size, rows.size, cols.size))
+        W = np.full((ids.size, rows.size, cols.size), np.inf)
         for sl in chunks(ids.size, n_r * n_r):
-            W[sl] = _stack(op_makespans, masks[ids[sl]])[:, rows[:, None], cols]
-        if rows.size:
-            groups.append((masks[ids], pcs[ids], rows, cols, W))
+            owner, at = entries.select(ids[sl])
+            w, wp = cell_rls(entries.cells[at], n_r)
+            W[sl][owner, np.searchsorted(rows, w), np.searchsorted(cols, wp)] = entries.values[at]
+        groups.append((masks[ids], pcs[ids], rows, cols, W))
 
     zeta = np.full((full + 1, n_r), np.inf)
     eps = np.full((full + 1, n_r), np.inf)
@@ -94,55 +118,50 @@ def _sweep_values(inst: Instance, op_makespans: dict, deadline=None):
     return zeta, eps, arcs
 
 
-def full_meta_sweep(inst: Instance, op_makespans: dict, model=None, deadline=None):
-    """Optimal tour over all operation compositions in ``op_makespans``
-    (bitmask -> (n_r, n_r) makespan matrix, as the cost model's ``price``
-    gives it; ``model`` prices the recovered tour). Returns (tour, stats);
-    each operation's visiting order is recovered by the unrestricted
-    stage-1 DP over its set. Raises ``TimeLimitError`` at the first level
-    that starts after ``deadline`` (a ``time.perf_counter()`` value)."""
+def full_meta_sweep(inst: Instance, entries: OperationEntries, model=None, deadline=None):
+    """Optimal tour over all compositions of the operations in ``entries``
+    (``model`` prices the recovered tour). Returns (tour, stats); each
+    operation's visiting order is recovered by the unrestricted stage-1 DP
+    over its set. Raises ``TimeLimitError`` at the first level that starts
+    after ``deadline`` (a ``time.perf_counter()`` value)."""
     model = model or BaseCostModel(inst)
     full = (1 << inst.n_d) - 1
     t0 = time.perf_counter()
-    zeta, eps, arcs = _sweep_values(inst, op_makespans, deadline)
+    zeta, eps, arcs = _sweep_values(inst, entries, deadline)
     t1 = time.perf_counter()
     if not np.isfinite(zeta[full, inst.wt]):
         raise InfeasibleError("no feasible tour exists")
-    masks = np.array(sorted(op_makespans), dtype=np.int64)
+    masks = entries.masks
 
     def arcs_into(S, wp):
-        inside = masks[masks & S == masks]
+        # bitmask ascending, then start RL ascending
+        inside = np.flatnonzero(masks & S == masks)
         for sl in chunks(inside.size, inst.n_r * inst.n_r):
-            yield (S & ~inside[sl], inside[sl].tolist(),
-                   _stack(op_makespans, inside[sl])[:, :, wp])
+            owner, at = entries.select(inside[sl])
+            w, end = cell_rls(entries.cells[at], inst.n_r)
+            hit = end == wp
+            ops = masks[inside[sl]][owner[hit]]
+            yield S & ~ops, w[hit], entries.values[at[hit]], ops
 
-    tour = walk_back(inst, tuple(range(inst.n_d)), None, zeta, eps, full,
-                     arcs_into, model)
+    tour = walk_back(inst, zeta, eps, full, arcs_into,
+                     lambda mask, w, wp: recover_operation_order(
+                         inst, tuple(range(inst.n_d)), int(mask), w, wp, None), model)
     return tour, {"meta_states": (full + 1) * inst.n_r, "meta_arcs": arcs,
                   "layers": {"sweep_s": t1 - t0,
                              "walkback_s": time.perf_counter() - t1}}
 
 
-def solve_exact(inst: Instance, model=None, nd_cap: int = ND_CAP,
-                state_budget: int = STATE_BUDGET,
-                time_limit: Optional[float] = None) -> SolveReport:
-    """Provably optimal tour; refuses instances beyond the size guards and
+def solve_exact(inst: Instance, model=None, time_limit: Optional[float] = None) -> SolveReport:
+    """Provably optimal tour; refuses instances past ``size_guard`` and
     raises ``TimeLimitError`` once ``time_limit`` seconds have passed,
     checked at each level of stage 1 and of the sweep."""
-    if inst.n_d > nd_cap:
-        raise SizeGuardError(
-            f"exact solver capped at {nd_cap} destinations (instance has "
-            f"{inst.n_d}); use the neighborhood search instead")
-    if inst.n_r * (1 << inst.n_d) > state_budget:
-        raise SizeGuardError(
-            "meta state space exceeds the configured memory budget; "
-            "use the neighborhood search instead")
+    size_guard(inst, "exact solver")
     model = model or BaseCostModel(inst)
     t0 = time.perf_counter()
     deadline = None if time_limit is None else t0 + time_limit
     table = build_ops_graph(inst, tuple(range(inst.n_d)), None, model=model,
                             deadline=deadline)
-    tour, stats = full_meta_sweep(inst, table.entries, model, deadline)
+    tour, stats = full_meta_sweep(inst, table.entry_list(), model, deadline)
     return SolveReport(
         algorithm="exact",
         tour=tour,

@@ -17,8 +17,8 @@ RL w, end RL w', makespan) entry of an arc's operation is one candidate
 scatter-min takes each batch of about ``RELAX_BATCH`` candidates. No
 pointers are kept: ``walk_back`` takes the first exact-equality match in
 the forward order (leg from the lowest RL; arc from the lowest source
-stage, then pattern, then start RL). The exact sweep shares ``walk_back``
-and relaxes its dense entry groups with ``relax``.
+stage, then pattern, then start RL). The exact sweep and the splitter
+walk back with ``walk_back`` too, each over its own sparse entries.
 """
 
 from __future__ import annotations
@@ -41,7 +41,14 @@ from .model import (
     build_tour,
     check_deadline,
 )
-from .opsgraph import OperationCostTable, _ctz, _top_bit, recover_operation_order
+from .opsgraph import (
+    OperationCostTable,
+    _ctz,
+    _top_bit,
+    cell_rls,
+    recover_operation_order,
+    runs,
+)
 
 
 @dataclass(frozen=True)
@@ -230,37 +237,25 @@ class MetaStats:
 RELAX_BATCH = 1 << 16
 
 
-def relax(eps, start, weights, targets, cols) -> None:
-    """Set ``eps[targets[a], cols]`` to its min with ``min_i start[a, i] +
-    weights[a, i]``, one start RL i at a time. ``minimum.at`` is exact, so
-    the order of the arcs does not matter; eps must be C-contiguous."""
-    best = start[:, 0, None] + weights[:, 0]
-    step = np.empty_like(best)
-    for i in range(1, start.shape[1]):
-        np.minimum(best, np.add(start[:, i, None], weights[:, i], out=step), out=best)
-    flat = targets[:, None] * eps.shape[1] + cols
-    np.minimum.at(eps.reshape(-1), flat.ravel(), best.ravel())
-
-
-def walk_back(inst: Instance, x: tuple, p: Optional[int], zeta, eps, row: int,
-              arcs_into, model):
+def walk_back(inst: Instance, zeta, eps, row: int, arcs_into, order_of, model):
     """The tour of ``zeta[row, inst.wt]``, walked back to row 0 by exact
     equality: the leg from the lowest RL that matches, then the first arc
     and start RL that match. ``arcs_into(row, wp)`` yields batches (source
-    rows, bitmasks over positions of x, makespans into wp) in DP order."""
+    rows, start RLs, makespans, operations) in DP order, and ``order_of(op,
+    w, wp)`` gives the matched operation's destinations in order."""
     value = float(zeta[row, inst.wt])
     rev, w = [], inst.wt
     while row:
         wp = int(np.flatnonzero(eps[row] + inst.c_r[:, w] == zeta[row, w])[0])
         rev.append(RechargingLeg(wp, w))
-        for src, masks, weights in arcs_into(row, wp):
-            hit = np.flatnonzero(zeta[src] + weights == eps[row, wp])
+        for src, ws, c, ops in arcs_into(row, wp):
+            hit = np.flatnonzero(zeta[src, ws] + c == eps[row, wp])
             if hit.size:
                 break
-        a, wpp = divmod(int(hit[0]), inst.n_r)
-        order = recover_operation_order(inst, x, masks[a], wpp, wp, p)
-        rev.append(Operation(wpp, tuple(x[t] for t in order), wp))
-        row, w = int(src[a]), wpp
+        a = int(hit[0])
+        w = int(ws[a])
+        rev.append(Operation(w, order_of(ops[a], w, wp), wp))
+        row = int(src[a])
     rev.append(RechargingLeg(inst.w0, w))
     tour = build_tour(inst, reversed(rev), model)
     if abs(tour.makespan - value) > 1e-6:
@@ -325,8 +320,7 @@ def _meta_values(costs: OperationCostTable, inst: Instance, p: int,
         """(w, w', makespan) of every entry of these arcs, arc by arc, and
         each array of ``per_arc`` repeated once per entry of its arc."""
         n = size[arcs]
-        e = np.repeat(first[arcs] - (np.cumsum(n) - n), n)
-        e += np.arange(e.size)
+        e = runs(first[arcs], n)
         cell, c = np.empty(e.size, costs.cells[0].dtype), np.empty(e.size)
         # each run of arcs of one gap reads the arrays of that size; the
         # indices are in range, and mode="clip" takes into ``out`` unbuffered
@@ -336,16 +330,14 @@ def _meta_values(costs: OperationCostTable, inst: Instance, p: int,
         for h, lo, hi in zip([g[0], *g[heads]], ends, ends[1:]):
             np.take(costs.cells[h], e[lo:hi], out=cell[lo:hi], mode="clip")
             np.take(costs.values[h], e[lo:hi], out=c[lo:hi], mode="clip")
-        return (*costs.rls(cell), c, *(np.repeat(x, n) for x in per_arc))
+        return (*cell_rls(cell, n_r), c, *(np.repeat(x, n) for x in per_arc))
 
     def arcs_into(row, wp):
         # source stage ascending, then source pattern ascending
         sel = np.flatnonzero(target == row * n_r)
-        w, end, c, j = expand(sel, np.arange(sel.size))
+        w, end, c, src, key = expand(sel, source[sel] // n_r, keys[sel])
         hit = end == wp
-        weights = np.full((sel.size, n_r), np.inf)
-        weights[j[hit], w[hit]] = c[hit]
-        yield source[sel] // n_r, layout.masks(keys[sel]).tolist(), weights
+        yield src[hit], w[hit], c[hit], layout.masks(key[hit])
 
     for k in range(n_d + 1):
         check_deadline(deadline)
@@ -389,6 +381,9 @@ def solve_meta(costs: OperationCostTable, inst: Instance, x: Sequence[int],
     final = inst.n_d * len(get_transition_lookup(p).patterns)
     if not np.isfinite(zeta[final, inst.wt]):
         raise InfeasibleError("no feasible tour in this neighborhood")
-    tour = walk_back(inst, tuple(x), costs.p, zeta, eps, final, arcs_into, model)
+    x = tuple(x)
+    tour = walk_back(inst, zeta, eps, final, arcs_into,
+                     lambda mask, w, wp: tuple(x[t] for t in recover_operation_order(
+                         inst, x, int(mask), w, wp, costs.p)), model)
     stats.recovery_elapsed = time.perf_counter() - t1
     return tour, stats

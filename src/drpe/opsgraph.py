@@ -21,9 +21,10 @@ bits), grown and grouped by array operations on a whole level, and whose
 per-state values are vectors over the starting RL, reduced with
 vectorised gathers. Each level is closed at every end RL in blocks of
 about ``CHUNK_VALUES`` values, and only the flights within the cost
-model's cap are priced. The cost table keeps the finite makespans alone,
-per operation size: the set keys and each set's run of entries, a packed
-(start RL, end RL) cell and the makespan. Order recovery replays the same
+model's cap are priced. The cost table keeps the finite makespans alone:
+per operation size the set keys and each set's run of entries (a packed
+(start RL, end RL) cell and the makespan), and ``entry_list`` gives them
+in set order, the exact sweep's format. Order recovery replays the same
 DP within one entry's set and walks its levels back.
 """
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -202,6 +203,27 @@ class SetKey:
                          window & self.low)
 
 
+def runs(first, size) -> np.ndarray:
+    """Indices first[i] .. first[i] + size[i] - 1 of every run, run by run."""
+    at = np.repeat(first - (np.cumsum(size) - size), size)
+    at += np.arange(at.size)
+    return at
+
+
+def rl_cells(n_r: int) -> np.ndarray:
+    """The packed cell ``w << b | w'`` of every RL pair, row-major, b the bit
+    length of n_r - 1, in the smallest unsigned type that holds them."""
+    bits = (n_r - 1).bit_length()
+    rl = np.arange(n_r, dtype=np.min_scalar_type((n_r - 1) << bits | (n_r - 1)))
+    return (rl[:, None] << bits | rl).ravel()
+
+
+def cell_rls(cells, n_r: int) -> tuple:
+    """(w, w') of each packed cell."""
+    bits = (n_r - 1).bit_length()
+    return cells >> bits, cells & ((1 << bits) - 1)
+
+
 # ---------------------------------------------------------------------------
 # Result container
 # ---------------------------------------------------------------------------
@@ -225,8 +247,7 @@ class OperationCostTable:
     ascending ``layout`` keys of the size-k sets, and set row r holds
     entries ``starts[k][r]`` to ``stops[k][r] - 1`` of ``cells[k]`` and
     ``values[k]`` (the makespans), ordered by w, then w'. A cell packs
-    (w, w') as ``w << b | w'``, b the bit length of n_r - 1, in the
-    smallest unsigned type that holds it (``rls`` unpacks it). The sets'
+    (w, w') as ``rl_cells`` does (``cell_rls`` unpacks it). The sets'
     runs of entries follow stage 1's closing order."""
 
     keys: list
@@ -240,11 +261,6 @@ class OperationCostTable:
     n_r: int
     stats: OpsGraphStats
 
-    def rls(self, cells) -> tuple:
-        """(w, w') of each cell."""
-        bits = (self.n_r - 1).bit_length()
-        return cells >> bits, cells & ((1 << bits) - 1)
-
     @property
     def max_op_size(self) -> int:
         return max((k for k, ks in enumerate(self.keys) if ks.size), default=0)
@@ -257,25 +273,38 @@ class OperationCostTable:
         at = np.minimum(np.searchsorted(table, keys), table.size - 1)
         return np.where(table[at] == keys, at, -1)
 
-    @cached_property
-    def entries(self) -> dict:
-        """bitmask -> (n_r, n_r) makespan matrix, +inf where no feasible
-        operation exists, ascending by bitmask; built on first use."""
-        masks, mats = [], []
-        for k, ks in enumerate(self.keys):
-            if ks.size:
-                runs = np.argsort(self.starts[k])
-                row = np.repeat(runs, (self.stops[k] - self.starts[k])[runs])
-                dense = np.full((ks.size, self.n_r, self.n_r), np.inf)
-                dense[(row, *self.rls(self.cells[k]))] = self.values[k]
-                masks.append(self.layout.masks(ks))
-                mats.extend(dense)
-        if not masks:
-            return {}
-        masks = np.concatenate(masks)
-        order = np.argsort(masks).tolist()
-        masks = masks.tolist()
-        return {masks[i]: mats[i] for i in order}
+    def entry_list(self) -> "OperationEntries":
+        """The table as one ``OperationEntries`` list, its entries copied into
+        one array of cells and one of makespans."""
+        first = np.cumsum([0, *(c.size for c in self.cells[:-1])])
+        masks = np.concatenate([self.layout.masks(ks) for ks in self.keys])
+        order = np.argsort(masks, kind="stable")
+        starts, stops = (np.concatenate([r + f for r, f in zip(ends, first)])[order]
+                         for ends in (self.starts, self.stops))
+        return OperationEntries(masks[order], starts, stops, np.concatenate(self.cells),
+                                np.concatenate(self.values), self.n_r)
+
+
+@dataclass(frozen=True)
+class OperationEntries:
+    """An operation table's finite entries as one list, the exact sweep's
+    format: set i has bitmask ``masks[i]``, ascending, and entries
+    ``starts[i]`` to ``stops[i] - 1`` of ``cells`` (packed as by
+    ``rl_cells``) and ``values`` (makespans), ordered by w, then w'. No
+    set is empty."""
+
+    masks: np.ndarray
+    starts: np.ndarray
+    stops: np.ndarray
+    cells: np.ndarray
+    values: np.ndarray
+    n_r: int
+
+    def select(self, sets) -> tuple:
+        """(owner, at): the entries ``at`` of the sets ``sets`` (indices into
+        ``masks``), set by set, and the index into ``sets`` of each one's."""
+        size = self.stops[sets] - self.starts[sets]
+        return np.repeat(np.arange(sets.size), size), runs(self.starts[sets], size)
 
 
 # ---------------------------------------------------------------------------
@@ -387,14 +416,12 @@ def build_ops_graph(inst: Instance, x: Sequence[int], p: Optional[int],
     t0 = time.perf_counter()
     stats = OpsGraphStats(per_stage=[0] * (n + 2))
     n_r = inst.n_r
-    bits = (n_r - 1).bit_length()
-    rl = np.arange(n_r, dtype=np.min_scalar_type((n_r - 1) << bits | (n_r - 1)))
     step = max(1, CHUNK_VALUES // (n_r * n_r))  # sets closed at once
     # (cell, rover time) of each value of a block of closed sets
-    of_cell = (rl[:, None] << bits | rl).ravel(), inst.c_r.ravel()
+    of_cell = rl_cells(n_r), inst.c_r.ravel()
     of_block = tuple(f[:0] for f in of_cell)
     keys, starts, stops = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    cells, values = [rl[:0]], [np.empty(0)]
+    cells, values = [of_cell[0][:0]], [np.empty(0)]
     held = 0
     levels = _levels(layout, np.arange(n), inst.cd_dd[np.ix_(idx, idx)],
                      inst.cd_rd[:, idx].T, inst.nearest_rl_time()[idx],

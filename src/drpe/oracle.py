@@ -2,8 +2,9 @@
 route-first-split-second building block.
 
 ``split_optimal`` inserts replenishment optimally into a fixed destination
-order; the searches and the split-based baselines call it. Everything else
-is deliberately brute force and guarded by size limits.
+order, walking back with stage 2's ``walk_back``; the searches and the
+split-based baselines call it. Everything else is deliberately brute force
+and guarded by size limits.
 """
 
 from __future__ import annotations
@@ -14,15 +15,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .metagraph import walk_back
 from .model import (
     BaseCostModel,
     DroneTour,
     InfeasibleError,
     Instance,
-    Operation,
-    RechargingLeg,
     SizeGuardError,
-    build_tour,
 )
 
 ENUMERATION_GUARD = 10  # factorial guard for neighborhood enumeration
@@ -143,9 +142,9 @@ def split_optimal(x: Sequence[int], inst: Instance,
     one: 428k priced values, of which 9,176 are finite. The forward pass
     scatters each cut's entries into the pre-leg labels g with one
     ``minimum.at`` and takes the leg minimum into f, O(E + n_d n_r^2) for E
-    entries. The walk-back finds each step by exact float equality, O(E)
-    per operation. Ties keep the leg from the lowest RL, then the lowest
-    block start, then the lowest start RL.
+    entries. The walk-back is stage 2's ``walk_back`` over these entries,
+    O(E) per operation: ties keep the leg from the lowest RL, then the
+    lowest block start, then the lowest start RL.
     """
     x = tuple(x)
     if sorted(x) != list(range(inst.n_d)):
@@ -169,18 +168,12 @@ def split_optimal(x: Sequence[int], inst: Instance,
     if not np.isfinite(f[n_d, inst.wt]):
         raise InfeasibleError("no feasible replenishment insertion for this order")
 
-    rev = []
-    j, w = n_d, inst.wt
-    while j > 0:
-        wp = int(np.flatnonzero(g[j] + c_r[:, w] == f[j, w])[0])
-        rev.append(RechargingLeg(wp, w))
+    def arcs_into(j, wp):
+        # block start ascending, then start RL ascending
         into = np.flatnonzero(target == j * n_r + wp)
-        k = into[f[start[into], rl[into]] + weight[into] == g[j, wp]][0]
-        i, ws = int(start[k]), int(rl[k])
-        rev.append(Operation(ws, x[i:j], wp))
-        j, w = i, ws
-    rev.append(RechargingLeg(inst.w0, w))
-    return build_tour(inst, reversed(rev), model)
+        yield start[into], rl[into], weight[into], [slice(i, j) for i in start[into].tolist()]
+
+    return walk_back(inst, f, g, n_d, arcs_into, lambda block, w, wp: x[block], model)
 
 
 def brute_force_optimum(inst: Instance, model: Optional[object] = None) -> DroneTour:

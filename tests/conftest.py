@@ -4,6 +4,7 @@ import pytest
 from drpe.energy import ExtendedCostModel, ExtendedCosts
 from drpe.generator import metrics_from_coords
 from drpe.model import DroneTour, Instance, Operation, RechargingLeg, build_tour
+from drpe.opsgraph import OperationEntries, cell_rls, rl_cells
 
 # Worked 5-destination example: three operations with makespans 4, 7 and 7
 # plus one nonempty recharging leg of makespan 4, total 22. Coordinates are
@@ -79,6 +80,34 @@ class FlightPricing:
 
     def price(self, flights, rover=None):
         return np.where(np.isfinite(self.model.price(flights, rover)), flights, np.inf)
+
+
+def dense_view(entries: OperationEntries) -> dict:
+    """The oracle view of an entry list: bitmask -> (n_r, n_r) makespan
+    matrix, +inf where the set holds no entry, ascending by bitmask."""
+    n_r = entries.n_r
+    out = {}
+    for mask, lo, hi in zip(entries.masks.tolist(), entries.starts, entries.stops):
+        mat = np.full((n_r, n_r), np.inf)
+        mat[cell_rls(entries.cells[lo:hi], n_r)] = entries.values[lo:hi]
+        out[mask] = mat
+    return out
+
+
+def entry_list(dense: dict, n_r: int) -> OperationEntries:
+    """The entry list of bitmask -> (n_r, n_r) makespan matrices; sets
+    without a finite makespan are left out."""
+    masks, cells, values = [], [rl_cells(n_r)[:0]], [np.empty(0)]
+    for mask, mat in dense.items():
+        at = np.flatnonzero(np.isfinite(mat.ravel()))
+        if at.size:
+            masks.append(mask)
+            cells.append(rl_cells(n_r)[at])
+            values.append(mat.ravel()[at])
+    stops = np.cumsum([c.size for c in cells])
+    order = np.argsort(masks, kind="stable")
+    return OperationEntries(np.array(masks, dtype=np.int64)[order], stops[:-1][order],
+                            stops[1:][order], np.concatenate(cells), np.concatenate(values), n_r)
 
 
 @pytest.fixture

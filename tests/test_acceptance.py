@@ -43,7 +43,7 @@ from drpe.oracle import (
 )
 from drpe.search import vlsn, vlsn_ls
 
-from tests.conftest import FlightPricing
+from tests.conftest import FlightPricing, dense_view
 from tests.test_metagraph import PUBLISHED_PATTERNS_P4, PUBLISHED_TRANSITIONS_P4
 
 
@@ -159,9 +159,10 @@ def test_c07_ops_table_optimality_unlimited_energy():
                 mat = (inst.cd_rd[:, dests[0], None] + inner
                        + inst.cd_dr[None, dests[-1], :])
                 oracle[m] = mat if m not in oracle else np.minimum(oracle[m], mat)
-            if set(table.entries) != set(oracle):
+            dense = dense_view(table.entry_list())
+            if set(dense) != set(oracle):
                 keys_ok = False
-            for m, mat in table.entries.items():
+            for m, mat in dense.items():
                 worst = max(worst, float(np.abs(mat - oracle[m]).max()))
     _verdict(7, keys_ok and worst <= 1e-9,
              f"(n_d=6, p in {{2,3}}, e_max=inf): worst entry error {worst:.2e}, "

@@ -9,6 +9,7 @@ import pytest
 from drpe.baselines import (
     HELD_KARP_LIMIT,
     BaselineConfig,
+    _capped_op_table,
     _nearest_neighbor,
     _path_cost,
     initial_tsp_sequence,
@@ -18,9 +19,11 @@ from drpe.baselines import (
 )
 from drpe.exact import _masks_by_popcount, solve_exact
 from drpe.generator import get_setting, generate, metrics_from_coords, random_instance
-from drpe.model import Instance, SizeGuardError, validate_tour
+from drpe.model import BaseCostModel, Instance, SizeGuardError, validate_tour
+from drpe.opsgraph import build_ops_graph
 from drpe.oracle import split_optimal
 from drpe.search import rts
+from tests.conftest import binding_extended_model
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +305,29 @@ def test_limop_guards():
         limop(inst, 5)
     with pytest.raises(ValueError):
         limop(inst, 0)
+
+
+@pytest.mark.parametrize("make_model", [BaseCostModel, binding_extended_model])
+def test_limop_table_equals_the_capped_stage1_table(make_model):
+    # the same (set, w, w') entries; makespans bitwise up to klim = 2, and
+    # from 3 destinations on within 1e-12, since the exhaustive orderings
+    # sum each flight in another order than stage 1's levels do
+    for seed in range(12):
+        inst = random_instance(seed, n_d=7, n_r=3)
+        model = make_model(inst)
+        for klim in (1, 2, 3, 4):
+            got = _capped_op_table(inst, klim, model)
+            want = build_ops_graph(inst, tuple(range(7)), None, model=model,
+                                   size_cap=klim).entry_list()
+            assert np.array_equal(got.masks, want.masks)
+            (got_owner, got_at), (want_owner, want_at) = (
+                e.select(np.arange(e.masks.size)) for e in (got, want))
+            assert np.array_equal(got_owner, want_owner)
+            assert np.array_equal(got.cells[got_at], want.cells[want_at])
+            if klim <= 2:
+                assert np.array_equal(got.values[got_at], want.values[want_at])
+            else:
+                assert np.allclose(got.values[got_at], want.values[want_at], rtol=0, atol=1e-12)
 
 
 def test_limop_not_below_exact_small_setting():

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
+import drpe.baselines
+import drpe.exact
+from drpe.cli import main
 from drpe.exact import full_meta_sweep, solve_exact
+from drpe.io import save_instance
 from drpe.generator import random_instance
 from drpe.model import BaseCostModel, SizeGuardError, validate_tour
 from drpe.oracle import brute_force_optimum
 from drpe.search import vlsn
-from drpe.baselines import initial_tsp_sequence
+from drpe.baselines import initial_tsp_sequence, limop
+from tests.conftest import entry_list
 
 
 def test_single_destination_closed_form():
@@ -38,12 +43,33 @@ def test_matches_full_width_search():
             solve_exact(inst).makespan, abs=1e-9)
 
 
-def test_size_guard():
+def test_size_guard(monkeypatch):
     inst = random_instance(1, n_d=8, n_r=3)
+    monkeypatch.setattr(drpe.exact, "ND_CAP", 7)
     with pytest.raises(SizeGuardError):
-        solve_exact(inst, nd_cap=7)
+        solve_exact(inst)
+    monkeypatch.undo()
+    monkeypatch.setattr(drpe.exact, "STATE_BUDGET", 10)
     with pytest.raises(SizeGuardError):
-        solve_exact(inst, state_budget=10)
+        solve_exact(inst)
+
+
+def test_limop_and_exact_share_the_meta_state_guard(monkeypatch, tmp_path):
+    # 3 * 2^8 = 768 meta values: within ND_CAP, past the lowered budget;
+    # both refuse before any table is built
+    inst = random_instance(1, n_d=8, n_r=3)
+    monkeypatch.setattr(drpe.exact, "STATE_BUDGET", 767)
+    monkeypatch.setattr(drpe.baselines, "_capped_op_table", None)
+    monkeypatch.setattr(drpe.exact, "build_ops_graph", None)
+    with pytest.raises(SizeGuardError, match="meta state space"):
+        solve_exact(inst)
+    with pytest.raises(SizeGuardError, match="meta state space"):
+        limop(inst, klim=2)
+    path = tmp_path / "inst.json"
+    save_instance(inst, path)
+    assert main(["solve", "--algo", "limop", "-i", str(path)]) == 3
+    monkeypatch.undo()
+    assert limop(inst, klim=2).makespan >= solve_exact(inst).makespan - 1e-9
 
 
 def test_meta_arc_budget():
@@ -60,7 +86,7 @@ def test_sweep_accepts_custom_tables():
     for v in range(4):
         mat = inst.cd_rd[:, v][:, None] + inst.cd_dr[v, :][None, :]
         makespans[1 << v] = BaseCostModel(inst).price(mat)
-    tour, _ = full_meta_sweep(inst, makespans)
+    tour, _ = full_meta_sweep(inst, entry_list(makespans, inst.n_r))
     assert len(tour.operations()) == 4
     assert validate_tour(tour, inst).passed
     assert tour.makespan >= solve_exact(inst).makespan - 1e-9

@@ -14,13 +14,14 @@ from drpe.opsgraph import (
     _levels,
     _min_over_rows,
     build_ops_graph,
+    cell_rls,
     ops_nonterminal_state_bound,
     recover_operation_order,
     set_window_valid,
     valid_successor_indices,
 )
 from drpe.oracle import enumerate_valid_operation_sequences
-from tests.conftest import FlightPricing, binding_extended_model
+from tests.conftest import FlightPricing, binding_extended_model, dense_view
 
 
 def _mask(*positions):
@@ -89,7 +90,7 @@ def test_invalid_set_is_never_reached():
     # {v1,v2,v4,v5} with p=2 misses interior v3 and must not appear as a key
     inst = random_instance(0, n_d=5, n_r=3)
     table = build_ops_graph(_unlimited(inst), tuple(range(5)), 2)
-    assert _mask(0, 1, 3, 4) not in table.entries
+    assert _mask(0, 1, 3, 4) not in table.entry_list().masks.tolist()
     assert not set_window_valid(_mask(0, 1, 3, 4), 2)
 
 
@@ -125,7 +126,7 @@ def test_p1_table_is_exactly_contiguous_blocks():
     for a in range(6):
         for b in range(a, 6):
             blocks.add(_mask(*range(a, b + 1)))
-    assert set(table.entries) == blocks
+    assert set(table.entry_list().masks.tolist()) == blocks
 
 
 def _finalized(table, model):
@@ -141,9 +142,10 @@ def _flight_table(inst, x, p, model, **kwargs):
     to hold exactly ``model.price`` of them."""
     flights = build_ops_graph(inst, x, p, model=FlightPricing(model), **kwargs)
     table = build_ops_graph(inst, x, p, model=model, **kwargs)
-    assert set(table.entries) == set(flights.entries)
-    for m, mat in flights.entries.items():
-        assert np.array_equal(table.entries[m], model.price(mat))
+    dense, flight = dense_view(table.entry_list()), dense_view(flights.entry_list())
+    assert set(dense) == set(flight)
+    for m, mat in flight.items():
+        assert np.array_equal(dense[m], model.price(mat))
     return flights
 
 
@@ -176,8 +178,9 @@ def _capped_table(inst, x, size_cap, model):
 
 
 def _assert_same_table(table, oracle):
-    assert set(table.entries) == set(oracle)
-    for m, mat in table.entries.items():
+    dense = dense_view(table.entry_list())
+    assert set(dense) == set(oracle)
+    for m, mat in dense.items():
         assert np.allclose(mat, oracle[m], atol=1e-9)
 
 
@@ -216,7 +219,7 @@ def test_unrestricted_size_cap_matches_capped_bruteforce(size_cap):
 def test_table_respects_energy_filter():
     inst = random_instance(4, n_d=5, n_r=3)
     table = build_ops_graph(inst, tuple(range(5)), 2, model=FlightPricing(BaseCostModel(inst)))
-    for m, mat in table.entries.items():
+    for m, mat in dense_view(table.entry_list()).items():
         finite = mat[np.isfinite(mat)]
         assert (finite <= inst.e_max + 1e-9).all()
 
@@ -225,12 +228,13 @@ def test_values_monotone_in_p():
     inst = random_instance(6, n_d=6, n_r=3)
     x = tuple(range(6))
     model = FlightPricing(BaseCostModel(inst))
-    tables = {p: build_ops_graph(inst, x, p, model=model) for p in (1, 2, 3, 6)}
+    tables = {p: dense_view(build_ops_graph(inst, x, p, model=model).entry_list())
+              for p in (1, 2, 3, 6)}
     for p_small, p_big in ((1, 2), (2, 3), (3, 6)):
         small, big = tables[p_small], tables[p_big]
-        for m, mat in small.entries.items():
-            assert m in big.entries
-            assert (big.entries[m] <= mat + 1e-9).all()
+        for m, mat in small.items():
+            assert m in big
+            assert (big[m] <= mat + 1e-9).all()
 
 
 def test_stage_one_count_and_bound():
@@ -249,7 +253,7 @@ def test_recover_reproduces_best_order():
                                            [2, 3, 4, None]):
         table = build_ops_graph(inst, x, p, model=FlightPricing(make_model(inst)))
         checked = 0
-        for m, mat in table.entries.items():
+        for m, mat in dense_view(table.entry_list()).items():
             for w, wp in zip(*np.nonzero(np.isfinite(mat))):
                 order = recover_operation_order(inst, x, m, int(w), int(wp), p)
                 assert sorted(order) == [t for t in range(6) if (m >> t) & 1]
@@ -280,7 +284,8 @@ def _check_recovered_orders(inst, x, p, model, per_table=None):
     """Every recovered order (or ``per_table`` sampled ones), re-flown,
     reproduces its table entry bitwise (the table holds flights)."""
     table = build_ops_graph(inst, x, p, model=FlightPricing(model))
-    cells = [(m, int(w), int(wp)) for m, mat in table.entries.items()
+    dense = dense_view(table.entry_list())
+    cells = [(m, int(w), int(wp)) for m, mat in dense.items()
              for w, wp in zip(*np.nonzero(np.isfinite(mat)))]
     if per_table is not None and len(cells) > per_table:
         pick = np.random.default_rng(len(cells)).choice(len(cells), per_table, replace=False)
@@ -289,7 +294,7 @@ def _check_recovered_orders(inst, x, p, model, per_table=None):
         order = recover_operation_order(inst, x, m, w, wp, p)
         assert sorted(order) == [t for t in range(inst.n_d) if (m >> t) & 1]
         op = Operation(w, tuple(x[t] for t in order), wp)
-        assert operation_flight_time(op, inst) == table.entries[m][w, wp]
+        assert operation_flight_time(op, inst) == dense[m][w, wp]
     return len(cells)
 
 
@@ -341,14 +346,15 @@ def _dense_table(inst, x, p, model, size_cap=None):
 def _assert_matches_dense_close(inst, x, p, model, size_cap=None):
     table = build_ops_graph(inst, x, p, model=model, size_cap=size_cap)
     dense = _dense_table(inst, x, p, model, size_cap)
-    assert list(table.entries) == list(dense)
+    view = dense_view(table.entry_list())
+    assert list(view) == list(dense)
     for m, mat in dense.items():
-        assert np.array_equal(table.entries[m], mat)
+        assert np.array_equal(view[m], mat)
     # each set row's run of entries, read through its own bounds
     for k, ks in enumerate(table.keys):
         for m, lo, hi in zip(table.layout.masks(ks).tolist(), table.starts[k], table.stops[k]):
             mat = np.full((inst.n_r, inst.n_r), np.inf)
-            mat[table.rls(table.cells[k][lo:hi])] = table.values[k][lo:hi]
+            mat[cell_rls(table.cells[k][lo:hi], inst.n_r)] = table.values[k][lo:hi]
             assert np.array_equal(mat, dense[m])
     # the tracer's ``opsgraph.build_ops_graph.entries`` reads terminal_entries
     stored = sum(v.size for v in table.values)
@@ -388,7 +394,7 @@ def test_close_keeps_a_flight_exactly_at_the_cap():
     model.flight_cap = float(inst.cd_rd[0, 0] + inst.cd_dr[0, 0])
     _assert_matches_dense_close(inst, tuple(range(5)), 2, model)
     table = build_ops_graph(inst, tuple(range(5)), 2, model=model)
-    assert table.entries[1][0, 0] == model.flight_cap
+    assert dense_view(table.entry_list())[1][0, 0] == model.flight_cap
 
 
 def test_large_p3_table_holds_under_2mb():

@@ -24,7 +24,7 @@ from drpe.model import (
 )
 from drpe.opsgraph import build_ops_graph, recover_operation_order
 from drpe.oracle import brute_force_optimum
-from tests.conftest import FlightPricing, binding_extended_model, two_step_price
+from tests.conftest import FlightPricing, binding_extended_model, dense_view, two_step_price
 
 MODELS = [BaseCostModel, binding_extended_model]
 
@@ -45,6 +45,7 @@ def _per_arc_solve_meta(costs, inst, x, p, model):
     ptr_eps = [[[None] * n_r for _ in range(n_pat)] for _ in range(n_d + 1)]
     zeta[0, 0] = c_r[inst.w0]
     h_max = min(costs.max_op_size, n_d)
+    dense = dense_view(costs.entry_list())
     for k in range(n_d + 1):
         if k > 0:
             for b_id in range(n_pat):
@@ -63,9 +64,9 @@ def _per_arc_solve_meta(costs, inst, x, p, model):
             for h in range(1, min(h_max, n_d - k) + 1):
                 for b_id, ops in lookup.successors(a_id, h):
                     mask = ops << k >> (p - 1)
-                    if not valid_at[k + h][b_id] or mask not in costs.entries:
+                    if not valid_at[k + h][b_id] or mask not in dense:
                         continue
-                    cand = za[:, None] + two_step_price(model, costs.entries[mask])
+                    cand = za[:, None] + two_step_price(model, dense[mask])
                     best = cand.min(axis=0)
                     improved = best < eps[k + h, b_id]
                     eps[k + h, b_id][improved] = best[improved]
@@ -171,8 +172,8 @@ def test_batched_sweep_matches_dense_loop(make_model):
         table = build_ops_graph(inst, tuple(range(inst.n_d)), None, model=model)
         flights = build_ops_graph(inst, tuple(range(inst.n_d)), None,
                                   model=FlightPricing(model))
-        zeta, eps, arcs = _dense_sweep(inst, flights.entries, model)
-        new_zeta, new_eps, new_arcs = _sweep_values(inst, table.entries)
+        zeta, eps, arcs = _dense_sweep(inst, dense_view(flights.entry_list()), model)
+        new_zeta, new_eps, new_arcs = _sweep_values(inst, table.entry_list())
         assert np.array_equal(new_zeta, zeta) and np.array_equal(new_eps, eps)
         assert new_arcs == arcs
 
@@ -260,7 +261,7 @@ def test_time_limit_stops_exact_and_limop():
         limop(inst, klim=2, time_limit=0)
     table = build_ops_graph(inst, tuple(range(inst.n_d)), None)
     with pytest.raises(TimeLimitError):
-        full_meta_sweep(inst, table.entries, deadline=0.0)
+        full_meta_sweep(inst, table.entry_list(), deadline=0.0)
 
 
 def test_reports_carry_layer_times():
