@@ -15,7 +15,7 @@ import numpy as np
 
 from .exact import _masks_by_popcount, full_meta_sweep, size_guard
 from .model import BaseCostModel, Instance, SizeGuardError, check_deadline
-from .opsgraph import OperationEntries, rl_cells
+from .opsgraph import OperationCostTable
 from .oracle import split_optimal
 from .reports import SolveReport
 
@@ -206,16 +206,14 @@ def initial_tsp_sequence(inst: Instance) -> tuple:
 # Capped operation size
 # ---------------------------------------------------------------------------
 
-def _capped_op_table(inst: Instance, klim: int, model, deadline=None) -> OperationEntries:
+def _capped_op_table(inst: Instance, klim: int, model, deadline=None) -> OperationCostTable:
     """Makespan of the minimal flight per (w, set, w') over sets of at most
     klim destinations, by exhaustive ordering; ``deadline`` is checked once
     per set size."""
-    n = inst.n_d
-    pairs = rl_cells(inst.n_r)
-    masks, cells, values = [], [pairs[:0]], [np.empty(0)]
+    pairs = []
     for size in range(1, klim + 1):
         check_deadline(deadline)
-        for combo in itertools.combinations(range(n), size):
+        for combo in itertools.combinations(range(inst.n_d), size):
             best = np.full((inst.n_r, inst.n_r), np.inf)
             for perm in itertools.permutations(combo):
                 chain = 0.0
@@ -224,17 +222,8 @@ def _capped_op_table(inst: Instance, klim: int, model, deadline=None) -> Operati
                 mat = (inst.cd_rd[:, perm[0], None] + chain
                        + inst.cd_dr[None, perm[-1], :])
                 np.minimum(best, mat, out=best)
-            best = model.price(best).ravel()
-            at = np.flatnonzero(np.isfinite(best))
-            if at.size:
-                masks.append(sum(1 << v for v in combo))
-                cells.append(pairs[at])
-                values.append(best[at])
-    stops = np.cumsum([c.size for c in cells])
-    order = np.argsort(masks, kind="stable")
-    return OperationEntries(np.array(masks, dtype=np.int64)[order], stops[:-1][order],
-                            stops[1:][order], np.concatenate(cells), np.concatenate(values),
-                            inst.n_r)
+            pairs.append((sum(1 << v for v in combo), model.price(best)))
+    return OperationCostTable.from_dense(inst.n_d, inst.n_r, pairs)
 
 
 def limop(inst: Instance, klim: int = 2, model: Optional[object] = None,
@@ -250,16 +239,16 @@ def limop(inst: Instance, klim: int = 2, model: Optional[object] = None,
     model = model or BaseCostModel(inst)
     t0 = time.perf_counter()
     deadline = None if time_limit is None else t0 + time_limit
-    entries = _capped_op_table(inst, klim, model, deadline)
+    table = _capped_op_table(inst, klim, model, deadline)
     stage1_s = time.perf_counter() - t0
 
-    tour, stats = full_meta_sweep(inst, entries, model, deadline)
+    tour, stats = full_meta_sweep(inst, table, model, deadline)
     return SolveReport(algorithm=f"limop(klim={klim})", tour=tour,
                        makespan=tour.makespan,
                        meta_states=stats["meta_states"],
                        meta_arcs=stats["meta_arcs"],
                        wall_time=time.perf_counter() - t0,
-                       extras={"klim": klim, "op_sets": entries.masks.size,
+                       extras={"klim": klim, "op_sets": sum(ks.size for ks in table.keys),
                                "layers": {"stage1_s": stage1_s, **stats["layers"]}})
 
 

@@ -11,7 +11,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -45,16 +44,6 @@ ALGORITHMS = ("vlsn", "vlsn-ls", "vlsn-vnd", "rts", "exact", "limop",
               "rts3nn", "sa", "pract")
 EXIT_VALIDATION = 1
 EXIT_SIZE_GUARD = 3
-
-
-def _default_workers() -> int:
-    env = os.environ.get("DRPE_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 def _cost_model(inst, args):
@@ -139,14 +128,7 @@ def cmd_generate(args) -> int:
 
 def cmd_solve(args) -> int:
     inst = load_instance(args.instance, metric_closure=args.metric_closure)
-    try:
-        report = _run_algorithm(inst, args.algo, args)
-    except SizeGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIZE_GUARD
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    report = _run_algorithm(inst, args.algo, args)
 
     model = _cost_model(inst, args)
     energy_required = args.algo != "pract"
@@ -303,9 +285,8 @@ def cmd_bench(args) -> int:
     cells = [{"path": str(f), "algo": a, "setting": _setting_of(f), "args": shared}
              for f in files for a in algos]
 
-    workers = args.workers or _default_workers()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if args.workers > 1:
+        with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_bench_cell, cells))
     else:
         results = [_bench_cell(c) for c in cells]
@@ -502,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="run a campaign and emit gap tables")
     b.add_argument("--instances", required=True, help="directory of instance files")
     b.add_argument("--algos", default="exact,vlsn-ls,vlsn-vnd,rts,limop")
-    b.add_argument("--workers", type=int, default=None)
+    b.add_argument("--workers", type=int, default=1)
     b.add_argument("--p", type=int, default=4)
     b.add_argument("--p0", type=int, default=2)
     b.add_argument("--p-max", type=int, default=8, dest="p_max")

@@ -2,13 +2,13 @@
 restriction removed.
 
 Stage 1 enumerates every subset of destinations (forward DP with the same
-energy look-ahead pruning) into one ``OperationEntries`` list; the sweep
-visits meta states (visited bitmask, RL) level by subset size with
-``solve_meta``'s recursion. A level's arcs are its disjoint (reachable
-set, listed set) pairs. Sets are grouped by the start and end RLs where
-they hold entries, and each group is relaxed on those RLs only by
-``relax``; ``metagraph.walk_back`` reads the list in mask order, so ties
-go to the smallest bitmask.
+energy look-ahead pruning) into an ``OperationCostTable``, which the sweep
+reads in place; it visits meta states (visited bitmask, RL) level by
+subset size with ``solve_meta``'s recursion. A level's arcs are its
+disjoint (reachable set, held set) pairs. Sets are grouped by the start
+and end RLs where they hold entries, and each group is relaxed on those
+RLs only by ``relax``; ``metagraph.walk_back`` reads the sets in mask
+order, so ties go to the smallest bitmask.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .model import (
     check_deadline,
 )
 from .metagraph import walk_back
-from .opsgraph import OperationEntries, build_ops_graph, cell_rls, chunks, recover_operation_order
+from .opsgraph import OperationCostTable, build_ops_graph, chunks, recover_operation_order
 from .reports import SolveReport
 
 ND_CAP = 18
@@ -66,7 +66,20 @@ def relax(eps, start, weights, targets, cols) -> None:
     np.minimum.at(eps.reshape(-1), flat.ravel(), best.ravel())
 
 
-def _sweep_values(inst: Instance, entries: OperationEntries, deadline=None):
+def _set_entries(table: OperationCostTable):
+    """(masks, sizes, read) of the table's sets, by size, then row;
+    ``read(sel)`` gives (owner, w, w', makespan) of the entries of the sets
+    ``sel`` (a slice or ascending indices), set by set, owner indexing sel."""
+    masks, size, row = table.sets()
+    first, count = table.lookup(size, row)
+
+    def read(sel):
+        n = count[sel]
+        return (np.repeat(np.arange(n.size), n), *table.gather(size[sel], first[sel], n))
+    return masks, size, read
+
+
+def _sweep_values(inst: Instance, table: OperationCostTable, deadline=None):
     """Forward pass of ``full_meta_sweep``: (zeta, eps, arcs), the value
     arrays indexed by visited bitmask and RL and the number of arcs."""
     n, n_r, c_r = inst.n_d, inst.n_r, inst.c_r
@@ -74,25 +87,22 @@ def _sweep_values(inst: Instance, entries: OperationEntries, deadline=None):
 
     # group the sets by the start and end RLs where they hold entries; a
     # group's W[i] holds set i's makespans there, +inf where it has none
-    masks, sets = entries.masks, np.arange(entries.masks.size)
+    masks, size, read = _set_entries(table)
     signature = np.zeros((masks.size, 2 * n_r), dtype=bool)
     for sl in chunks(masks.size, n_r * n_r):
-        owner, at = entries.select(sets[sl])
-        w, wp = cell_rls(entries.cells[at], n_r)
+        owner, w, wp, _ = read(sl)
         signature[sl][owner, w] = signature[sl][owner, n_r + wp] = True
     uniq, inverse, counts = np.unique(signature, axis=0, return_inverse=True,
                                       return_counts=True)
     by_sig = np.split(np.argsort(inverse.ravel(), kind="stable"), np.cumsum(counts)[:-1])
-    pcs = np.array([m.bit_count() for m in masks.tolist()], dtype=np.int64)
     groups = []
     for sig, ids in zip(uniq, by_sig):
         rows, cols = np.flatnonzero(sig[:n_r]), np.flatnonzero(sig[n_r:])
         W = np.full((ids.size, rows.size, cols.size), np.inf)
         for sl in chunks(ids.size, n_r * n_r):
-            owner, at = entries.select(ids[sl])
-            w, wp = cell_rls(entries.cells[at], n_r)
-            W[sl][owner, np.searchsorted(rows, w), np.searchsorted(cols, wp)] = entries.values[at]
-        groups.append((masks[ids], pcs[ids], rows, cols, W))
+            owner, w, wp, c = read(ids[sl])
+            W[sl][owner, np.searchsorted(rows, w), np.searchsorted(cols, wp)] = c
+        groups.append((masks[ids], size[ids], rows, cols, W))
 
     zeta = np.full((full + 1, n_r), np.inf)
     eps = np.full((full + 1, n_r), np.inf)
@@ -105,8 +115,8 @@ def _sweep_values(inst: Instance, entries: OperationEntries, deadline=None):
             live = Ms[np.isfinite(eps[Ms]).any(axis=1)]
             zeta[live] = (eps[live][:, :, None] + c_r[None, :, :]).min(axis=1)
         src = Ms[np.isfinite(zeta[Ms]).any(axis=1)]
-        for gmasks, gpcs, rows, cols, W in groups:
-            fits = np.flatnonzero(gpcs <= n - k)
+        for gmasks, gsize, rows, cols, W in groups:
+            fits = np.flatnonzero(gsize <= n - k)
             for esl in chunks(fits.size, src.size):
                 ids = fits[esl]
                 si, ei = np.nonzero((src[:, None] & gmasks[ids][None, :]) == 0)
@@ -118,8 +128,8 @@ def _sweep_values(inst: Instance, entries: OperationEntries, deadline=None):
     return zeta, eps, arcs
 
 
-def full_meta_sweep(inst: Instance, entries: OperationEntries, model=None, deadline=None):
-    """Optimal tour over all compositions of the operations in ``entries``
+def full_meta_sweep(inst: Instance, table: OperationCostTable, model=None, deadline=None):
+    """Optimal tour over all compositions of the operations in ``table``
     (``model`` prices the recovered tour). Returns (tour, stats); each
     operation's visiting order is recovered by the unrestricted stage-1 DP
     over its set. Raises ``TimeLimitError`` at the first level that starts
@@ -127,21 +137,24 @@ def full_meta_sweep(inst: Instance, entries: OperationEntries, model=None, deadl
     model = model or BaseCostModel(inst)
     full = (1 << inst.n_d) - 1
     t0 = time.perf_counter()
-    zeta, eps, arcs = _sweep_values(inst, entries, deadline)
+    zeta, eps, arcs = _sweep_values(inst, table, deadline)
     t1 = time.perf_counter()
     if not np.isfinite(zeta[full, inst.wt]):
         raise InfeasibleError("no feasible tour exists")
-    masks = entries.masks
+    masks, _, read = _set_entries(table)
 
     def arcs_into(S, wp):
-        # bitmask ascending, then start RL ascending
+        # bitmask ascending, then start RL: a block is read in table order
+        # (a run per size), then sorted stably by mask, keeping w's order
         inside = np.flatnonzero(masks & S == masks)
+        inside = inside[np.argsort(masks[inside])]
         for sl in chunks(inside.size, inst.n_r * inst.n_r):
-            owner, at = entries.select(inside[sl])
-            w, end = cell_rls(entries.cells[at], inst.n_r)
-            hit = end == wp
-            ops = masks[inside[sl]][owner[hit]]
-            yield S & ~ops, w[hit], entries.values[at[hit]], ops
+            sel = np.sort(inside[sl])
+            owner, w, end, c = read(sel)
+            hit = np.flatnonzero(end == wp)
+            hit = hit[np.argsort(masks[sel[owner[hit]]], kind="stable")]
+            ops = masks[sel[owner[hit]]]
+            yield S & ~ops, w[hit], c[hit], ops
 
     tour = walk_back(inst, zeta, eps, full, arcs_into,
                      lambda mask, w, wp: recover_operation_order(
@@ -161,7 +174,7 @@ def solve_exact(inst: Instance, model=None, time_limit: Optional[float] = None) 
     deadline = None if time_limit is None else t0 + time_limit
     table = build_ops_graph(inst, tuple(range(inst.n_d)), None, model=model,
                             deadline=deadline)
-    tour, stats = full_meta_sweep(inst, table.entry_list(), model, deadline)
+    tour, stats = full_meta_sweep(inst, table, model, deadline)
     return SolveReport(
         algorithm="exact",
         tour=tour,

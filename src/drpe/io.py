@@ -78,18 +78,16 @@ def _typed(value, what: str, kinds, low=None):
     return value
 
 
-def instance_from_dict(doc: dict, metric_closure: bool = False,
-                       validate: bool = True) -> Instance:
+def instance_from_dict(doc: dict, metric_closure: bool = False) -> Instance:
     try:
         inst = _instance_fields(doc, metric_closure)
     except KeyError as exc:
         raise SchemaError(f"instance file missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"instance file malformed: {exc}") from exc
-    if validate:
-        problems = check_instance(inst)
-        if problems:
-            raise SchemaError("invalid instance: " + "; ".join(problems))
+    problems = check_instance(inst)
+    if problems:
+        raise SchemaError("invalid instance: " + "; ".join(problems))
     return inst
 
 
@@ -142,13 +140,12 @@ def _instance_fields(doc: dict, metric_closure: bool) -> Instance:
                     name=str(doc.get("name", "")), meta=meta)
 
 
-def load_instance(path: PathLike, metric_closure: bool = False,
-                  validate: bool = True) -> Instance:
+def load_instance(path: PathLike, metric_closure: bool = False) -> Instance:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
-    return instance_from_dict(doc, metric_closure=metric_closure, validate=validate)
+    return instance_from_dict(doc, metric_closure=metric_closure)
 
 
 def solution_to_dict(tour: DroneTour) -> dict:

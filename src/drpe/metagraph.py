@@ -11,14 +11,14 @@ per gap. An arc's operation has a stage-1 set key linear in the stage, so
 search per gap before the forward pass. Values live in two (state row
 x RL) arrays, row k * n_pat + b: ``eps`` on arrival by an operation,
 ``zeta`` after the recharging leg that follows. Each stage's operation
-arcs are relaxed at once from the table's sparse entries: every (start
-RL w, end RL w', makespan) entry of an arc's operation is one candidate
-``zeta[source, w] + makespan`` for ``eps[target, w']``, and one exact
-scatter-min takes each batch of about ``RELAX_BATCH`` candidates. No
+arcs are relaxed at once from the table's sparse entries (``gather``):
+each (start RL w, end RL w', makespan) entry of an arc's operation is one
+candidate ``zeta[source, w] + makespan`` for ``eps[target, w']``, and one
+exact scatter-min takes each batch of about ``RELAX_BATCH`` candidates. No
 pointers are kept: ``walk_back`` takes the first exact-equality match in
 the forward order (leg from the lowest RL; arc from the lowest source
-stage, then pattern, then start RL). The exact sweep and the splitter
-walk back with ``walk_back`` too, each over its own sparse entries.
+stage, then pattern, then start RL). The exact sweep (over the same
+table type) and the splitter walk back with ``walk_back`` too.
 """
 
 from __future__ import annotations
@@ -41,14 +41,7 @@ from .model import (
     build_tour,
     check_deadline,
 )
-from .opsgraph import (
-    OperationCostTable,
-    _ctz,
-    _top_bit,
-    cell_rls,
-    recover_operation_order,
-    runs,
-)
+from .opsgraph import OperationCostTable, _ctz, _top_bit, recover_operation_order
 
 
 @dataclass(frozen=True)
@@ -310,27 +303,14 @@ def _meta_values(costs: OperationCostTable, inst: Instance, p: int,
     bounds = np.searchsorted(stage, np.arange(n_d + 2))
     source = (stage * n_pat + a) * n_r
     target = ((stage + gap) * n_pat + b) * n_r
-    # the entries of each arc: ``first`` .. ``first + size - 1`` of the
-    # table's arrays of its size, ``gap``
-    at = np.cumsum([0, *(len(ks) for ks in costs.keys[:-1])])[gap] + rows
-    first = np.concatenate(costs.starts)[at]
-    size = np.concatenate(costs.stops)[at] - first
+    # the entries of each arc: those of row ``rows`` of the table's size ``gap``
+    first, size = costs.lookup(gap, rows)
 
     def expand(arcs, *per_arc):
         """(w, w', makespan) of every entry of these arcs, arc by arc, and
         each array of ``per_arc`` repeated once per entry of its arc."""
         n = size[arcs]
-        e = runs(first[arcs], n)
-        cell, c = np.empty(e.size, costs.cells[0].dtype), np.empty(e.size)
-        # each run of arcs of one gap reads the arrays of that size; the
-        # indices are in range, and mode="clip" takes into ``out`` unbuffered
-        g = gap[arcs]
-        heads = np.flatnonzero(g[1:] != g[:-1]) + 1
-        ends = [0, *np.cumsum(n)[heads - 1].tolist(), e.size]
-        for h, lo, hi in zip([g[0], *g[heads]], ends, ends[1:]):
-            np.take(costs.cells[h], e[lo:hi], out=cell[lo:hi], mode="clip")
-            np.take(costs.values[h], e[lo:hi], out=c[lo:hi], mode="clip")
-        return (*cell_rls(cell, n_r), c, *(np.repeat(x, n) for x in per_arc))
+        return (*costs.gather(gap[arcs], first[arcs], n), *(np.repeat(x, n) for x in per_arc))
 
     def arcs_into(row, wp):
         # source stage ascending, then source pattern ascending

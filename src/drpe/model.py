@@ -127,7 +127,7 @@ def _triangle_violation(m: np.ndarray) -> Optional[tuple]:
     return None
 
 
-def check_instance(inst: Instance, require_reachable: bool = True) -> list[str]:
+def check_instance(inst: Instance) -> list[str]:
     """Verify instance invariants; returns a list of violation messages."""
     problems = []
     for label, m in (("c_d", inst.c_d), ("c_r", inst.c_r)):
@@ -143,7 +143,7 @@ def check_instance(inst: Instance, require_reachable: bool = True) -> list[str]:
                 f"{label} violates the triangle inequality at {bad}")
     if not 0 < inst.e_max < np.inf:
         problems.append("e_max must be positive and finite")
-    if require_reachable and inst.n_d > 0:
+    if inst.n_d > 0:
         worst = float((2.0 * inst.nearest_rl_time()).max())
         if worst > inst.e_max + EPS:
             problems.append(

@@ -23,9 +23,10 @@ vectorised gathers. Each level is closed at every end RL in blocks of
 about ``CHUNK_VALUES`` values, and only the flights within the cost
 model's cap are priced. The cost table keeps the finite makespans alone:
 per operation size the set keys and each set's run of entries (a packed
-(start RL, end RL) cell and the makespan), and ``entry_list`` gives them
-in set order, the exact sweep's format. Order recovery replays the same
-DP within one entry's set and walks its levels back.
+(start RL, end RL) cell and the makespan); other modules read a table
+through ``sets``, ``lookup`` and ``gather`` and build one with
+``from_dense``. Order recovery replays the same DP within one entry's
+set and walks its levels back.
 """
 
 from __future__ import annotations
@@ -245,10 +246,9 @@ class OperationCostTable:
 
     One group of arrays per operation size k: ``keys[k]`` lists the
     ascending ``layout`` keys of the size-k sets, and set row r holds
-    entries ``starts[k][r]`` to ``stops[k][r] - 1`` of ``cells[k]`` and
-    ``values[k]`` (the makespans), ordered by w, then w'. A cell packs
-    (w, w') as ``rl_cells`` does (``cell_rls`` unpacks it). The sets'
-    runs of entries follow stage 1's closing order."""
+    entries ``starts[k][r]`` to ``stops[k][r] - 1`` of ``cells[k]`` ((w,
+    w') packed by ``rl_cells``) and ``values[k]`` (the makespans), ordered
+    by w, then w'; the runs follow stage 1's closing order."""
 
     keys: list
     starts: list
@@ -273,38 +273,55 @@ class OperationCostTable:
         at = np.minimum(np.searchsorted(table, keys), table.size - 1)
         return np.where(table[at] == keys, at, -1)
 
-    def entry_list(self) -> "OperationEntries":
-        """The table as one ``OperationEntries`` list, its entries copied into
-        one array of cells and one of makespans."""
-        first = np.cumsum([0, *(c.size for c in self.cells[:-1])])
-        masks = np.concatenate([self.layout.masks(ks) for ks in self.keys])
-        order = np.argsort(masks, kind="stable")
-        starts, stops = (np.concatenate([r + f for r, f in zip(ends, first)])[order]
-                         for ends in (self.starts, self.stops))
-        return OperationEntries(masks[order], starts, stops, np.concatenate(self.cells),
-                                np.concatenate(self.values), self.n_r)
+    def sets(self) -> tuple:
+        """(mask, size, row) of every set the table holds, by size, then
+        row: its bitmask and its row in ``keys[size]``."""
+        size = np.repeat(np.arange(len(self.keys)), [ks.size for ks in self.keys])
+        row = np.concatenate([np.arange(ks.size) for ks in self.keys])
+        return self.layout.masks(np.concatenate(self.keys)), size, row
 
+    def lookup(self, size, row) -> tuple:
+        """(first, count): the first entry and the entry count of each set
+        given by its size and row."""
+        at = np.cumsum([0, *(ks.size for ks in self.keys[:-1])])[size] + row
+        first = np.concatenate(self.starts)[at]
+        return first, np.concatenate(self.stops)[at] - first
 
-@dataclass(frozen=True)
-class OperationEntries:
-    """An operation table's finite entries as one list, the exact sweep's
-    format: set i has bitmask ``masks[i]``, ascending, and entries
-    ``starts[i]`` to ``stops[i] - 1`` of ``cells`` (packed as by
-    ``rl_cells``) and ``values`` (makespans), ordered by w, then w'. No
-    set is empty."""
+    def gather(self, size, first, count) -> tuple:
+        """(w, w', makespan) of every entry of these sets (as ``lookup``
+        gives them), set by set; one take per run of sets of one size."""
+        at = runs(first, count)
+        cell, value = np.empty(at.size, self.cells[0].dtype), np.empty(at.size)
+        heads = np.flatnonzero(np.diff(size, prepend=-1))
+        edges = [*(np.cumsum(count) - count)[heads].tolist(), at.size]
+        # the indices are in range, and mode="clip" takes into ``out`` unbuffered
+        for k, lo, hi in zip(size[heads].tolist(), edges, edges[1:]):
+            np.take(self.cells[k], at[lo:hi], out=cell[lo:hi], mode="clip")
+            np.take(self.values[k], at[lo:hi], out=value[lo:hi], mode="clip")
+        return (*cell_rls(cell, self.n_r), value)
 
-    masks: np.ndarray
-    starts: np.ndarray
-    stops: np.ndarray
-    cells: np.ndarray
-    values: np.ndarray
-    n_r: int
-
-    def select(self, sets) -> tuple:
-        """(owner, at): the entries ``at`` of the sets ``sets`` (indices into
-        ``masks``), set by set, and the index into ``sets`` of each one's."""
-        size = self.stops[sets] - self.starts[sets]
-        return np.repeat(np.arange(sets.size), size), runs(self.starts[sets], size)
+    @classmethod
+    def from_dense(cls, n_d: int, n_r: int, pairs) -> "OperationCostTable":
+        """The table of every subset (width None, identity order) that holds
+        the (bitmask, (n_r, n_r) makespans) ``pairs``; +inf makespans, and
+        sets without a finite one, are left out."""
+        layout, pairs = SetKey(n_d, None), [(int(m), mat) for m, mat in pairs]
+        keys = np.array([layout.key(m) for m, _ in pairs], dtype=np.int64)
+        size = np.array([m.bit_count() for m, _ in pairs], dtype=np.int64)
+        mats = np.array([mat.ravel() for _, mat in pairs]).reshape(-1, n_r * n_r)
+        finite = np.isfinite(mats)
+        table = cls([], [], [], [], [], layout, None, tuple(range(n_d)), n_r, OpsGraphStats())
+        for k in range(n_d + 1):
+            sel = np.flatnonzero((size == k) & finite.any(axis=1))
+            sel = sel[np.argsort(keys[sel])]
+            count = finite[sel].sum(axis=1)
+            table.keys.append(keys[sel])
+            table.stops.append(np.cumsum(count))
+            table.starts.append(table.stops[-1] - count)
+            table.cells.append(np.broadcast_to(rl_cells(n_r), mats.shape)[sel][finite[sel]])
+            table.values.append(mats[sel][finite[sel]])
+        table.stats.terminal_entries = int(finite.sum())
+        return table
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +526,7 @@ def _recovery_plan(shape: int, p: Optional[int]) -> list:
             p_count, p_first, p_pos = prev
             n_in = p_count[src]
             starts = np.cumsum(n_in) - n_in
-            rows = np.repeat(p_first[src] - starts, n_in) + np.arange(n_in.sum())
+            rows = runs(p_first[src], n_in)
             arcs = (rows, p_pos[rows] * s + np.repeat(pos, n_in), starts)
         plan.append((first, count, pos, src, arcs))
         prev = count, first, pos

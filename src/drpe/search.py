@@ -36,26 +36,17 @@ def shifted_permutations(x: Sequence[int], p: int) -> list:
     elements to the tail or one of the last p-1 to the head, keeping the
     combined distance to the sequence boundary below p. Yields at most
     p(p-1) distinct orders."""
-    x = list(x)
     n = len(x)
-    out, seen = [], {tuple(x)}
+    out = {}
     for a in range(min(p - 1, n)):
         for b in range(p - 1 - a):
-            y = list(x)
-            v = y.pop(a)
-            y.insert(len(y) - b, v)
-            t = tuple(y)
-            if t not in seen:
-                seen.add(t)
-                out.append(t)
-            y = list(x)
-            v = y.pop(n - 1 - a)
-            y.insert(b, v)
-            t = tuple(y)
-            if t not in seen:
-                seen.add(t)
-                out.append(t)
-    return out
+            # head to tail, then tail to head
+            for src, dst in ((a, n - 1 - b), (n - 1 - a, b)):
+                y = list(x)
+                y.insert(dst, y.pop(src))
+                out[tuple(y)] = None
+    out.pop(tuple(x), None)
+    return list(out)
 
 
 def vlsn(inst: Instance, x: Sequence[int], p: int,

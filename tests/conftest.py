@@ -4,7 +4,7 @@ import pytest
 from drpe.energy import ExtendedCostModel, ExtendedCosts
 from drpe.generator import metrics_from_coords
 from drpe.model import DroneTour, Instance, Operation, RechargingLeg, build_tour
-from drpe.opsgraph import OperationEntries, cell_rls, rl_cells
+from drpe.opsgraph import OperationCostTable
 
 # Worked 5-destination example: three operations with makespans 4, 7 and 7
 # plus one nonempty recharging leg of makespan 4, total 22. Coordinates are
@@ -82,32 +82,23 @@ class FlightPricing:
         return np.where(np.isfinite(self.model.price(flights, rover)), flights, np.inf)
 
 
-def dense_view(entries: OperationEntries) -> dict:
-    """The oracle view of an entry list: bitmask -> (n_r, n_r) makespan
-    matrix, +inf where the set holds no entry, ascending by bitmask."""
-    n_r = entries.n_r
-    out = {}
-    for mask, lo, hi in zip(entries.masks.tolist(), entries.starts, entries.stops):
-        mat = np.full((n_r, n_r), np.inf)
-        mat[cell_rls(entries.cells[lo:hi], n_r)] = entries.values[lo:hi]
-        out[mask] = mat
-    return out
+def entries(table: OperationCostTable) -> tuple:
+    """(set mask, w, w', makespan) of every entry of a cost table, read
+    through its API in table order."""
+    masks, size, row = table.sets()
+    first, count = table.lookup(size, row)
+    return (np.repeat(masks, count), *table.gather(size, first, count))
 
 
-def entry_list(dense: dict, n_r: int) -> OperationEntries:
-    """The entry list of bitmask -> (n_r, n_r) makespan matrices; sets
-    without a finite makespan are left out."""
-    masks, cells, values = [], [rl_cells(n_r)[:0]], [np.empty(0)]
-    for mask, mat in dense.items():
-        at = np.flatnonzero(np.isfinite(mat.ravel()))
-        if at.size:
-            masks.append(mask)
-            cells.append(rl_cells(n_r)[at])
-            values.append(mat.ravel()[at])
-    stops = np.cumsum([c.size for c in cells])
-    order = np.argsort(masks, kind="stable")
-    return OperationEntries(np.array(masks, dtype=np.int64)[order], stops[:-1][order],
-                            stops[1:][order], np.concatenate(cells), np.concatenate(values), n_r)
+def dense_view(table: OperationCostTable) -> dict:
+    """The oracle view of a cost table: bitmask -> (n_r, n_r) makespan
+    matrix, +inf where the set holds no entry, ascending by bitmask.
+    ``OperationCostTable.from_dense`` turns it back into a table."""
+    masks = np.sort(table.sets()[0])
+    mask, w, wp, c = entries(table)
+    mats = np.full((masks.size, table.n_r, table.n_r), np.inf)
+    mats[np.searchsorted(masks, mask), w, wp] = c
+    return dict(zip(masks.tolist(), mats))
 
 
 @pytest.fixture

@@ -159,7 +159,7 @@ def test_c07_ops_table_optimality_unlimited_energy():
                 mat = (inst.cd_rd[:, dests[0], None] + inner
                        + inst.cd_dr[None, dests[-1], :])
                 oracle[m] = mat if m not in oracle else np.minimum(oracle[m], mat)
-            dense = dense_view(table.entry_list())
+            dense = dense_view(table)
             if set(dense) != set(oracle):
                 keys_ok = False
             for m, mat in dense.items():

@@ -23,7 +23,7 @@ from drpe.model import BaseCostModel, Instance, SizeGuardError, validate_tour
 from drpe.opsgraph import build_ops_graph
 from drpe.oracle import split_optimal
 from drpe.search import rts
-from tests.conftest import binding_extended_model
+from tests.conftest import binding_extended_model, entries
 
 
 # ---------------------------------------------------------------------------
@@ -316,18 +316,15 @@ def test_limop_table_equals_the_capped_stage1_table(make_model):
         inst = random_instance(seed, n_d=7, n_r=3)
         model = make_model(inst)
         for klim in (1, 2, 3, 4):
-            got = _capped_op_table(inst, klim, model)
-            want = build_ops_graph(inst, tuple(range(7)), None, model=model,
-                                   size_cap=klim).entry_list()
-            assert np.array_equal(got.masks, want.masks)
-            (got_owner, got_at), (want_owner, want_at) = (
-                e.select(np.arange(e.masks.size)) for e in (got, want))
-            assert np.array_equal(got_owner, want_owner)
-            assert np.array_equal(got.cells[got_at], want.cells[want_at])
+            got = entries(_capped_op_table(inst, klim, model))
+            want = entries(build_ops_graph(inst, tuple(range(7)), None, model=model,
+                                           size_cap=klim))
+            for got_field, want_field in zip(got[:3], want[:3]):
+                assert np.array_equal(got_field, want_field)
             if klim <= 2:
-                assert np.array_equal(got.values[got_at], want.values[want_at])
+                assert np.array_equal(got[3], want[3])
             else:
-                assert np.allclose(got.values[got_at], want.values[want_at], rtol=0, atol=1e-12)
+                assert np.allclose(got[3], want[3], rtol=0, atol=1e-12)
 
 
 def test_limop_not_below_exact_small_setting():

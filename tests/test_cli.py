@@ -131,6 +131,19 @@ def test_zero_flight_current_is_clean_error(tmp_path, capsys):
     assert err.startswith("error: ") and "r_fl" in err
 
 
+def test_infeasible_solve_is_clean_error(tmp_path, capsys):
+    # the usable charge covers takeoff and landing and almost no flight, so
+    # no tour exists; ``main`` reports it like any other solver error
+    inst_path, costs = tmp_path / "inst.json", tmp_path / "costs.json"
+    save_instance(random_instance(2, n_d=4, n_r=3), inst_path)
+    costs.write_text(json.dumps({"xi_max": (581658.0 + 15202.0 + 1.0) / 0.9}))
+    for algo in ("exact", "limop", "vlsn"):
+        assert main(["solve", "--algo", algo, "--model", "extended", "--extended",
+                     str(costs), "-i", str(inst_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no feasible tour" in err
+
+
 # a JSON number that parses to +inf
 BIG = "__1e400__"
 # top-level fields of a saved instance (the free-text name aside), and the

@@ -8,10 +8,10 @@ from drpe.exact import full_meta_sweep, solve_exact
 from drpe.io import save_instance
 from drpe.generator import random_instance
 from drpe.model import BaseCostModel, SizeGuardError, validate_tour
+from drpe.opsgraph import OperationCostTable
 from drpe.oracle import brute_force_optimum
 from drpe.search import vlsn
 from drpe.baselines import initial_tsp_sequence, limop
-from tests.conftest import entry_list
 
 
 def test_single_destination_closed_form():
@@ -86,7 +86,8 @@ def test_sweep_accepts_custom_tables():
     for v in range(4):
         mat = inst.cd_rd[:, v][:, None] + inst.cd_dr[v, :][None, :]
         makespans[1 << v] = BaseCostModel(inst).price(mat)
-    tour, _ = full_meta_sweep(inst, entry_list(makespans, inst.n_r))
+    table = OperationCostTable.from_dense(inst.n_d, inst.n_r, makespans.items())
+    tour, _ = full_meta_sweep(inst, table)
     assert len(tour.operations()) == 4
     assert validate_tour(tour, inst).passed
     assert tour.makespan >= solve_exact(inst).makespan - 1e-9

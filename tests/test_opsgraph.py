@@ -14,14 +14,13 @@ from drpe.opsgraph import (
     _levels,
     _min_over_rows,
     build_ops_graph,
-    cell_rls,
     ops_nonterminal_state_bound,
     recover_operation_order,
     set_window_valid,
     valid_successor_indices,
 )
 from drpe.oracle import enumerate_valid_operation_sequences
-from tests.conftest import FlightPricing, binding_extended_model, dense_view
+from tests.conftest import FlightPricing, binding_extended_model, dense_view, entries
 
 
 def _mask(*positions):
@@ -90,7 +89,7 @@ def test_invalid_set_is_never_reached():
     # {v1,v2,v4,v5} with p=2 misses interior v3 and must not appear as a key
     inst = random_instance(0, n_d=5, n_r=3)
     table = build_ops_graph(_unlimited(inst), tuple(range(5)), 2)
-    assert _mask(0, 1, 3, 4) not in table.entry_list().masks.tolist()
+    assert _mask(0, 1, 3, 4) not in table.sets()[0].tolist()
     assert not set_window_valid(_mask(0, 1, 3, 4), 2)
 
 
@@ -126,7 +125,7 @@ def test_p1_table_is_exactly_contiguous_blocks():
     for a in range(6):
         for b in range(a, 6):
             blocks.add(_mask(*range(a, b + 1)))
-    assert set(table.entry_list().masks.tolist()) == blocks
+    assert set(table.sets()[0].tolist()) == blocks
 
 
 def _finalized(table, model):
@@ -142,7 +141,7 @@ def _flight_table(inst, x, p, model, **kwargs):
     to hold exactly ``model.price`` of them."""
     flights = build_ops_graph(inst, x, p, model=FlightPricing(model), **kwargs)
     table = build_ops_graph(inst, x, p, model=model, **kwargs)
-    dense, flight = dense_view(table.entry_list()), dense_view(flights.entry_list())
+    dense, flight = dense_view(table), dense_view(flights)
     assert set(dense) == set(flight)
     for m, mat in flight.items():
         assert np.array_equal(dense[m], model.price(mat))
@@ -178,7 +177,7 @@ def _capped_table(inst, x, size_cap, model):
 
 
 def _assert_same_table(table, oracle):
-    dense = dense_view(table.entry_list())
+    dense = dense_view(table)
     assert set(dense) == set(oracle)
     for m, mat in dense.items():
         assert np.allclose(mat, oracle[m], atol=1e-9)
@@ -219,7 +218,7 @@ def test_unrestricted_size_cap_matches_capped_bruteforce(size_cap):
 def test_table_respects_energy_filter():
     inst = random_instance(4, n_d=5, n_r=3)
     table = build_ops_graph(inst, tuple(range(5)), 2, model=FlightPricing(BaseCostModel(inst)))
-    for m, mat in dense_view(table.entry_list()).items():
+    for m, mat in dense_view(table).items():
         finite = mat[np.isfinite(mat)]
         assert (finite <= inst.e_max + 1e-9).all()
 
@@ -228,7 +227,7 @@ def test_values_monotone_in_p():
     inst = random_instance(6, n_d=6, n_r=3)
     x = tuple(range(6))
     model = FlightPricing(BaseCostModel(inst))
-    tables = {p: dense_view(build_ops_graph(inst, x, p, model=model).entry_list())
+    tables = {p: dense_view(build_ops_graph(inst, x, p, model=model))
               for p in (1, 2, 3, 6)}
     for p_small, p_big in ((1, 2), (2, 3), (3, 6)):
         small, big = tables[p_small], tables[p_big]
@@ -253,7 +252,7 @@ def test_recover_reproduces_best_order():
                                            [2, 3, 4, None]):
         table = build_ops_graph(inst, x, p, model=FlightPricing(make_model(inst)))
         checked = 0
-        for m, mat in dense_view(table.entry_list()).items():
+        for m, mat in dense_view(table).items():
             for w, wp in zip(*np.nonzero(np.isfinite(mat))):
                 order = recover_operation_order(inst, x, m, int(w), int(wp), p)
                 assert sorted(order) == [t for t in range(6) if (m >> t) & 1]
@@ -284,7 +283,7 @@ def _check_recovered_orders(inst, x, p, model, per_table=None):
     """Every recovered order (or ``per_table`` sampled ones), re-flown,
     reproduces its table entry bitwise (the table holds flights)."""
     table = build_ops_graph(inst, x, p, model=FlightPricing(model))
-    dense = dense_view(table.entry_list())
+    dense = dense_view(table)
     cells = [(m, int(w), int(wp)) for m, mat in dense.items()
              for w, wp in zip(*np.nonzero(np.isfinite(mat)))]
     if per_table is not None and len(cells) > per_table:
@@ -346,18 +345,12 @@ def _dense_table(inst, x, p, model, size_cap=None):
 def _assert_matches_dense_close(inst, x, p, model, size_cap=None):
     table = build_ops_graph(inst, x, p, model=model, size_cap=size_cap)
     dense = _dense_table(inst, x, p, model, size_cap)
-    view = dense_view(table.entry_list())
+    view = dense_view(table)
     assert list(view) == list(dense)
     for m, mat in dense.items():
         assert np.array_equal(view[m], mat)
-    # each set row's run of entries, read through its own bounds
-    for k, ks in enumerate(table.keys):
-        for m, lo, hi in zip(table.layout.masks(ks).tolist(), table.starts[k], table.stops[k]):
-            mat = np.full((inst.n_r, inst.n_r), np.inf)
-            mat[cell_rls(table.cells[k][lo:hi], inst.n_r)] = table.values[k][lo:hi]
-            assert np.array_equal(mat, dense[m])
     # the tracer's ``opsgraph.build_ops_graph.entries`` reads terminal_entries
-    stored = sum(v.size for v in table.values)
+    stored = entries(table)[3].size
     assert table.stats.terminal_entries == stored
     assert stored == sum(int(np.isfinite(mat).sum()) for mat in dense.values())
 
@@ -394,7 +387,7 @@ def test_close_keeps_a_flight_exactly_at_the_cap():
     model.flight_cap = float(inst.cd_rd[0, 0] + inst.cd_dr[0, 0])
     _assert_matches_dense_close(inst, tuple(range(5)), 2, model)
     table = build_ops_graph(inst, tuple(range(5)), 2, model=model)
-    assert dense_view(table.entry_list())[1][0, 0] == model.flight_cap
+    assert dense_view(table)[1][0, 0] == model.flight_cap
 
 
 def test_large_p3_table_holds_under_2mb():

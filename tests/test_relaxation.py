@@ -22,7 +22,7 @@ from drpe.model import (
     TimeLimitError,
     build_tour,
 )
-from drpe.opsgraph import build_ops_graph, recover_operation_order
+from drpe.opsgraph import OperationCostTable, build_ops_graph, recover_operation_order
 from drpe.oracle import brute_force_optimum
 from tests.conftest import FlightPricing, binding_extended_model, dense_view, two_step_price
 
@@ -45,7 +45,7 @@ def _per_arc_solve_meta(costs, inst, x, p, model):
     ptr_eps = [[[None] * n_r for _ in range(n_pat)] for _ in range(n_d + 1)]
     zeta[0, 0] = c_r[inst.w0]
     h_max = min(costs.max_op_size, n_d)
-    dense = dense_view(costs.entry_list())
+    dense = dense_view(costs)
     for k in range(n_d + 1):
         if k > 0:
             for b_id in range(n_pat):
@@ -172,10 +172,27 @@ def test_batched_sweep_matches_dense_loop(make_model):
         table = build_ops_graph(inst, tuple(range(inst.n_d)), None, model=model)
         flights = build_ops_graph(inst, tuple(range(inst.n_d)), None,
                                   model=FlightPricing(model))
-        zeta, eps, arcs = _dense_sweep(inst, dense_view(flights.entry_list()), model)
-        new_zeta, new_eps, new_arcs = _sweep_values(inst, table.entry_list())
+        zeta, eps, arcs = _dense_sweep(inst, dense_view(flights), model)
+        new_zeta, new_eps, new_arcs = _sweep_values(inst, table)
         assert np.array_equal(new_zeta, zeta) and np.array_equal(new_eps, eps)
         assert new_arcs == arcs
+
+
+@pytest.mark.parametrize("make_model", MODELS)
+def test_table_rebuilt_from_its_dense_view_sweeps_alike(make_model):
+    insts = [random_instance(seed, n_d=n_d, n_r=n_r)
+             for seed, n_d, n_r in ((0, 6, 3), (1, 8, 4), (3, 5, 1))]
+    insts += [_twin_instance(5), generate(get_setting("Basis", "small"), 1)]
+    for inst in insts:
+        model = make_model(inst)
+        table = build_ops_graph(inst, tuple(range(inst.n_d)), None, model=model)
+        rebuilt = OperationCostTable.from_dense(inst.n_d, inst.n_r, dense_view(table).items())
+        zeta, eps, arcs = _sweep_values(inst, table)
+        new_zeta, new_eps, new_arcs = _sweep_values(inst, rebuilt)
+        assert zeta.tobytes() == new_zeta.tobytes() and eps.tobytes() == new_eps.tobytes()
+        assert new_arcs == arcs
+        assert (repr(full_meta_sweep(inst, rebuilt, model)[0])
+                == repr(full_meta_sweep(inst, table, model)[0]))
 
 
 @pytest.mark.parametrize("make_model", MODELS)
@@ -261,7 +278,7 @@ def test_time_limit_stops_exact_and_limop():
         limop(inst, klim=2, time_limit=0)
     table = build_ops_graph(inst, tuple(range(inst.n_d)), None)
     with pytest.raises(TimeLimitError):
-        full_meta_sweep(inst, table.entry_list(), deadline=0.0)
+        full_meta_sweep(inst, table, deadline=0.0)
 
 
 def test_reports_carry_layer_times():

@@ -153,6 +153,39 @@ def test_shifted_permutations_shape():
             assert y != x
 
 
+def _copied_block_shifted_permutations(x, p):
+    """The two copied pop/insert blocks ``shifted_permutations`` replaced,
+    kept as its oracle."""
+    x = list(x)
+    n = len(x)
+    out, seen = [], {tuple(x)}
+    for a in range(min(p - 1, n)):
+        for b in range(p - 1 - a):
+            y = list(x)
+            v = y.pop(a)
+            y.insert(len(y) - b, v)
+            t = tuple(y)
+            if t not in seen:
+                seen.add(t)
+                out.append(t)
+            y = list(x)
+            v = y.pop(n - 1 - a)
+            y.insert(b, v)
+            t = tuple(y)
+            if t not in seen:
+                seen.add(t)
+                out.append(t)
+    return out
+
+
+def test_shifted_permutations_match_the_copied_blocks():
+    # vlsn keeps the first strictly better order, so the order counts too
+    for n in range(12):
+        x = tuple(np.random.default_rng(n).permutation(n).tolist())
+        for p in range(1, 10):
+            assert shifted_permutations(x, p) == _copied_block_shifted_permutations(x, p)
+
+
 def test_single_depot_extension_only_helps():
     for seed in range(4):
         inst = random_instance(seed, n_d=7, n_r=3, single_depot=True)

@@ -110,7 +110,7 @@ def _lookup_against_dict(p, q, share, seed=0):
                     elif rng.random() < share:
                         held.add(mask)
     table = _table(n_d, q, held)
-    assert set(table.entry_list().masks.tolist()) == held
+    assert set(table.sets()[0].tolist()) == held
     stage, gap, a, b, keys, rows = table_arcs(table, lookup, valid_at)
     masks = table.layout.masks(keys).tolist()
     got = [arc for arc in zip(stage.tolist(), gap.tolist(), a.tolist(), b.tolist(), masks)
