@@ -210,20 +210,19 @@ def _capped_op_table(inst: Instance, klim: int, model, deadline=None) -> Operati
     """Makespan of the minimal flight per (w, set, w') over sets of at most
     klim destinations, by exhaustive ordering; ``deadline`` is checked once
     per set size."""
-    pairs = []
-    for size in range(1, klim + 1):
-        check_deadline(deadline)
-        for combo in itertools.combinations(range(inst.n_d), size):
-            best = np.full((inst.n_r, inst.n_r), np.inf)
-            for perm in itertools.permutations(combo):
-                chain = 0.0
-                for a, b in zip(perm, perm[1:]):
-                    chain += inst.cd_dd[a, b]
-                mat = (inst.cd_rd[:, perm[0], None] + chain
-                       + inst.cd_dr[None, perm[-1], :])
-                np.minimum(best, mat, out=best)
-            pairs.append((sum(1 << v for v in combo), model.price(best)))
-    return OperationCostTable.from_dense(inst.n_d, inst.n_r, pairs)
+    def pairs():
+        for size in range(1, klim + 1):
+            check_deadline(deadline)
+            for combo in itertools.combinations(range(inst.n_d), size):
+                best = np.full((inst.n_r, inst.n_r), np.inf)
+                for perm in itertools.permutations(combo):
+                    chain = sum(inst.cd_dd[a, b] for a, b in zip(perm, perm[1:]))
+                    mat = (inst.cd_rd[:, perm[0], None] + chain
+                           + inst.cd_dr[None, perm[-1], :])
+                    np.minimum(best, mat, out=best)
+                yield sum(1 << v for v in combo), model.price(best)
+
+    return OperationCostTable.from_dense(inst.n_d, inst.n_r, pairs())
 
 
 def limop(inst: Instance, klim: int = 2, model: Optional[object] = None,

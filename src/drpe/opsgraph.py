@@ -303,24 +303,25 @@ class OperationCostTable:
     @classmethod
     def from_dense(cls, n_d: int, n_r: int, pairs) -> "OperationCostTable":
         """The table of every subset (width None, identity order) that holds
-        the (bitmask, (n_r, n_r) makespans) ``pairs``; +inf makespans, and
-        sets without a finite one, are left out."""
-        layout, pairs = SetKey(n_d, None), [(int(m), mat) for m, mat in pairs]
-        keys = np.array([layout.key(m) for m, _ in pairs], dtype=np.int64)
-        size = np.array([m.bit_count() for m, _ in pairs], dtype=np.int64)
-        mats = np.array([mat.ravel() for _, mat in pairs]).reshape(-1, n_r * n_r)
-        finite = np.isfinite(mats)
+        the (bitmask, (n_r, n_r) makespans) ``pairs``, read one at a time:
+        only finite makespans are kept, and sets without one are left out."""
+        layout, grid, sets = SetKey(n_d, None), rl_cells(n_r), []
+        for mask, mat in pairs:
+            flat = np.ravel(mat)
+            at = np.flatnonzero(np.isfinite(flat))
+            if at.size:
+                sets.append((int(mask).bit_count(), layout.key(int(mask)), grid[at], flat[at]))
+        sets.sort(key=lambda s: s[:2])
         table = cls([], [], [], [], [], layout, None, tuple(range(n_d)), n_r, OpsGraphStats())
         for k in range(n_d + 1):
-            sel = np.flatnonzero((size == k) & finite.any(axis=1))
-            sel = sel[np.argsort(keys[sel])]
-            count = finite[sel].sum(axis=1)
-            table.keys.append(keys[sel])
+            group = [s for s in sets if s[0] == k]
+            count = np.array([s[2].size for s in group], dtype=np.int64)
+            table.keys.append(np.array([s[1] for s in group], dtype=np.int64))
             table.stops.append(np.cumsum(count))
             table.starts.append(table.stops[-1] - count)
-            table.cells.append(np.broadcast_to(rl_cells(n_r), mats.shape)[sel][finite[sel]])
-            table.values.append(mats[sel][finite[sel]])
-        table.stats.terminal_entries = int(finite.sum())
+            table.cells.append(np.concatenate([grid[:0], *(s[2] for s in group)]))
+            table.values.append(np.concatenate([np.empty(0), *(s[3] for s in group)]))
+        table.stats.terminal_entries = sum(s[2].size for s in sets)
         return table
 
 

@@ -1,6 +1,6 @@
 """One sha256 over the tours and makespans of a fixed list of solves.
 
-    python3 tools/tour_digest.py [SRC] [--verbose]
+    python3 tools/tour_digest.py [SRC]
 
 SRC is the `src` directory of the tree to check (default: this tree's). Run
 it on two trees to check that a change keeps every tour bitwise identical:
@@ -8,7 +8,7 @@ the digests must be equal. The list covers every solve of the perfbench
 workloads (read from the perfbench directory next to SRC), `solve_exact`
 and `limop` (klim 1-3) under both cost models, `vlsn` at p 1-4, and
 `split_optimal` from the initial order and from random orders, on random
-instances and on the Basis instances. --verbose prints one line per solve.
+instances and on the Basis instances.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ def solves(drpe, workloads):
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("src", nargs="?", default=str(Path(__file__).resolve().parents[1] / "src"))
-    ap.add_argument("--verbose", action="store_true")
     args = ap.parse_args(argv)
     src = Path(args.src).resolve()
     sys.path[:0] = [str(src), str(src.parent / "perfbench")]
@@ -87,8 +86,6 @@ def main(argv=None) -> int:
         tour = getattr(result, "tour", result)
         digest.update(f"{label}\n{tour!r}\n{tour.makespan!r}\n".encode())
         count += 1
-        if args.verbose:
-            print(f"{label}: {tour.makespan!r}")
     print(f"{digest.hexdigest()}  {count} solves")
     return 0
 
