@@ -9,13 +9,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from drpe.baselines import initial_tsp_sequence, limop
+from drpe.baselines import _capped_op_table, initial_tsp_sequence, limop
+import drpe.exact
 from drpe.exact import _masks_by_popcount, _sweep_values, full_meta_sweep, solve_exact
 from drpe.generator import get_setting, generate, metrics_from_coords, random_instance
 import drpe.metagraph
+import drpe.opsgraph
 from drpe.metagraph import _meta_values, get_transition_lookup, solve_meta
 from drpe.model import (
     BaseCostModel,
+    InfeasibleError,
     Instance,
     Operation,
     RechargingLeg,
@@ -162,20 +165,106 @@ def test_batched_stage2_matches_per_arc_loop(make_model):
         assert repr(solve_meta(table, inst, x, p, model)[0]) == repr(tour)
 
 
+def _assert_sweep_matches_dense_loop(inst, model, build):
+    """``_sweep_values`` on the table ``build(model)`` against ``_dense_sweep``
+    on the same table priced from its minimal flights: value bytes and arc
+    count. Returns the sweep's (zeta, eps, arcs)."""
+    zeta, eps, arcs = _dense_sweep(inst, dense_view(build(FlightPricing(model))), model)
+    new_zeta, new_eps, new_arcs = _sweep_values(inst, build(model))
+    assert np.ascontiguousarray(new_zeta.T).tobytes() == zeta.tobytes()
+    assert np.ascontiguousarray(new_eps.T).tobytes() == eps.tobytes()
+    assert new_arcs == arcs
+    return new_zeta, new_eps, new_arcs
+
+
 @pytest.mark.parametrize("make_model", MODELS)
 def test_batched_sweep_matches_dense_loop(make_model):
     insts = [random_instance(seed, n_d=n_d, n_r=n_r)
              for seed, n_d, n_r in ((0, 6, 3), (1, 8, 4), (2, 9, 2), (3, 5, 1))]
     insts += [_twin_instance(5), generate(get_setting("Basis", "small"), 1)]
     for inst in insts:
-        model = make_model(inst)
-        table = build_ops_graph(inst, tuple(range(inst.n_d)), None, model=model)
-        flights = build_ops_graph(inst, tuple(range(inst.n_d)), None,
-                                  model=FlightPricing(model))
-        zeta, eps, arcs = _dense_sweep(inst, dense_view(flights), model)
-        new_zeta, new_eps, new_arcs = _sweep_values(inst, table)
-        assert np.array_equal(new_zeta, zeta) and np.array_equal(new_eps, eps)
-        assert new_arcs == arcs
+        _assert_sweep_matches_dense_loop(
+            inst, make_model(inst),
+            lambda m: build_ops_graph(inst, tuple(range(inst.n_d)), None, model=m))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 10_000), n_d=st.integers(1, 12), n_r=st.integers(1, 4),
+       emax_scale=st.sampled_from([0.5, 1.0, 2.5]), make_model=st.sampled_from(MODELS),
+       klim=st.sampled_from([None, 1, 2, 3]))
+def test_sweep_matches_dense_loop_on_generated_tables(seed, n_d, n_r, emax_scale,
+                                                      make_model, klim):
+    # at half the generated e_max the farthest destinations are often out
+    # of reach, so every set holding one is unreachable and so is every
+    # source that holds one: the arc count must leave those sources out
+    inst = random_instance(seed, n_d=n_d, n_r=n_r)
+    inst = dataclasses.replace(inst, e_max=inst.e_max * emax_scale)
+    if klim is None:
+        build = lambda model: build_ops_graph(inst, tuple(range(n_d)), None, model=model)
+    else:
+        build = lambda model: _capped_op_table(inst, klim, model)
+    _assert_sweep_matches_dense_loop(inst, make_model(inst), build)
+
+
+@pytest.mark.parametrize("make_model", MODELS)
+def test_sweep_edges_match_dense_loop(make_model):
+    # one destination: one set, one level with a source
+    inst = random_instance(5, n_d=1, n_r=3)
+    model = make_model(inst)
+    _assert_sweep_matches_dense_loop(
+        inst, model, lambda m: build_ops_graph(inst, (0,), None, model=m))
+    assert len(full_meta_sweep(inst, build_ops_graph(inst, (0,), None, model=model),
+                               model)[0].operations()) == 1
+    # a table of one set, the full one: one batch, relaxed from mask 0 only
+    inst = random_instance(6, n_d=3, n_r=3, emax_factor=8.0)
+    model = make_model(inst)
+    full = build_ops_graph(inst, (0, 1, 2), None, model=FlightPricing(model))
+    one_set = lambda m: OperationCostTable.from_dense(
+        3, 3, [(0b111, m.price(dense_view(full)[0b111]))])
+    _, _, arcs = _assert_sweep_matches_dense_loop(inst, model, one_set)
+    assert arcs == 1
+    tour, _ = full_meta_sweep(inst, one_set(model), model)
+    assert len(tour.operations()) == 1
+
+
+@pytest.mark.parametrize("make_model", MODELS)
+def test_sweep_raises_infeasible_without_a_tour(make_model):
+    # at half its e_max, destination 4 of this instance is out of reach
+    inst = random_instance(3, n_d=5, n_r=3)
+    inst = dataclasses.replace(inst, e_max=inst.e_max * 0.5)
+    model = make_model(inst)
+    build = lambda m: build_ops_graph(inst, tuple(range(5)), None, model=m)
+    zeta, _, _ = _assert_sweep_matches_dense_loop(inst, model, build)
+    assert not np.isfinite(zeta[:, -1]).any()
+    with pytest.raises(InfeasibleError):
+        full_meta_sweep(inst, build(model), model)
+
+
+def test_time_limit_trips_inside_a_sweep_level(monkeypatch):
+    # tiny blocks split level 0 (the empty source) into several; once one
+    # block has run the limit counts as passed, so no further block runs
+    inst = random_instance(1, n_d=8, n_r=3)
+    table = build_ops_graph(inst, tuple(range(8)), None)
+    monkeypatch.setattr(drpe.opsgraph, "CHUNK_VALUES", 64)
+    levels = []
+    relax_block = drpe.exact._relax_block
+
+    def counted(zeta, eps, S, *rest):
+        levels.append(int(S[0, 0]).bit_count())
+        relax_block(zeta, eps, S, *rest)
+    monkeypatch.setattr(drpe.exact, "_relax_block", counted)
+    _sweep_values(inst, table)
+    assert levels.count(0) > 1
+    levels.clear()
+
+    def check_deadline(deadline):
+        if levels:
+            raise TimeLimitError("time limit reached")
+    monkeypatch.setattr(drpe.exact, "check_deadline", check_deadline)
+    with pytest.raises(TimeLimitError):
+        _sweep_values(inst, table, deadline=0.0)
+    assert levels == [0]
 
 
 @pytest.mark.parametrize("make_model", MODELS)
