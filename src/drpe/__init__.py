@@ -21,7 +21,6 @@ from .model import (
     validate_tour,
 )
 from .oracle import (
-    Permutation,
     brute_force_optimum,
     enumerate_bs_neighbors,
     is_bs_neighbor,

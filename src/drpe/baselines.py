@@ -243,7 +243,6 @@ def limop(inst: Instance, klim: int = 2, model: Optional[object] = None,
 
     tour, stats = full_meta_sweep(inst, table, model, deadline)
     return SolveReport(algorithm=f"limop(klim={klim})", tour=tour,
-                       makespan=tour.makespan,
                        meta_states=stats["meta_states"],
                        meta_arcs=stats["meta_arcs"],
                        wall_time=time.perf_counter() - t0,
@@ -286,9 +285,8 @@ def rts_3nn(inst: Instance, config: Optional[BaselineConfig] = None,
             best = tour
     if best is None:  # zero-budget call still returns a feasible tour
         best = split_optimal(_randomized_3nn_order(inst, rng), inst, model=model)
-    return SolveReport(algorithm="rts-3nn", tour=best, makespan=best.makespan,
-                       iterations=done, wall_time=time.perf_counter() - t0,
-                       extras={"seed": config.seed})
+    return SolveReport(algorithm="rts-3nn", tour=best, iterations=done,
+                       wall_time=time.perf_counter() - t0, extras={"seed": config.seed})
 
 
 def _three_opt_move(order: list, rng: np.random.Generator) -> list:
@@ -342,7 +340,7 @@ def sa_rts_3opt(inst: Instance, config: Optional[BaselineConfig] = None,
                 best = tour
         if (it + 1) % SA_MOVES_PER_TEMP == 0:
             temp *= SA_COOLING
-    return SolveReport(algorithm="sa-rts-3opt", tour=best, makespan=best.makespan,
-                       iterations=done, wall_time=time.perf_counter() - t0,
+    return SolveReport(algorithm="sa-rts-3opt", tour=best, iterations=done,
+                       wall_time=time.perf_counter() - t0,
                        extras={"seed": config.seed, "t0": config.sa_t0_fraction,
                                "cooling": SA_COOLING})

@@ -14,9 +14,9 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from contextlib import nullcontext
+from dataclasses import fields
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .energy import ExtendedCostModel, ExtendedCosts, pract
 from .exact import solve_exact
 from .generator import SETTING_NAMES, SIZE_NAMES, all_settings, generate, get_setting
 from .io import load_instance, load_solution, save_instance, save_solution
-from .metagraph import count_bs_sequences, enumerate_valid_patterns, get_transition_lookup
+from .metagraph import count_bs_sequences, get_transition_lookup
 from .model import (
     BaseCostModel,
     DrpeError,
@@ -47,10 +47,10 @@ EXIT_SIZE_GUARD = 3
 
 
 def _cost_model(inst, args):
-    if getattr(args, "model", "base") != "extended":
+    if args.model != "extended":
         return BaseCostModel(inst)
     costs = ExtendedCosts()
-    if getattr(args, "extended", None):
+    if args.extended:
         doc = json.loads(Path(args.extended).read_text(encoding="utf-8"))
         if not isinstance(doc, dict):
             raise SchemaError("--extended file must hold a JSON object")
@@ -64,38 +64,39 @@ def _cost_model(inst, args):
     return ExtendedCostModel(inst, costs)
 
 
-def _run_algorithm(inst, algo: str, args) -> SolveReport:
-    model = _cost_model(inst, args)
-    seed = getattr(args, "seed", 0) or 0
-    time_limit = getattr(args, "time_limit", None)
-    p = getattr(args, "p", 4)
-    cfg = SearchConfig(p0=getattr(args, "p0", 2),
-                       p_max=getattr(args, "p_max", 8),
-                       time_limit=time_limit)
+def _run_algorithm(inst, algo: str, args, model) -> SolveReport:
     if algo == "vlsn":
-        return vlsn(inst, initial_tsp_sequence(inst), p, model=model)
-    if algo == "vlsn-ls":
-        return vlsn_ls(inst, p=p, model=model, config=cfg)
-    if algo == "vlsn-vnd":
+        return vlsn(inst, initial_tsp_sequence(inst), args.p, model=model)
+    if algo in ("vlsn-ls", "vlsn-vnd"):
+        cfg = SearchConfig(p0=args.p0, p_max=args.p_max, time_limit=args.time_limit)
+        if algo == "vlsn-ls":
+            return vlsn_ls(inst, p=args.p, model=model, config=cfg)
         return vlsn_vnd(inst, config=cfg, model=model)
     if algo == "rts":
         return rts(inst, model=model)
     if algo == "exact":
-        return solve_exact(inst, model=model, time_limit=time_limit)
+        return solve_exact(inst, model=model, time_limit=args.time_limit)
     if algo == "limop":
-        return limop(inst, getattr(args, "klim", 2), model=model,
-                     time_limit=time_limit)
-    if algo == "rts3nn":
-        return rts_3nn(inst, BaselineConfig(iterations=getattr(args, "budget", 200),
-                                            seed=seed, time_limit=time_limit), model=model)
-    if algo == "sa":
-        return sa_rts_3opt(inst, BaselineConfig(iterations=getattr(args, "budget", 200),
-                                                seed=seed, time_limit=time_limit), model=model)
+        return limop(inst, args.klim, model=model, time_limit=args.time_limit)
+    if algo in ("rts3nn", "sa"):
+        cfg = BaselineConfig(iterations=args.budget, seed=args.seed,
+                             time_limit=args.time_limit)
+        return (rts_3nn if algo == "rts3nn" else sa_rts_3opt)(inst, cfg, model=model)
     if algo == "pract":
         if not isinstance(model, ExtendedCostModel):
             raise ValueError("pract requires --model extended")
         return pract(inst, model.costs)
     raise ValueError(f"unknown algorithm {algo!r}")
+
+
+def _solve(inst, args):
+    """(report, validation) of one run of ``args.algo``: the tour is checked
+    under the cost model it was solved with. ``pract`` knowingly overruns
+    the energy budget, so its energy is audited, not failed."""
+    model = _cost_model(inst, args)
+    report = _run_algorithm(inst, args.algo, args, model)
+    check = validate_tour(report.tour, inst, model, energy_required=args.algo != "pract")
+    return report, check
 
 
 # ---------------------------------------------------------------------------
@@ -128,11 +129,7 @@ def cmd_generate(args) -> int:
 
 def cmd_solve(args) -> int:
     inst = load_instance(args.instance, metric_closure=args.metric_closure)
-    report = _run_algorithm(inst, args.algo, args)
-
-    model = _cost_model(inst, args)
-    energy_required = args.algo != "pract"
-    check = validate_tour(report.tour, inst, model, energy_required=energy_required)
+    report, check = _solve(inst, args)
     if not check.passed:
         print("solution failed validation:", file=sys.stderr)
         print(str(check), file=sys.stderr)
@@ -171,19 +168,17 @@ def cmd_enumerate(args) -> int:
 
 def cmd_dump_lookup(args) -> int:
     p = args.p
-    patterns = enumerate_valid_patterns(p)
     lookup = get_transition_lookup(p)
-    writer = csv.writer(sys.stdout if not args.out else open(args.out, "w", newline=""))
-    header = ["id", "s_minus", "s_plus"] + [f"h={h}" for h in range(1, p)]
-    writer.writerow(header)
-    for ai, pat in enumerate(patterns):
-        row = [ai + 1,
-               "{" + ",".join(f"k+{d}" for d in pat.minus) + "}",
-               "{" + ",".join(f"k{d:+d}" if d else "k" for d in pat.plus) + "}"]
-        for h in range(1, p):
-            succ = [str(bi + 1) for bi, _ in lookup.successors(ai, h)]
-            row.append(",".join(succ))
-        writer.writerow(row)
+    with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "s_minus", "s_plus"] + [f"h={h}" for h in range(1, p)])
+        for ai, pat in enumerate(lookup.patterns):
+            row = [ai + 1,
+                   "{" + ",".join(f"k+{d}" for d in pat.minus) + "}",
+                   "{" + ",".join(f"k{d:+d}" if d else "k" for d in pat.plus) + "}"]
+            for h in range(1, p):
+                row.append(",".join(str(bi + 1) for bi, _ in lookup.successors(ai, h)))
+            writer.writerow(row)
     return 0
 
 
@@ -191,48 +186,32 @@ def cmd_dump_lookup(args) -> int:
 # Benchmark campaigns
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BenchmarkResult:
-    """One campaign cell; gap is relative to the exact optimum where
-    available, else to the best-known value."""
-
-    setting: str
-    instance: str
-    algorithm: str
-    value: float
-    reference: Optional[float]
-    gap_pct: Optional[float]
-    runtime_s: float
-    seed: int
-    config_hash: str
-    status: str = "ok"
-    layers: dict = field(default_factory=dict)  # seconds per solver layer
-
-
 def _config_hash(payload: dict) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:12]
 
 
 def _bench_cell(payload):
-    """Worker: one (instance, algorithm) cell."""
-    ns = argparse.Namespace(**payload["args"])
+    """Worker: one (instance, algorithm) cell, solved and validated as
+    ``drpe solve`` does. A refused, infeasible or timed-out solve and a tour
+    that fails validation are failed cells, with no value."""
+    args = argparse.Namespace(**payload["args"], algo=payload["algo"])
     inst = load_instance(payload["path"])
     t0 = time.perf_counter()
-    layers = {}
+    value, layers, status = float("nan"), {}, "error: failed validation"
     try:
-        report = _run_algorithm(inst, payload["algo"], ns)
-        value = report.makespan
-        status = "ok"
-        layers = report.extras.get("layers", {})
+        report, check = _solve(inst, args)
+        if check.passed:
+            value, layers, status = report.makespan, report.extras.get("layers", {}), "ok"
     except (SizeGuardError, InfeasibleError, TimeLimitError) as exc:
-        value, status = float("nan"), f"error: {exc}"
-    elapsed = time.perf_counter() - t0
+        status = f"error: {exc}"
     return {"path": payload["path"], "algo": payload["algo"], "value": value,
-            "time": elapsed, "status": status, "setting": payload["setting"],
-            "seed": payload["args"].get("seed", 0), "layers": layers}
+            "time": time.perf_counter() - t0, "status": status,
+            "setting": payload["setting"], "seed": args.seed, "layers": layers}
 
 
 def _instance_files(directory: Path) -> list:
+    """(path, setting) of each instance file: the setting named in the
+    file's ``extra``, else the first ``_``-separated field of its name."""
     files = []
     for f in sorted(directory.glob("*.json")):
         if f.name in ("manifest.json", "best_known.json"):
@@ -242,16 +221,10 @@ def _instance_files(directory: Path) -> list:
         except (json.JSONDecodeError, OSError):
             continue
         if isinstance(doc, dict) and "n_d" in doc:  # skip solutions etc.
-            files.append(f)
+            extra, setting = doc.get("extra", {}), f.stem.split("_")[0]
+            files.append((f, extra.get("setting", setting) if isinstance(extra, dict)
+                          else setting))
     return files
-
-
-def _setting_of(path: Path) -> str:
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        return doc.get("extra", {}).get("setting", path.stem.split("_")[0])
-    except Exception:
-        return path.stem.split("_")[0]
 
 
 def _registry_model(args) -> str:
@@ -278,12 +251,12 @@ def cmd_bench(args) -> int:
             print(f"unknown algorithm {a!r}", file=sys.stderr)
             return 2
 
-    shared = {"seed": args.seed or 0, "p": args.p, "p0": args.p0,
+    shared = {"seed": args.seed, "p": args.p, "p0": args.p0,
               "p_max": args.p_max, "klim": args.klim, "budget": args.budget,
               "time_limit": args.time_limit, "model": args.model,
               "extended": args.extended}
-    cells = [{"path": str(f), "algo": a, "setting": _setting_of(f), "args": shared}
-             for f in files for a in algos]
+    cells = [{"path": str(f), "algo": a, "setting": setting, "args": shared}
+             for f, setting in files for a in algos]
 
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
@@ -322,55 +295,50 @@ def cmd_bench(args) -> int:
     registry_path.write_text(json.dumps(registry, indent=2, sort_keys=True),
                              encoding="utf-8")
 
-    config_hash = _config_hash(shared | {"algos": algos})
-    rows = []
     for r in results:
-        ref = references.get(r["path"])
-        gap = None
-        if (ref is not None and r["status"] == "ok" and np.isfinite(r["value"])):
-            gap = (r["value"] - ref) / ref * 100.0
-            if gap < -1e-7:
+        r["reference"], r["gap"] = references.get(r["path"]), None
+        if r["reference"] is not None and r["status"] == "ok" and np.isfinite(r["value"]):
+            r["gap"] = (r["value"] - r["reference"]) / r["reference"] * 100.0
+            if r["gap"] < -1e-7:
                 print(f"error: {r['path']}:{r['algo']} beat the reference by "
-                      f"{-gap}%", file=sys.stderr)
+                      f"{-r['gap']}%", file=sys.stderr)
                 return EXIT_VALIDATION
-        rows.append(BenchmarkResult(
-            setting=r["setting"], instance=Path(r["path"]).name,
-            algorithm=r["algo"], value=r["value"], reference=ref, gap_pct=gap,
-            runtime_s=r["time"], seed=r["seed"], config_hash=config_hash,
-            status=r["status"], layers=r["layers"]))
 
     if args.per_instance:
         # every layer any solver reported, as trailing columns; empty where
         # a cell's report has no such layer
-        layer_names = sorted({name for r in rows for name in r.layers})
+        config_hash = _config_hash(shared | {"algos": algos})
+        layer_names = sorted({name for r in results for name in r["layers"]})
         with open(args.per_instance, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["setting", "instance", "algorithm", "value",
                              "reference", "gap_pct", "runtime_s", "seed", "config",
                              *layer_names])
-            for r in sorted(rows, key=lambda r: (r.setting, r.instance, r.algorithm)):
+            for r in sorted(results, key=lambda r: (r["setting"], Path(r["path"]).name,
+                                                    r["algo"])):
                 writer.writerow([
-                    r.setting, r.instance, r.algorithm,
-                    "" if not np.isfinite(r.value) else f"{r.value:.9g}",
-                    "" if r.reference is None else f"{r.reference:.9g}",
-                    "" if r.gap_pct is None else f"{r.gap_pct:.6f}",
-                    f"{r.runtime_s:.3f}", r.seed, r.config_hash,
-                    *(f"{r.layers[n]:.6f}" if n in r.layers else "" for n in layer_names)])
+                    r["setting"], Path(r["path"]).name, r["algo"],
+                    "" if not np.isfinite(r["value"]) else f"{r['value']:.9g}",
+                    "" if r["reference"] is None else f"{r['reference']:.9g}",
+                    "" if r["gap"] is None else f"{r['gap']:.6f}",
+                    f"{r['time']:.3f}", r["seed"], config_hash,
+                    *(f"{r['layers'][n]:.6f}" if n in r["layers"] else ""
+                      for n in layer_names)])
 
     summary = {}
-    for r in rows:
-        summary.setdefault((r.setting, r.algorithm), []).append(r)
+    for r in results:
+        summary.setdefault((r["setting"], r["algo"]), []).append(r)
     out_rows = []
     for (setting, algo), cells_ in sorted(summary.items()):
-        solved = [c for c in cells_ if c.gap_pct is not None]
-        gaps = [c.gap_pct for c in solved]
+        solved = [c for c in cells_ if c["gap"] is not None]
+        gaps = [c["gap"] for c in solved]
         out_rows.append({
             "setting": setting, "algorithm": algo, "n": len(solved),
             "failed": len(cells_) - len(solved),
             "avg_gap_pct": sum(gaps) / len(gaps) if gaps else None,
             "worst_gap_pct": max(gaps, default=None),
-            "matches": sum(1 for c in solved if abs(c.value - c.reference) <= 1e-9),
-            "avg_runtime_s": sum(c.runtime_s for c in cells_) / len(cells_),
+            "matches": sum(1 for c in solved if abs(c["value"] - c["reference"]) <= 1e-9),
+            "avg_runtime_s": sum(c["time"] for c in cells_) / len(cells_),
         })
 
     def fmt_gap(value):
@@ -422,51 +390,47 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"drpe {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--time-limit", type=float, default=None,
-                        help="cooperative per-run limit in seconds")
-        sp.add_argument("--out", default=None)
+    # option groups shared by the subcommands, each defined once
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("-i", "--instance", required=True)
+    instance.add_argument("--metric-closure", action="store_true",
+                          help="apply shortest-path closure to loaded matrices")
+    cost = argparse.ArgumentParser(add_help=False)
+    cost.add_argument("--model", default="base", choices=("base", "extended"))
+    cost.add_argument("--extended", default=None,
+                      help="JSON file overriding the extended cost constants")
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--p", type=int, default=4)
+    solver.add_argument("--p0", type=int, default=2)
+    solver.add_argument("--p-max", type=int, default=8, dest="p_max")
+    solver.add_argument("--klim", type=int, default=2)
+    solver.add_argument("--budget", type=int, default=200,
+                        help="iterations for the randomized baselines")
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--time-limit", type=float, default=None,
+                     help="cooperative per-run limit in seconds")
+    run.add_argument("--out", default=None)
 
-    g = sub.add_parser("generate", help="write benchmark instances")
+    g = sub.add_parser("generate", parents=[run], help="write benchmark instances")
     g.add_argument("--setting", default="Basis", choices=SETTING_NAMES + ("all",))
     g.add_argument("--size", default="small", choices=SIZE_NAMES)
     g.add_argument("--count", type=int, default=10)
-    common(g)
     g.set_defaults(func=cmd_generate)
 
-    solve_parent = argparse.ArgumentParser(add_help=False)
-    solve_parent.add_argument("-i", "--instance", required=True)
-    solve_parent.add_argument("--p", type=int, default=4)
-    solve_parent.add_argument("--p0", type=int, default=2)
-    solve_parent.add_argument("--p-max", type=int, default=8, dest="p_max")
-    solve_parent.add_argument("--klim", type=int, default=2)
-    solve_parent.add_argument("--budget", type=int, default=200,
-                              help="iterations for the randomized baselines")
-    solve_parent.add_argument("--model", default="base", choices=("base", "extended"))
-    solve_parent.add_argument("--extended", default=None,
-                              help="JSON file overriding the extended cost constants")
-    solve_parent.add_argument("--metric-closure", action="store_true",
-                              help="apply shortest-path closure to loaded matrices")
-    solve_parent.add_argument("--stats", action="store_true")
-
-    s = sub.add_parser("solve", parents=[solve_parent], help="run one solver")
+    s = sub.add_parser("solve", parents=[instance, solver, cost, run],
+                       help="run one solver")
     s.add_argument("--algo", default="vlsn-ls", choices=ALGORITHMS)
-    common(s)
+    s.add_argument("--stats", action="store_true")
     s.set_defaults(func=cmd_solve)
 
-    e = sub.add_parser("exact", parents=[solve_parent],
+    e = sub.add_parser("exact", parents=[instance, solver, cost, run],
                        help="shorthand for solve --algo exact")
-    common(e)
+    e.add_argument("--stats", action="store_true")
     e.set_defaults(func=cmd_solve, algo="exact")
 
-    v = sub.add_parser("validate", help="check a solution file")
-    v.add_argument("-i", "--instance", required=True)
+    v = sub.add_parser("validate", parents=[instance, cost], help="check a solution file")
     v.add_argument("-s", "--solution", required=True)
-    v.add_argument("--model", default="base", choices=("base", "extended"))
-    v.add_argument("--extended", default=None)
-    v.add_argument("--metric-closure", action="store_true",
-                   help="apply shortest-path closure to loaded matrices")
     v.set_defaults(func=cmd_validate)
 
     n = sub.add_parser("enumerate", help="neighborhood size diagnostics")
@@ -480,21 +444,14 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--out", default=None)
     d.set_defaults(func=cmd_dump_lookup)
 
-    b = sub.add_parser("bench", help="run a campaign and emit gap tables")
+    b = sub.add_parser("bench", parents=[solver, cost, run],
+                       help="run a campaign and emit gap tables")
     b.add_argument("--instances", required=True, help="directory of instance files")
     b.add_argument("--algos", default="exact,vlsn-ls,vlsn-vnd,rts,limop")
     b.add_argument("--workers", type=int, default=1)
-    b.add_argument("--p", type=int, default=4)
-    b.add_argument("--p0", type=int, default=2)
-    b.add_argument("--p-max", type=int, default=8, dest="p_max")
-    b.add_argument("--klim", type=int, default=2)
-    b.add_argument("--budget", type=int, default=200)
-    b.add_argument("--model", default="base", choices=("base", "extended"))
-    b.add_argument("--extended", default=None)
     b.add_argument("--per-instance", default=None,
                    help="also write one CSV row per (instance, algorithm)")
     b.add_argument("--latex", action="store_true")
-    common(b)
     b.set_defaults(func=cmd_bench)
 
     return parser

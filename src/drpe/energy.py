@@ -23,7 +23,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import Instance, InfeasibleError, Operation, RechargingLeg, build_tour
+from .model import (
+    Instance,
+    InfeasibleError,
+    Operation,
+    RechargingLeg,
+    build_tour,
+    operation_flight_time,
+)
 from .reports import SolveReport
 
 
@@ -150,7 +157,6 @@ def extended_operation_cost(op: Operation, inst: Instance,
                             costs: ExtendedCosts) -> ExtendedOpCost:
     """Makespan, energy and feasibility of one operation under the extended
     model; infeasibility is a flag, not an error."""
-    from .model import operation_flight_time
     model = ExtendedCostModel(inst, costs)
     return model.op_cost(operation_flight_time(op, inst), op.start_rl, op.end_rl)
 
@@ -260,13 +266,12 @@ def pract(inst: Instance, costs: Optional[ExtendedCosts] = None,
         elements.append(RechargingLeg(op.end_rl, op.end_rl))
     tour = build_tour(inst, elements, model)
 
-    from .model import operation_flight_time
     violations = 0
     for op in ops:
         flight = operation_flight_time(op, inst)
         if not model.op_cost(flight, op.start_rl, op.end_rl).feasible:
             violations += 1
-    return SolveReport(algorithm="pract", tour=tour, makespan=tour.makespan,
+    return SolveReport(algorithm="pract", tour=tour,
                        wall_time=time.perf_counter() - t0,
                        extras={"operations": len(ops),
                                "energy_violations": violations,

@@ -217,7 +217,6 @@ def solve_exact(inst: Instance, model=None, time_limit: Optional[float] = None) 
     return SolveReport(
         algorithm="exact",
         tour=tour,
-        makespan=tour.makespan,
         ops_states=table.stats.nonterminal_states,
         ops_arcs=table.stats.arcs,
         meta_states=stats["meta_states"],

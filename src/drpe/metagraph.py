@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -41,7 +41,13 @@ from .model import (
     build_tour,
     check_deadline,
 )
-from .opsgraph import OperationCostTable, _ctz, _top_bit, recover_operation_order
+from .opsgraph import (
+    SEARCH_STATE_BUDGET,
+    OperationCostTable,
+    _ctz,
+    _top_bit,
+    recover_operation_order,
+)
 
 
 @dataclass(frozen=True)
@@ -120,6 +126,9 @@ class TransitionLookup:
     _arcs: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # _gap tests all n_pat^2 = 4^(p-1) pattern pairs in one array
+        if 4 ** (self.p - 1) > SEARCH_STATE_BUDGET:
+            raise SizeGuardError(f"pattern width p={self.p} is too wide for stage 2")
         self.patterns = enumerate_valid_patterns(self.p)
         self.bits = [pat.visited(self.p - 1) for pat in self.patterns]
         self._early = np.array([max(pat.minus, default=0) for pat in self.patterns])
@@ -137,8 +146,6 @@ class TransitionLookup:
         """(a, b, ops) of the arcs over a gap of g, ascending in a then b."""
         got = self._gaps.get(g)
         if got is None:
-            if g + 2 * self.p - 2 > 62:
-                raise SizeGuardError(f"pattern width p={self.p} is too wide for stage 2")
             bits = np.array(self.bits, dtype=np.int64)
             reach = ((1 << g) - 1) | (bits << g)
             a, b = np.nonzero(bits[:, None] & ~reach[None, :] == 0)
@@ -283,13 +290,13 @@ def table_arcs(costs: OperationCostTable, lookup: TransitionLookup, valid_at):
     return tuple(part[order] for part in parts)
 
 
-def _meta_values(costs: OperationCostTable, inst: Instance, p: int,
+def _meta_values(costs: OperationCostTable, inst: Instance,
                  deadline: Optional[float] = None):
     """Forward pass of ``solve_meta``: (zeta, eps, stats, arcs_into), the
     value arrays with row k * n_pat + b for pattern b at stage k and the
     walk-back's arc source."""
     n_d, n_r, c_r = inst.n_d, inst.n_r, inst.c_r
-    lookup = get_transition_lookup(p)
+    lookup = get_transition_lookup(costs.p)
     layout = costs.layout
     n_pat = len(lookup.patterns)
     valid_at = lookup.valid_at(n_d)
@@ -341,10 +348,10 @@ def _meta_values(costs: OperationCostTable, inst: Instance, p: int,
     return zeta, eps, stats, arcs_into
 
 
-def solve_meta(costs: OperationCostTable, inst: Instance, x: Sequence[int],
-               p: int, model: Optional[object] = None,
-               deadline: Optional[float] = None):
-    """Shortest path through the meta graph; returns (tour, stats).
+def solve_meta(costs: OperationCostTable, inst: Instance,
+               model: Optional[object] = None, deadline: Optional[float] = None):
+    """Shortest path through the meta graph of the table's own reference
+    order and width (``costs.x``, ``costs.p``); returns (tour, stats).
 
     The returned tour's makespan is the optimum over all neighbor tours
     whose operations appear in the cost table. ``stats.elapsed`` times the
@@ -355,13 +362,13 @@ def solve_meta(costs: OperationCostTable, inst: Instance, x: Sequence[int],
     """
     model = model or BaseCostModel(inst)
     t0 = time.perf_counter()
-    zeta, eps, stats, arcs_into = _meta_values(costs, inst, p, deadline)
+    zeta, eps, stats, arcs_into = _meta_values(costs, inst, deadline)
     t1 = time.perf_counter()
     stats.elapsed = t1 - t0
-    final = inst.n_d * len(get_transition_lookup(p).patterns)
+    final = inst.n_d * len(get_transition_lookup(costs.p).patterns)
     if not np.isfinite(zeta[final, inst.wt]):
         raise InfeasibleError("no feasible tour in this neighborhood")
-    x = tuple(x)
+    x = costs.x
     tour = walk_back(inst, zeta, eps, final, arcs_into,
                      lambda mask, w, wp: tuple(x[t] for t in recover_operation_order(
                          inst, x, int(mask), w, wp, costs.p)), model)

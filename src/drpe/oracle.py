@@ -10,7 +10,6 @@ and guarded by size limits.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,36 +28,16 @@ BRUTE_FORCE_ND = 7
 BRUTE_FORCE_NR = 5
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """Positions of a reference order's elements within another order.
-
-    sigma[t] is the 1-based position of the reference order's (t+1)-th
-    element; inverse[pos] recovers the reference index at that position.
-    """
-
-    sigma: tuple
-    inverse: tuple
-
-    @classmethod
-    def relative(cls, x: Sequence[int], x_prime: Sequence[int]) -> "Permutation":
-        if len(x) != len(x_prime) or set(x) != set(x_prime):
-            raise ValueError("orders must be permutations of the same destinations")
-        pos_in_prime = {v: i + 1 for i, v in enumerate(x_prime)}
-        sigma = tuple(pos_in_prime[v] for v in x)
-        inverse = [0] * len(x)
-        for t, pos in enumerate(sigma):
-            inverse[pos - 1] = t + 1
-        return cls(sigma=sigma, inverse=tuple(inverse))
-
-
 def is_bs_neighbor(x: Sequence[int], x_prime: Sequence[int], p: int) -> bool:
     """True iff x_prime keeps every element at most p-1 steps ahead of any
     element it overtakes: whenever j >= i + p, the j-th element of x must
     appear after the i-th."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    sigma = Permutation.relative(x, x_prime).sigma
+    if len(x) != len(x_prime) or set(x) != set(x_prime):
+        raise ValueError("orders must be permutations of the same destinations")
+    position = {v: i for i, v in enumerate(x_prime)}
+    sigma = [position[v] for v in x]
     n = len(sigma)
     for i in range(n):
         for j in range(i + p, n):

@@ -11,7 +11,6 @@ from .model import DroneTour
 class SolveReport:
     algorithm: str
     tour: DroneTour
-    makespan: float
     iterations: int = 1
     neighborhoods: int = 0
     ops_states: int = 0
@@ -20,6 +19,10 @@ class SolveReport:
     meta_arcs: int = 0
     wall_time: float = 0.0
     extras: dict = field(default_factory=dict)
+
+    @property
+    def makespan(self) -> float:
+        return self.tour.makespan
 
     def summary(self) -> str:
         return (f"{self.algorithm}: makespan={self.makespan:.6f} "

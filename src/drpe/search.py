@@ -67,7 +67,7 @@ def vlsn(inst: Instance, x: Sequence[int], p: int,
     t0 = time.perf_counter()
 
     table = build_ops_graph(inst, x, p, model=model, deadline=deadline)
-    best, meta_stats = solve_meta(table, inst, x, p, model=model, deadline=deadline)
+    best, meta_stats = solve_meta(table, inst, model=model, deadline=deadline)
 
     extra_orders = 0
     t_split = time.perf_counter()
@@ -85,7 +85,6 @@ def vlsn(inst: Instance, x: Sequence[int], p: int,
     return SolveReport(
         algorithm=f"vlsn(p={p})",
         tour=best,
-        makespan=best.makespan,
         neighborhoods=1,
         ops_states=table.stats.nonterminal_states,
         ops_arcs=table.stats.arcs,
@@ -129,8 +128,7 @@ def _descend(inst, x0, p0, p_max, model, config, algorithm, extras):
     layers = {"initial_order_s": t_split - t0,
               "initial_split_s": time.perf_counter() - t_split,
               "stage1_s": 0.0, "stage2_s": 0.0, "recovery_s": 0.0, "split_s": 0.0}
-    report = SolveReport(algorithm=algorithm, tour=incumbent,
-                         makespan=incumbent.makespan, iterations=0,
+    report = SolveReport(algorithm=algorithm, tour=incumbent, iterations=0,
                          extras={"layers": layers})
     p_stop = min(p_max, inst.n_d)
     p = p_reset = min(p0, p_stop)
@@ -151,7 +149,6 @@ def _descend(inst, x0, p0, p_max, model, config, algorithm, extras):
         _accumulate(report, step)
         if step.makespan < report.makespan - EPS:
             report.tour = step.tour
-            report.makespan = step.makespan
             p = p_reset
         else:
             p += 1
@@ -191,8 +188,7 @@ def rts(inst: Instance, model: Optional[object] = None,
     t_split = time.perf_counter()
     tour = split_optimal(tuple(x0), inst, model=model)
     t1 = time.perf_counter()
-    return SolveReport(algorithm="rts", tour=tour, makespan=tour.makespan,
-                       wall_time=t1 - t0,
+    return SolveReport(algorithm="rts", tour=tour, wall_time=t1 - t0,
                        extras={"x0": list(x0),
                                "layers": {"initial_order_s": t_split - t0,
                                           "initial_split_s": t1 - t_split}})

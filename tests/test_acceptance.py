@@ -181,7 +181,7 @@ def test_c08_state_count_bounds():
         table = build_ops_graph(inst, x, p)
         if table.stats.nonterminal_states > ops_nonterminal_state_bound(n_d, n_r, p):
             ops_ok = False
-        _, stats = solve_meta(table, inst, x, p)
+        _, stats = solve_meta(table, inst)
         for stage in range(p - 1, n_d - p + 2):
             if stats.patterns_per_stage[stage] * n_r != n_r * 2 ** (p - 1):
                 meta_ok = False

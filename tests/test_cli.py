@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from drpe.cli import main
+import drpe.cli
+from drpe.cli import build_parser, main
 from drpe.io import load_instance, load_solution, save_instance, save_solution
 from drpe.generator import random_instance
 from drpe.model import validate_tour
@@ -187,7 +189,19 @@ def test_enumerate_subcommand(capsys):
     assert "8" in text and "agree" in text
 
 
-def test_dump_lookup_matches_published_rows(capsys):
+def test_too_wide_pattern_tables_are_size_guard_exits(tmp_path, capsys):
+    out = _gen(tmp_path, count=1)
+    inst_path = str(next(out.glob("Basis_small_s1.json")))
+    lookup = tmp_path / "lookup.csv"
+    for argv in (["solve", "--algo", "vlsn", "--p", "16", "-i", inst_path],
+                 ["enumerate", "--n-d", "5", "--p", "13"],
+                 ["dump-lookup", "--p", "13", "--out", str(lookup)]):
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not lookup.exists()
+
+
+def test_dump_lookup_matches_published_rows(tmp_path, capsys):
     assert main(["dump-lookup", "--p", "4"]) == 0
     rows = list(csv.reader(capsys.readouterr().out.strip().splitlines()))
     assert rows[0][:3] == ["id", "s_minus", "s_plus"]
@@ -196,6 +210,11 @@ def test_dump_lookup_matches_published_rows(capsys):
     assert body[7][1] == "{k+1,k+2}"
     assert body[7][3] == "2,3"          # transitions of the paired pattern at h=1
     assert body[0][5] == "1,2,3,4,5,6,7,8"
+    # --out writes the same rows, complete once main returns
+    path = tmp_path / "lookup.csv"
+    assert main(["dump-lookup", "--p", "4", "--out", str(path)]) == 0
+    with path.open(newline="") as fh:
+        assert list(csv.reader(fh)) == rows
 
 
 def test_bench_single_cell(tmp_path):
@@ -280,6 +299,39 @@ def test_bench_summary_counts_failed_cells(tmp_path, capsys):
     assert "& -- & 0.00 & -- & 0.00" in capsys.readouterr().out
 
 
+def test_bench_counts_a_tour_failing_validation_as_failed(tmp_path, monkeypatch):
+    # a solver whose tour caches the wrong makespan: its value must not
+    # reach the gap table
+    real_rts = drpe.cli.rts
+
+    def stale_rts(inst, model=None):
+        report = real_rts(inst, model=model)
+        report.tour.makespan += 1.0
+        return report
+
+    monkeypatch.setattr(drpe.cli, "rts", stale_rts)
+    out = _gen(tmp_path, count=1)
+    table, cells = tmp_path / "bench.csv", tmp_path / "cells.csv"
+    assert main(["bench", "--instances", str(out), "--algos", "vlsn,rts",
+                 "--out", str(table), "--per-instance", str(cells)]) == 0
+    rows = {r["algorithm"]: r for r in csv.DictReader(table.open())}
+    assert rows["rts"]["instances"] == "0" and rows["rts"]["failed"] == "1"
+    assert rows["rts"]["avg_gap_pct"] == rows["rts"]["worst_gap_pct"] == ""
+    assert rows["vlsn"]["instances"] == "1" and rows["vlsn"]["failed"] == "0"
+    cell = {r["algorithm"]: r for r in csv.DictReader(cells.open())}["rts"]
+    assert cell["value"] == cell["gap_pct"] == ""
+
+
+def test_solver_options_are_read_only_by_their_solvers(tmp_path):
+    # p0 and p_max configure the descent alone, so neither stops the
+    # solvers that ignore them
+    path = tmp_path / "small.json"
+    save_instance(random_instance(1, n_d=5, n_r=3), path)
+    assert main(["solve", "--algo", "rts", "--p-max", "1", "-i", str(path)]) == 0
+    assert main(["solve", "--algo", "exact", "--p0", "9", "-i", str(path)]) == 0
+    assert main(["solve", "--algo", "vlsn-vnd", "--p0", "9", "-i", str(path)]) == 1
+
+
 def test_time_limit_reaches_exact_and_limop(tmp_path, capsys):
     out = _gen(tmp_path, count=1)
     inst_path = str(next(out.glob("Basis_small_s1.json")))
@@ -326,3 +378,52 @@ def test_validate_metric_closure(tmp_path):
     assert main(["validate", "-i", str(inst_path), "-s", str(sol)]) == 1
     assert main(["validate", "--metric-closure", "-i", str(inst_path),
                  "-s", str(sol)]) == 0
+
+
+# every subcommand's options: (option strings, type, default, choices,
+# required), as the shared option groups were introduced with
+INSTANCE_OPTIONS = [(("-i", "--instance"), None, None, None, True),
+                    (("--metric-closure",), None, False, None, False)]
+COST_OPTIONS = [(("--model",), None, "base", ("base", "extended"), False),
+                (("--extended",), None, None, None, False)]
+SOLVER_OPTIONS = [(("--p",), int, 4, None, False), (("--p0",), int, 2, None, False),
+                  (("--p-max",), int, 8, None, False), (("--klim",), int, 2, None, False),
+                  (("--budget",), int, 200, None, False)]
+RUN_OPTIONS = [(("--seed",), int, 0, None, False),
+               (("--time-limit",), float, None, None, False),
+               (("--out",), None, None, None, False)]
+STATS = (("--stats",), None, False, None, False)
+CLI_OPTIONS = {
+    "generate": RUN_OPTIONS + [
+        (("--setting",), None, "Basis", ("Basis", "SpLow", "SpHigh", "EnLow", "EnHigh",
+                                         "LocLow", "LocHigh", "DenLow", "DenHigh", "all"),
+         False),
+        (("--size",), None, "small", ("small", "large"), False),
+        (("--count",), int, 10, None, False)],
+    "solve": INSTANCE_OPTIONS + SOLVER_OPTIONS + COST_OPTIONS + RUN_OPTIONS + [
+        STATS,
+        (("--algo",), None, "vlsn-ls", ("vlsn", "vlsn-ls", "vlsn-vnd", "rts", "exact",
+                                        "limop", "rts3nn", "sa", "pract"), False)],
+    "exact": INSTANCE_OPTIONS + SOLVER_OPTIONS + COST_OPTIONS + RUN_OPTIONS + [STATS],
+    "validate": INSTANCE_OPTIONS + COST_OPTIONS + [
+        (("-s", "--solution"), None, None, None, True)],
+    "enumerate": [(("--n-d",), int, None, None, True), (("--p",), int, None, None, True),
+                  (("--oracle-limit",), int, 8, None, False)],
+    "dump-lookup": [(("--p",), int, None, None, True), (("--out",), None, None, None, False)],
+    "bench": SOLVER_OPTIONS + COST_OPTIONS + RUN_OPTIONS + [
+        (("--instances",), None, None, None, True),
+        (("--algos",), None, "exact,vlsn-ls,vlsn-vnd,rts,limop", None, False),
+        (("--workers",), int, 1, None, False),
+        (("--per-instance",), None, None, None, False),
+        (("--latex",), None, False, None, False)],
+}
+
+
+def test_subcommand_options_are_unchanged():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(CLI_OPTIONS)
+    for name, parser in sub.choices.items():
+        got = [(tuple(a.option_strings), a.type, a.default, a.choices, a.required)
+               for a in parser._actions if a.dest != "help"]
+        assert sorted(got, key=repr) == sorted(CLI_OPTIONS[name], key=repr), name

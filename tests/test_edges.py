@@ -46,7 +46,7 @@ def test_search_on_more_destinations_than_exact_accepts():
     inst = random_instance(23, n_d=20, n_r=5)
     x = initial_tsp_sequence(inst)
     base = rts(inst, x0=x)
-    tour, _ = solve_meta(build_ops_graph(inst, x, 2), inst, x, 2)
+    tour, _ = solve_meta(build_ops_graph(inst, x, 2), inst)
     assert tour.makespan <= base.makespan + 1e-9
     assert validate_tour(tour, inst).passed
     assert is_bs_neighbor(x, tour.destination_order(), 2)

@@ -12,7 +12,7 @@ from drpe.metagraph import (
     transition_destination_set,
     valid_pattern_transitions,
 )
-from drpe.model import Instance, validate_tour
+from drpe.model import Instance, SizeGuardError, validate_tour
 from drpe.opsgraph import build_ops_graph
 from drpe.oracle import (
     brute_force_optimum,
@@ -131,6 +131,14 @@ def test_lookup_matches_displacement_rules():
                         assert ops << k >> (p - 1) == want << (k - stages[0])
 
 
+def test_lookup_refuses_widths_past_the_state_budget():
+    # each gap's pattern-pair test holds 4^(p-1) values: 4.2M at p=12,
+    # 16.8M at p=13, past SEARCH_STATE_BUDGET
+    assert len(get_transition_lookup(12).patterns) == 2 ** 11
+    with pytest.raises(SizeGuardError, match="p=13"):
+        get_transition_lookup(13)
+
+
 def test_destination_set_examples():
     empty = MetaPattern((), ())
     pulled = MetaPattern((1, 2), (-1, 0))
@@ -162,7 +170,7 @@ def test_typical_stage_state_count():
 
 def _solve(inst, x, p, model=None):
     table = build_ops_graph(inst, x, p, model=model)
-    return solve_meta(table, inst, x, p, model=model)
+    return solve_meta(table, inst, model=model)
 
 
 def test_width_one_equals_split_exactly():

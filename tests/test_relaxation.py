@@ -159,10 +159,10 @@ def test_batched_stage2_matches_per_arc_loop(make_model):
         table = build_ops_graph(inst, x, p, model=model)
         flights = build_ops_graph(inst, x, p, model=FlightPricing(model))
         zeta, eps, tour = _per_arc_solve_meta(flights, inst, x, p, model)
-        new_zeta, new_eps, _, _ = _meta_values(table, inst, p)
+        new_zeta, new_eps, _, _ = _meta_values(table, inst)
         assert np.array_equal(new_zeta, zeta.reshape(new_zeta.shape))
         assert np.array_equal(new_eps, eps.reshape(new_eps.shape))
-        assert repr(solve_meta(table, inst, x, p, model)[0]) == repr(tour)
+        assert repr(solve_meta(table, inst, model)[0]) == repr(tour)
 
 
 def _assert_sweep_matches_dense_loop(inst, model, build):
@@ -294,14 +294,14 @@ def test_stage2_values_do_not_depend_on_the_batch_size(make_model, monkeypatch):
         model = make_model(inst)
         x = initial_tsp_sequence(inst)
         table = build_ops_graph(inst, x, p, model=model)
-        zeta, eps, stats, _ = _meta_values(table, inst, p)
-        tour = repr(solve_meta(table, inst, x, p, model)[0])
+        zeta, eps, stats, _ = _meta_values(table, inst)
+        tour = repr(solve_meta(table, inst, model)[0])
         for batch in (1, 7, 64):
             monkeypatch.setattr(drpe.metagraph, "RELAX_BATCH", batch)
-            new_zeta, new_eps, new_stats, _ = _meta_values(table, inst, p)
+            new_zeta, new_eps, new_stats, _ = _meta_values(table, inst)
             assert np.array_equal(new_zeta, zeta) and np.array_equal(new_eps, eps)
             assert new_stats.arcs == stats.arcs
-            assert repr(solve_meta(table, inst, x, p, model)[0]) == tour
+            assert repr(solve_meta(table, inst, model)[0]) == tour
 
 
 def test_time_limit_stops_stage2_at_a_stage():
@@ -309,7 +309,7 @@ def test_time_limit_stops_stage2_at_a_stage():
     x = initial_tsp_sequence(inst)
     table = build_ops_graph(inst, x, 3)
     with pytest.raises(TimeLimitError):
-        solve_meta(table, inst, x, 3, deadline=0.0)
+        solve_meta(table, inst, deadline=0.0)
 
 
 def _twin_exact(inst):
@@ -318,7 +318,7 @@ def _twin_exact(inst):
 
 def _twin_meta(inst):
     x = initial_tsp_sequence(inst)
-    return solve_meta(build_ops_graph(inst, x, 3), inst, x, 3)[0]
+    return solve_meta(build_ops_graph(inst, x, 3), inst)[0]
 
 
 @pytest.mark.parametrize("solve", [_twin_exact, _twin_meta])
@@ -341,8 +341,7 @@ def test_exact_equals_brute_force_and_full_width(seed, n_d, n_r, emax_factor,
     exact = solve_exact(inst, model=model).makespan
     assert exact == pytest.approx(brute_force_optimum(inst, model).makespan, abs=1e-9)
     x = initial_tsp_sequence(inst)
-    meta, _ = solve_meta(build_ops_graph(inst, x, n_d, model=model), inst, x,
-                         n_d, model)
+    meta, _ = solve_meta(build_ops_graph(inst, x, n_d, model=model), inst, model)
     assert meta.makespan == pytest.approx(exact, abs=1e-9)
 
 

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import drpe.search
 from drpe.exact import solve_exact
-from drpe.generator import random_instance
+from drpe.generator import generate, get_setting, random_instance
 from drpe.metagraph import solve_meta
-from drpe.model import EPS, BaseCostModel, TimeLimitError, validate_tour
+from drpe.model import EPS, BaseCostModel, SizeGuardError, TimeLimitError, validate_tour
 from drpe.opsgraph import build_ops_graph
 from drpe.oracle import brute_force_optimum, is_bs_neighbor, split_optimal
 from drpe.search import (
@@ -54,7 +54,7 @@ def test_reports_validate_and_respect_membership():
     for seed in range(4):
         inst = random_instance(seed, n_d=7, n_r=3)
         x = initial_tsp_sequence(inst)
-        tour, _ = solve_meta(build_ops_graph(inst, x, 3), inst, x, 3)
+        tour, _ = solve_meta(build_ops_graph(inst, x, 3), inst)
         assert validate_tour(tour, inst).passed
         assert is_bs_neighbor(x, tour.destination_order(), 3)
 
@@ -191,7 +191,7 @@ def test_single_depot_extension_only_helps():
         inst = random_instance(seed, n_d=7, n_r=3, single_depot=True)
         x = initial_tsp_sequence(inst)
         with_ext = vlsn(inst, x, 3).makespan
-        without = solve_meta(build_ops_graph(inst, x, 3), inst, x, 3)[0].makespan
+        without = solve_meta(build_ops_graph(inst, x, 3), inst)[0].makespan
         assert with_ext <= without + 1e-9
 
 
@@ -233,6 +233,18 @@ def test_time_limit_returns_the_split_incumbent():
         assert rep.iterations == 0 and rep.neighborhoods == 0
         assert rep.extras["timed_out"] is True
         assert repr(rep.tour) == repr(split)
+
+
+def test_too_wide_search_is_refused_before_stage_2():
+    # stage 1 at p=16 holds about a thousand states on Basis-small s1, so
+    # stage 2's pattern table is the first to refuse the width
+    inst = generate(get_setting("Basis", "small"), 1)
+    x = initial_tsp_sequence(inst)
+    with pytest.raises(SizeGuardError, match="too wide for stage 2"):
+        vlsn(inst, x, 16)
+    rep = vlsn_ls(inst, p=16)
+    assert rep.extras["stopped_by_state_budget"] is True
+    assert rep.iterations == 0 and repr(rep.tour) == repr(split_optimal(x, inst))
 
 
 def test_vlsn_past_its_deadline_raises():
