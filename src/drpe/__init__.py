@@ -16,22 +16,11 @@ from .model import (
     TourStructureError,
     check_instance,
     operation_flight_time,
-    operation_makespan,
     tour_makespan,
     validate_tour,
 )
-from .oracle import (
-    brute_force_optimum,
-    enumerate_bs_neighbors,
-    is_bs_neighbor,
-    split_optimal,
-)
-from .opsgraph import (
-    OperationCostTable,
-    build_ops_graph,
-    ops_nonterminal_state_bound,
-    valid_successor_indices,
-)
+from .oracle import enumerate_bs_neighbors, is_bs_neighbor, split_optimal
+from .opsgraph import OperationCostTable, build_ops_graph
 from .metagraph import (
     MetaPattern,
     TransitionLookup,
@@ -39,8 +28,6 @@ from .metagraph import (
     enumerate_valid_patterns,
     get_transition_lookup,
     solve_meta,
-    transition_destination_set,
-    valid_pattern_transitions,
 )
 from .search import SearchConfig, rts, shifted_permutations, vlsn, vlsn_ls, vlsn_vnd
 from .exact import solve_exact
@@ -65,8 +52,6 @@ from .energy import (
     ExtendedCosts,
     battery_current,
     case_study_instance,
-    degenerate_costs,
-    extended_operation_cost,
     pract,
 )
 from .reports import SolveReport

@@ -64,13 +64,28 @@ def _cost_model(inst, args):
     return ExtendedCostModel(inst, costs)
 
 
+def _solver_config(algo: str, args):
+    """The configuration ``algo`` reads from ``args``: a ``SearchConfig``
+    for the descents, a ``BaselineConfig`` for ``rts3nn``/``sa``, else
+    None. Raises ValueError on options ``algo`` cannot run with; ``bench``
+    calls it for every algorithm before any cell runs."""
+    if algo in ("vlsn-ls", "vlsn-vnd"):
+        return SearchConfig(p0=args.p0, p_max=args.p_max, time_limit=args.time_limit)
+    if algo in ("rts3nn", "sa"):
+        return BaselineConfig(iterations=args.budget, seed=args.seed,
+                              time_limit=args.time_limit)
+    if algo == "pract" and args.model != "extended":
+        raise ValueError("pract requires --model extended")
+    return None
+
+
 def _run_algorithm(inst, algo: str, args, model) -> SolveReport:
+    cfg = _solver_config(algo, args)
     if algo == "vlsn":
         return vlsn(inst, initial_tsp_sequence(inst), args.p, model=model)
-    if algo in ("vlsn-ls", "vlsn-vnd"):
-        cfg = SearchConfig(p0=args.p0, p_max=args.p_max, time_limit=args.time_limit)
-        if algo == "vlsn-ls":
-            return vlsn_ls(inst, p=args.p, model=model, config=cfg)
+    if algo == "vlsn-ls":
+        return vlsn_ls(inst, p=args.p, model=model, config=cfg)
+    if algo == "vlsn-vnd":
         return vlsn_vnd(inst, config=cfg, model=model)
     if algo == "rts":
         return rts(inst, model=model)
@@ -79,12 +94,8 @@ def _run_algorithm(inst, algo: str, args, model) -> SolveReport:
     if algo == "limop":
         return limop(inst, args.klim, model=model, time_limit=args.time_limit)
     if algo in ("rts3nn", "sa"):
-        cfg = BaselineConfig(iterations=args.budget, seed=args.seed,
-                             time_limit=args.time_limit)
         return (rts_3nn if algo == "rts3nn" else sa_rts_3opt)(inst, cfg, model=model)
     if algo == "pract":
-        if not isinstance(model, ExtendedCostModel):
-            raise ValueError("pract requires --model extended")
         return pract(inst, model.costs)
     raise ValueError(f"unknown algorithm {algo!r}")
 
@@ -247,8 +258,12 @@ def cmd_bench(args) -> int:
         return 2
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     for a in algos:
-        if a not in ALGORITHMS:
-            print(f"unknown algorithm {a!r}", file=sys.stderr)
+        try:
+            if a not in ALGORITHMS:
+                raise ValueError(f"unknown algorithm {a!r}")
+            _solver_config(a, args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
 
     shared = {"seed": args.seed, "p": args.p, "p0": args.p0,

@@ -23,6 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .baselines import initial_tsp_sequence
+from .generator import grid_coordinates, metrics_from_coords
 from .model import (
     Instance,
     InfeasibleError,
@@ -153,23 +155,6 @@ class ExtendedCostModel:
         return out
 
 
-def extended_operation_cost(op: Operation, inst: Instance,
-                            costs: ExtendedCosts) -> ExtendedOpCost:
-    """Makespan, energy and feasibility of one operation under the extended
-    model; infeasibility is a flag, not an error."""
-    model = ExtendedCostModel(inst, costs)
-    return model.op_cost(operation_flight_time(op, inst), op.start_rl, op.end_rl)
-
-
-def degenerate_costs(inst: Instance) -> ExtendedCosts:
-    """Extended-cost vector that collapses the extended model onto the base
-    model: no fixed charges, unit flight current, a budget equal to e_max
-    and no reserve."""
-    return ExtendedCosts(c_tkof=0.0, c_land=0.0, c_swap=0.0, xi_tkof=0.0,
-                         xi_land=0.0, r_fl=1.0, r_hov=0.0, xi_max=inst.e_max,
-                         residual=0.0)
-
-
 def case_study_instance(seed: int, n_d: int = 14, n_r: int = 81,
                         side: float = 3800.0, drone_speed: float = 3.0,
                         rover_speed: float = 4.0,
@@ -183,7 +168,6 @@ def case_study_instance(seed: int, n_d: int = 14, n_r: int = 81,
     within its own energy envelope (no hover overruns), so head-to-head
     comparisons against it are meaningful.
     """
-    from .generator import grid_coordinates, metrics_from_coords
     costs = costs or ExtendedCosts()
     cap = (costs.usable - costs.xi_tkof - costs.xi_land) / costs.r_fl
     for attempt in range(max_tries):
@@ -225,10 +209,7 @@ def pract(inst: Instance, costs: Optional[ExtendedCosts] = None,
     costs = costs or ExtendedCosts()
     model = ExtendedCostModel(inst, costs)
     t0 = time.perf_counter()
-    if x is None:
-        from .baselines import initial_tsp_sequence
-        x = initial_tsp_sequence(inst)
-    x = tuple(x)
+    x = tuple(initial_tsp_sequence(inst) if x is None else x)
 
     nearest = inst.nearest_rl_time()
     ops = []

@@ -59,13 +59,6 @@ class MetaPattern:
     minus: tuple
     plus: tuple
 
-    def valid_at_stage(self, k: int, n_d: int) -> bool:
-        if self.minus and k + max(self.minus) > n_d:
-            return False
-        if self.plus and k + min(self.plus) < 1:
-            return False
-        return True
-
     def visited(self, k: int) -> int:
         """Bitmask of the 0-based reference positions visited by stage k:
         the first k, less the postponed ones, plus the early ones. A pattern
@@ -91,20 +84,6 @@ def enumerate_valid_patterns(p: int) -> list:
                 if max(minus) - min(plus) < p:
                     patterns.append(MetaPattern(minus=minus, plus=plus))
     return patterns
-
-
-def valid_pattern_transitions(a: MetaPattern, b: MetaPattern, h: int, p: int) -> bool:
-    """Whether an arc from pattern a at some stage k to pattern b at stage
-    k+h exists: every position visited at k is still visited at k+h. For
-    h = 0 (the recharging-leg case) this means a == b."""
-    return a.visited(p) & ~b.visited(p + h) == 0
-
-
-def transition_destination_set(a: MetaPattern, b: MetaPattern, k: int, h: int) -> frozenset:
-    """0-based reference positions flown in the operation of this arc: the
-    positions visited at stage k+h but not at stage k."""
-    ops = b.visited(k + h) & ~a.visited(k)
-    return frozenset(t for t in range(ops.bit_length()) if ops >> t & 1)
 
 
 @dataclass
@@ -135,7 +114,8 @@ class TransitionLookup:
         self._late = np.array([min(pat.plus, default=1) for pat in self.patterns])
 
     def valid_at(self, n_d: int) -> np.ndarray:
-        """(n_d + 1, patterns) bool: pattern b is valid at stage k."""
+        """(n_d + 1, patterns) bool: pattern b is valid at stage k, where
+        each of its displaced positions k + d lies in 1..n_d."""
         k = np.arange(n_d + 1)[:, None]
         return (k + self._early <= n_d) & (k + self._late >= 1)
 
@@ -196,29 +176,20 @@ def get_transition_lookup(p: int) -> TransitionLookup:
     return TransitionLookup(p=p)
 
 
-def count_meta_states(n_d: int, p: int) -> list:
-    """Number of valid patterns per stage 0..n_d (multiply by n_r for the
-    meta-state count)."""
-    patterns = enumerate_valid_patterns(p)
-    return [sum(1 for pat in patterns if pat.valid_at_stage(k, n_d))
-            for k in range(n_d + 1)]
-
-
 def count_bs_sequences(n_d: int, p: int) -> int:
     """Number of neighbor destination orders, counted as single-step paths
     through the pattern graph (no enumeration)."""
     lookup = get_transition_lookup(p)
-    patterns = lookup.patterns
-    ways = [0] * len(patterns)
+    valid_at = lookup.valid_at(n_d)
+    ways = [0] * len(lookup.patterns)
     ways[0] = 1
     for k in range(n_d):
-        nxt = [0] * len(patterns)
+        nxt = [0] * len(ways)
         for ai, cnt in enumerate(ways):
-            if cnt == 0 or not patterns[ai].valid_at_stage(k, n_d):
-                continue
-            for bi, _ in lookup.successors(ai, 1):
-                if patterns[bi].valid_at_stage(k + 1, n_d):
-                    nxt[bi] += cnt
+            if cnt and valid_at[k, ai]:
+                for bi, _ in lookup.successors(ai, 1):
+                    if valid_at[k + 1, bi]:
+                        nxt[bi] += cnt
         ways = nxt
     return ways[0]
 

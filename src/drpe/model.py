@@ -263,12 +263,6 @@ def operation_flight_time(op: Operation, inst: Instance) -> float:
     return float(t + c_d[cur, inst.rl_node(op.end_rl)])
 
 
-def operation_makespan(op: Operation, inst: Instance, model: Optional[object] = None) -> float:
-    """Slower of the drone flight and the rover relocation for one operation."""
-    model = model or BaseCostModel(inst)
-    return float(model.op_makespan(operation_flight_time(op, inst), op.start_rl, op.end_rl))
-
-
 def leg_makespan(leg: RechargingLeg, inst: Instance) -> float:
     return float(inst.c_r[leg.from_rl, leg.to_rl])
 

@@ -56,44 +56,6 @@ def chunks(n: int, per_item: int):
 
 
 # ---------------------------------------------------------------------------
-# Set validity rules
-# ---------------------------------------------------------------------------
-
-def set_window_valid(mask: int, p: int) -> bool:
-    """True iff every interior index of the set's window is present."""
-    if mask == 0:
-        return True
-    m = (mask & -mask).bit_length() - 1
-    M = mask.bit_length() - 1
-    lo, hi = m + p, M - p
-    if lo > hi:
-        return True
-    needed = ((1 << (hi + 1)) - 1) ^ ((1 << lo) - 1)
-    return mask & needed == needed
-
-
-def valid_successor_indices(mask: int, p: int, n_d: int) -> list:
-    """Positions by which a valid partial operation set may be extended:
-    the absent positions of [M-p+1, g+p-1] clamped to [0, n_d-1], where m
-    and M are the set's lowest and highest positions and g is its first
-    absent position at or above m+p.
-
-    A neighbor order visits position i before j whenever j >= i+p. So no
-    position at or below M-p may follow M, and g, which may not precede m,
-    comes after the whole operation, as must every position from g+p on.
-    At p >= n_d the interval is the whole range.
-    """
-    if mask == 0:
-        raise ValueError("successor rule needs a nonempty set")
-    m = (mask & -mask).bit_length() - 1
-    M = mask.bit_length() - 1
-    rest = ~mask >> (m + p)
-    g = m + p + (rest & -rest).bit_length() - 1
-    return [i for i in range(max(M - p + 1, 0), min(g + p - 1, n_d - 1) + 1)
-            if not mask >> i & 1]
-
-
-# ---------------------------------------------------------------------------
 # Set keys
 # ---------------------------------------------------------------------------
 
@@ -169,11 +131,16 @@ class SetKey:
         return (((head << 1) | 1) << m) | tail | (1 << M) | ((1 << hi) - (1 << lo))
 
     def successors(self, keys):
-        """``valid_successor_indices`` of every set at once: (owner, u),
-        the index into ``keys`` and a position u, owner ascending and u
-        ascending within an owner. The interval [M-p+1, g+p-1] lies in the
-        3p-1 positions from M-p+1 (g <= max(M+1, m+p)); the window bits give
-        the presence of the first p of them."""
+        """The positions u by which each set may grow, as (owner, u): the
+        index into ``keys`` and u, owner ascending and u ascending within an
+        owner. u is an absent position of [M-p+1, g+p-1], clamped to
+        [0, n-1], where g is the set's first absent position at or above
+        m+p: a neighbor order visits position i before j whenever j >= i+p,
+        so no position at or below M-p may follow M, and g, which may not
+        precede m, comes after the whole operation, as must every position
+        from g+p on. The interval lies in the 3p-1 positions from M-p+1
+        (g <= max(M+1, m+p)); the window bits give the presence of the
+        first p of them."""
         p = self.p
         m, M, _, tail = self.fields(keys)
         window = tail | (1 << (p - 1))
@@ -492,13 +459,6 @@ def build_ops_graph(inst: Instance, x: Sequence[int], p: Optional[int],
     stats.elapsed = time.perf_counter() - t0
     return OperationCostTable(keys=keys, starts=starts, stops=stops, cells=cells,
                               values=values, layout=layout, p=p, x=x, n_r=n_r, stats=stats)
-
-
-def ops_nonterminal_state_bound(n_d: int, n_r: int, p: int) -> float:
-    """Closed-form cap on the number of non-terminal states (valid for
-    n_d >= 4p-2)."""
-    return n_r * (2 * p - 1) * 4 ** (p - 1) * (
-        (2 * p - 3) * p + (n_d - 2 * p + 1) * n_d / 2.0)
 
 
 # ---------------------------------------------------------------------------

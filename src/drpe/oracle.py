@@ -1,10 +1,10 @@
-"""Reference implementations used as ground truth in tests and as the
-route-first-split-second building block.
+"""The precedence neighborhood by enumeration, and the optimal splitter.
 
-``split_optimal`` inserts replenishment optimally into a fixed destination
-order, walking back with stage 2's ``walk_back``; the searches and the
-split-based baselines call it. Everything else is deliberately brute force
-and guarded by size limits.
+``is_bs_neighbor`` and ``enumerate_bs_neighbors`` state the width-p
+neighborhood order by order; ``drpe enumerate`` checks stage 2's count
+against them, guarded to small sizes. ``split_optimal`` inserts
+replenishment optimally into a fixed destination order, walking back with
+stage 2's ``walk_back``; the searches and the split-based baselines call it.
 """
 
 from __future__ import annotations
@@ -15,17 +15,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .metagraph import walk_back
-from .model import (
-    BaseCostModel,
-    DroneTour,
-    InfeasibleError,
-    Instance,
-    SizeGuardError,
-)
+from .model import BaseCostModel, DroneTour, InfeasibleError, Instance, SizeGuardError
 
 ENUMERATION_GUARD = 10  # factorial guard for neighborhood enumeration
-BRUTE_FORCE_ND = 7
-BRUTE_FORCE_NR = 5
 
 
 def is_bs_neighbor(x: Sequence[int], x_prime: Sequence[int], p: int) -> bool:
@@ -52,20 +44,6 @@ def enumerate_bs_neighbors(x: Sequence[int], p: int) -> list:
     if len(x) > ENUMERATION_GUARD:
         raise SizeGuardError(f"enumeration limited to {ENUMERATION_GUARD} destinations")
     return [perm for perm in itertools.permutations(x) if is_bs_neighbor(x, perm, p)]
-
-
-def enumerate_valid_operation_sequences(n_d: int, p: int) -> set:
-    """Every destination sequence (as positions 0..n_d-1 of the reference
-    order) that occurs as a contiguous block of some neighbor order, i.e.
-    every ordering that some neighbor tour could fly as one operation."""
-    if n_d > 9:
-        raise SizeGuardError("operation-sequence enumeration limited to 9 destinations")
-    sequences = set()
-    for nb in enumerate_bs_neighbors(tuple(range(n_d)), p):
-        for a in range(n_d):
-            for b in range(a + 1, n_d + 1):
-                sequences.add(nb[a:b])
-    return sequences
 
 
 # ---------------------------------------------------------------------------
@@ -154,15 +132,3 @@ def split_optimal(x: Sequence[int], inst: Instance,
 
     return walk_back(inst, f, g, n_d, arcs_into, lambda block, w, wp: x[block], model)
 
-
-def brute_force_optimum(inst: Instance, model: Optional[object] = None) -> DroneTour:
-    """Global optimum by trying every destination order; guarded small sizes."""
-    if inst.n_d > BRUTE_FORCE_ND or inst.n_r > BRUTE_FORCE_NR:
-        raise SizeGuardError(
-            f"brute force limited to n_d<={BRUTE_FORCE_ND}, n_r<={BRUTE_FORCE_NR}")
-    best = None
-    for perm in itertools.permutations(range(inst.n_d)):
-        tour = split_optimal(perm, inst, model)
-        if best is None or tour.makespan < best.makespan:
-            best = tour
-    return best

@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .baselines import initial_tsp_sequence
 from .model import EPS, BaseCostModel, Instance, SizeGuardError, TimeLimitError, check_deadline
 from .metagraph import solve_meta
 from .opsgraph import build_ops_graph
@@ -119,10 +120,7 @@ def _descend(inst, x0, p0, p_max, model, config, algorithm, extras):
     config = config or SearchConfig()
     t0 = time.perf_counter()
     deadline = None if config.time_limit is None else t0 + config.time_limit
-    if x0 is None:
-        from .baselines import initial_tsp_sequence
-        x0 = initial_tsp_sequence(inst)
-    x0 = tuple(x0)
+    x0 = tuple(initial_tsp_sequence(inst) if x0 is None else x0)
     t_split = time.perf_counter()
     incumbent = split_optimal(x0, inst, model=model)
     layers = {"initial_order_s": t_split - t0,
@@ -183,7 +181,6 @@ def rts(inst: Instance, model: Optional[object] = None,
     spent on the order and on its split."""
     t0 = time.perf_counter()
     if x0 is None:
-        from .baselines import initial_tsp_sequence
         x0 = initial_tsp_sequence(inst)
     t_split = time.perf_counter()
     tour = split_optimal(tuple(x0), inst, model=model)

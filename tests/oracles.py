@@ -1,0 +1,108 @@
+"""Scalar and brute-force statements of the solvers' rules, kept as ground
+truth for the tests; no solver calls them."""
+
+from __future__ import annotations
+
+import itertools
+from typing import Optional
+
+from drpe.energy import ExtendedCosts
+from drpe.metagraph import MetaPattern
+from drpe.model import DroneTour, Instance, SizeGuardError
+from drpe.oracle import enumerate_bs_neighbors, split_optimal
+
+BRUTE_FORCE_ND = 7
+BRUTE_FORCE_NR = 5
+
+
+def set_window_valid(mask: int, p: int) -> bool:
+    """True iff every interior index of the set's window is present."""
+    if mask == 0:
+        return True
+    m = (mask & -mask).bit_length() - 1
+    M = mask.bit_length() - 1
+    lo, hi = m + p, M - p
+    if lo > hi:
+        return True
+    needed = ((1 << (hi + 1)) - 1) ^ ((1 << lo) - 1)
+    return mask & needed == needed
+
+
+def valid_successor_indices(mask: int, p: int, n_d: int) -> list:
+    """Positions by which a window-valid set may grow: the scalar
+    statement of ``SetKey.successors``'s rule for one set."""
+    if mask == 0:
+        raise ValueError("successor rule needs a nonempty set")
+    m = (mask & -mask).bit_length() - 1
+    M = mask.bit_length() - 1
+    rest = ~mask >> (m + p)
+    g = m + p + (rest & -rest).bit_length() - 1
+    return [i for i in range(max(M - p + 1, 0), min(g + p - 1, n_d - 1) + 1)
+            if not mask >> i & 1]
+
+
+def ops_nonterminal_state_bound(n_d: int, n_r: int, p: int) -> float:
+    """Closed-form cap on the number of non-terminal states (valid for
+    n_d >= 4p-2)."""
+    return n_r * (2 * p - 1) * 4 ** (p - 1) * (
+        (2 * p - 3) * p + (n_d - 2 * p + 1) * n_d / 2.0)
+
+
+def valid_at_stage(pattern: MetaPattern, k: int, n_d: int) -> bool:
+    """Whether the pattern's displaced positions all lie in 1..n_d at
+    stage k: the scalar form of ``TransitionLookup.valid_at``."""
+    if pattern.minus and k + max(pattern.minus) > n_d:
+        return False
+    if pattern.plus and k + min(pattern.plus) < 1:
+        return False
+    return True
+
+
+def valid_pattern_transitions(a: MetaPattern, b: MetaPattern, h: int, p: int) -> bool:
+    """Whether an arc from pattern a at some stage k to pattern b at stage
+    k+h exists: every position visited at k is still visited at k+h. For
+    h = 0 (the recharging-leg case) this means a == b."""
+    return a.visited(p) & ~b.visited(p + h) == 0
+
+
+def transition_destination_set(a: MetaPattern, b: MetaPattern, k: int, h: int) -> frozenset:
+    """0-based reference positions flown in the operation of this arc: the
+    positions visited at stage k+h but not at stage k."""
+    ops = b.visited(k + h) & ~a.visited(k)
+    return frozenset(t for t in range(ops.bit_length()) if ops >> t & 1)
+
+
+def enumerate_valid_operation_sequences(n_d: int, p: int) -> set:
+    """Every destination sequence (as positions 0..n_d-1 of the reference
+    order) that occurs as a contiguous block of some neighbor order, i.e.
+    every ordering that some neighbor tour could fly as one operation."""
+    if n_d > 9:
+        raise SizeGuardError("operation-sequence enumeration limited to 9 destinations")
+    sequences = set()
+    for nb in enumerate_bs_neighbors(tuple(range(n_d)), p):
+        for a in range(n_d):
+            for b in range(a + 1, n_d + 1):
+                sequences.add(nb[a:b])
+    return sequences
+
+
+def brute_force_optimum(inst: Instance, model: Optional[object] = None) -> DroneTour:
+    """Global optimum by trying every destination order; guarded small sizes."""
+    if inst.n_d > BRUTE_FORCE_ND or inst.n_r > BRUTE_FORCE_NR:
+        raise SizeGuardError(
+            f"brute force limited to n_d<={BRUTE_FORCE_ND}, n_r<={BRUTE_FORCE_NR}")
+    best = None
+    for perm in itertools.permutations(range(inst.n_d)):
+        tour = split_optimal(perm, inst, model)
+        if best is None or tour.makespan < best.makespan:
+            best = tour
+    return best
+
+
+def degenerate_costs(inst: Instance) -> ExtendedCosts:
+    """Extended-cost vector that collapses the extended model onto the base
+    model: no fixed charges, unit flight current, a budget equal to e_max
+    and no reserve."""
+    return ExtendedCosts(c_tkof=0.0, c_land=0.0, c_swap=0.0, xi_tkof=0.0,
+                         xi_land=0.0, r_fl=1.0, r_hov=0.0, xi_max=inst.e_max,
+                         residual=0.0)

@@ -22,7 +22,6 @@ from drpe.energy import (
     ExtendedCosts,
     battery_current,
     case_study_instance,
-    degenerate_costs,
     pract,
 )
 from drpe.exact import solve_exact
@@ -34,16 +33,17 @@ from drpe.metagraph import (
     solve_meta,
 )
 from drpe.model import BaseCostModel, validate_tour
-from drpe.opsgraph import build_ops_graph, ops_nonterminal_state_bound
-from drpe.oracle import (
-    brute_force_optimum,
-    enumerate_bs_neighbors,
-    enumerate_valid_operation_sequences,
-    split_optimal,
-)
-from drpe.search import vlsn, vlsn_ls
+from drpe.opsgraph import build_ops_graph
+from drpe.oracle import enumerate_bs_neighbors, is_bs_neighbor, split_optimal
+from drpe.search import shifted_permutations, vlsn, vlsn_ls
 
 from tests.conftest import FlightPricing, dense_view
+from tests.oracles import (
+    brute_force_optimum,
+    degenerate_costs,
+    enumerate_valid_operation_sequences,
+    ops_nonterminal_state_bound,
+)
 from tests.test_metagraph import PUBLISHED_PATTERNS_P4, PUBLISHED_TRANSITIONS_P4
 
 
@@ -108,19 +108,19 @@ def test_c05_neighborhood_counts():
             count = len(enumerate_bs_neighbors(x, p))
             if count < ((p - 1) / math.e) ** (n_d - 1) - 1e-12:
                 bound_ok = False
+    # the published p=2 counts also hold the single-depot wrap-around
+    # orders that fall outside the neighborhood: 8+2, 21+2, 55+2, 144+2
     published = {5: 10, 7: 23, 9: 57, 11: 146}
-    lines = []
-    for n_d, reported in published.items():
-        ours = count_bs_sequences(n_d, 2)
-        oracle = (len(enumerate_bs_neighbors(tuple(range(n_d)), 2))
-                  if n_d <= 8 else ours)
-        mark = "" if ours == reported else "  <- differs from published table"
-        lines.append(f"n_d={n_d}: ours={ours} oracle={oracle} published={reported}{mark}")
-    print("enumeration comparison (informational):")
-    for line in lines:
-        print("   " + line)
-    _verdict(5, table_ok and bound_ok,
-             "8 neighbors at (n_d=5, p=2); size lower bound holds for n_d<=8, p<=5")
+    ours, oracle_ok = {}, True
+    for n_d in published:
+        x = tuple(range(n_d))
+        wrap = sum(not is_bs_neighbor(x, y, 2) for y in shifted_permutations(x, 2))
+        ours[n_d] = count_bs_sequences(n_d, 2) + wrap
+        if n_d <= 8 and count_bs_sequences(n_d, 2) != len(enumerate_bs_neighbors(x, 2)):
+            oracle_ok = False
+    _verdict(5, table_ok and bound_ok and oracle_ok and ours == published,
+             "8 neighbors at (n_d=5, p=2); size lower bound holds for n_d<=8, p<=5; "
+             f"p=2 counts with wrap-around orders {ours} match the published table")
 
 
 def test_c06_pattern_table():

@@ -322,6 +322,23 @@ def test_bench_counts_a_tour_failing_validation_as_failed(tmp_path, monkeypatch)
     assert cell["value"] == cell["gap_pct"] == ""
 
 
+@pytest.mark.parametrize("options, message", [
+    (["--algos", "rts,pract"], "pract requires --model extended"),
+    (["--algos", "rts,vlsn-vnd", "--p0", "9"], "need 1 <= p0 <= p_max"),
+])
+def test_bench_refuses_bad_solver_options_before_any_cell(tmp_path, monkeypatch, capsys,
+                                                          options, message):
+    # the rts cells come first; the usage error must stop the campaign
+    # before them, writing no table and no registry
+    calls = []
+    monkeypatch.setattr(drpe.cli, "rts", lambda *args, **kwargs: calls.append(args))
+    out = _gen(tmp_path, count=1)
+    table = tmp_path / "bench.csv"
+    assert main(["bench", "--instances", str(out), *options, "--out", str(table)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert calls == [] and not table.exists() and not (out / "best_known.json").exists()
+
+
 def test_solver_options_are_read_only_by_their_solvers(tmp_path):
     # p0 and p_max configure the descent alone, so neither stops the
     # solvers that ignore them

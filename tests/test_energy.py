@@ -9,14 +9,13 @@ from drpe.energy import (
     ExtendedCosts,
     battery_current,
     case_study_instance,
-    degenerate_costs,
-    extended_operation_cost,
     pract,
 )
 from drpe.exact import solve_exact
 from drpe.generator import random_instance
-from drpe.model import Instance, Operation, validate_tour
+from drpe.model import Instance, Operation, operation_flight_time, validate_tour
 from drpe.search import vlsn_ls
+from tests.oracles import brute_force_optimum, degenerate_costs
 
 
 PARAMS = DroneEnergyParams(k=2.5e-3, weight=55.0, drag_coeff=0.012)
@@ -70,9 +69,8 @@ def test_extended_operation_cost_formulas():
     inst = case_study_instance(0)
     costs = ExtendedCosts()
     op = Operation(inst.w0, (0,), int(np.argmin(inst.cd_dr[0])))
-    from drpe.model import operation_flight_time
     flight = operation_flight_time(op, inst)
-    res = extended_operation_cost(op, inst, costs)
+    res = ExtendedCostModel(inst, costs).op_cost(flight, op.start_rl, op.end_rl)
     hover = max(0.0, inst.c_r[op.start_rl, op.end_rl] - (costs.c_tkof + flight))
     assert res.makespan == pytest.approx(
         max(costs.c_tkof + flight + hover + costs.c_land,
@@ -88,7 +86,8 @@ def test_no_hover_when_rover_arrives_first():
     c_d = np.array([[0.0, 5.0, 5.0], [5.0, 0.0, 2.0], [5.0, 2.0, 0.0]])
     c_r = np.zeros((2, 2))
     inst = Instance(n_d=1, n_r=2, c_d=c_d, c_r=c_r, w0=0, wt=1, e_max=100.0)
-    res = extended_operation_cost(Operation(0, (0,), 1), inst, ExtendedCosts())
+    flight = operation_flight_time(Operation(0, (0,), 1), inst)
+    res = ExtendedCostModel(inst, ExtendedCosts()).op_cost(flight, 0, 1)
     assert res.hover == 0.0
 
 
@@ -110,7 +109,6 @@ def test_extended_exact_matches_extended_brute_force():
     # the DP carries minimal flight times only; with hover cheaper than
     # flying that stays optimal, so the full pipeline must agree with a
     # permutation brute force evaluated under the same model
-    from drpe.oracle import brute_force_optimum
     costs = ExtendedCosts(c_tkof=3.0, c_land=5.0, c_swap=11.0, xi_tkof=40.0,
                           xi_land=7.0, r_fl=1.0, r_hov=0.65, xi_max=700.0,
                           residual=0.1)

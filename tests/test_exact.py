@@ -9,9 +9,9 @@ from drpe.io import save_instance
 from drpe.generator import random_instance
 from drpe.model import BaseCostModel, SizeGuardError, validate_tour
 from drpe.opsgraph import OperationCostTable
-from drpe.oracle import brute_force_optimum
 from drpe.search import vlsn
 from drpe.baselines import initial_tsp_sequence, limop
+from tests.oracles import brute_force_optimum
 
 
 def test_single_destination_closed_form():

@@ -5,20 +5,18 @@ from drpe.generator import random_instance
 from drpe.metagraph import (
     MetaPattern,
     count_bs_sequences,
-    count_meta_states,
     enumerate_valid_patterns,
     get_transition_lookup,
     solve_meta,
-    transition_destination_set,
-    valid_pattern_transitions,
 )
 from drpe.model import Instance, SizeGuardError, validate_tour
 from drpe.opsgraph import build_ops_graph
-from drpe.oracle import (
+from drpe.oracle import enumerate_bs_neighbors, is_bs_neighbor, split_optimal
+from tests.oracles import (
     brute_force_optimum,
-    enumerate_bs_neighbors,
-    is_bs_neighbor,
-    split_optimal,
+    transition_destination_set,
+    valid_at_stage,
+    valid_pattern_transitions,
 )
 
 # published lookup table for p=4: patterns and their valid transitions
@@ -122,8 +120,8 @@ def test_lookup_matches_displacement_rules():
                     assert len(offs) == h
                     # every stage up to p where both patterns are valid;
                     # from stage p-1 on both sides only translate with k
-                    stages = [k for k in range(p + 1) if a.valid_at_stage(k, n_d)
-                              and b.valid_at_stage(k + h, n_d)]
+                    stages = [k for k in range(p + 1) if valid_at_stage(a, k, n_d)
+                              and valid_at_stage(b, k + h, n_d)]
                     want = {stages[0] + d - 1 for d in offs}
                     assert transition_destination_set(a, b, stages[0], h) == want
                     want = sum(1 << t for t in want)
@@ -162,7 +160,11 @@ def test_sequence_counts_match_enumeration_oracle():
 
 def test_typical_stage_state_count():
     for p in (2, 3, 4, 5):
-        counts = count_meta_states(16, p)
+        lookup = get_transition_lookup(p)
+        valid_at = lookup.valid_at(16)
+        assert valid_at.tolist() == [[valid_at_stage(pat, k, 16) for pat in lookup.patterns]
+                                     for k in range(17)]
+        counts = valid_at.sum(axis=1)
         for k in range(p - 1, 16 - p + 2):
             assert counts[k] == 2 ** (p - 1)
         assert counts[0] == 1 and counts[16] == 1

@@ -13,7 +13,6 @@ from drpe.model import (
     build_tour,
     check_instance,
     operation_flight_time,
-    operation_makespan,
     tour_makespan,
     validate_tour,
 )
@@ -53,20 +52,21 @@ def test_empty_operation_rejected():
 
 def test_operation_makespan_max_of_sides():
     inst = _two_rl_instance(3.5)
+    flight = operation_flight_time(Operation(0, (0,), 1), inst)
     inst.c_r = np.array([[0.0, 4.0], [4.0, 0.0]])
-    op = Operation(0, (0,), 1)  # flight 7 vs rover 4
-    assert operation_makespan(op, inst) == 7.0
+    assert BaseCostModel(inst).op_makespan(flight, 0, 1) == 7.0  # flight 7 vs rover 4
     inst.c_r = np.array([[0.0, 9.0], [9.0, 0.0]])
-    assert operation_makespan(op, inst) == 9.0  # rover-bound, drone waits
+    assert BaseCostModel(inst).op_makespan(flight, 0, 1) == 9.0  # rover-bound, drone waits
 
 
 def test_worked_example_values(worked_instance, worked_tour):
     inst = worked_instance
     ops = worked_tour.operations()
     assert operation_flight_time(ops[0], inst) == pytest.approx(4.0, abs=1e-12)
-    assert operation_makespan(ops[0], inst) == pytest.approx(4.0, abs=1e-12)
-    assert operation_makespan(ops[1], inst) == pytest.approx(7.0, abs=1e-12)
-    assert operation_makespan(ops[2], inst) == pytest.approx(7.0, abs=1e-12)
+    model = BaseCostModel(inst)
+    for op, want in zip(ops, (4.0, 7.0, 7.0)):
+        flight = operation_flight_time(op, inst)
+        assert model.op_makespan(flight, op.start_rl, op.end_rl) == pytest.approx(want, abs=1e-12)
     assert worked_tour.makespan == pytest.approx(22.0, abs=1e-12)
     report = validate_tour(worked_tour, inst)
     assert report.passed
@@ -153,9 +153,9 @@ def test_makespan_dominates_parts():
         for v in range(inst.n_d):
             for w in range(inst.n_r):
                 for wp in range(inst.n_r):
-                    op = Operation(w, (v,), wp)
-                    m = operation_makespan(op, inst, model)
-                    assert m >= operation_flight_time(op, inst) - 1e-12
+                    flight = operation_flight_time(Operation(w, (v,), wp), inst)
+                    m = model.op_makespan(flight, w, wp)
+                    assert m >= flight - 1e-12
                     assert m >= inst.c_r[w, wp] - 1e-12
 
 

@@ -14,13 +14,15 @@ from drpe.opsgraph import (
     _levels,
     _min_over_rows,
     build_ops_graph,
-    ops_nonterminal_state_bound,
     recover_operation_order,
+)
+from tests.conftest import FlightPricing, binding_extended_model, dense_view, entries
+from tests.oracles import (
+    enumerate_valid_operation_sequences,
+    ops_nonterminal_state_bound,
     set_window_valid,
     valid_successor_indices,
 )
-from drpe.oracle import enumerate_valid_operation_sequences
-from tests.conftest import FlightPricing, binding_extended_model, dense_view, entries
 
 
 def _mask(*positions):

@@ -16,15 +16,10 @@ from drpe.model import (
     operation_flight_time,
     validate_tour,
 )
-from drpe.oracle import (
-    brute_force_optimum,
-    enumerate_bs_neighbors,
-    enumerate_valid_operation_sequences,
-    is_bs_neighbor,
-    split_optimal,
-)
+from drpe.oracle import enumerate_bs_neighbors, is_bs_neighbor, split_optimal
 from drpe.search import vlsn
 from tests.conftest import binding_extended_model
+from tests.oracles import brute_force_optimum, enumerate_valid_operation_sequences
 
 X5 = (0, 1, 2, 3, 4)
 

@@ -4,10 +4,11 @@ replaced (``two_step_price``), bitwise, +inf included."""
 import numpy as np
 import pytest
 
-from drpe.energy import ExtendedCostModel, degenerate_costs
+from drpe.energy import ExtendedCostModel
 from drpe.generator import random_instance
 from drpe.model import BaseCostModel
 from tests.conftest import binding_extended_model, two_step_price
+from tests.oracles import degenerate_costs
 
 
 def _degenerate_model(inst):

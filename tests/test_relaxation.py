@@ -26,8 +26,8 @@ from drpe.model import (
     build_tour,
 )
 from drpe.opsgraph import OperationCostTable, build_ops_graph, recover_operation_order
-from drpe.oracle import brute_force_optimum
 from tests.conftest import FlightPricing, binding_extended_model, dense_view, two_step_price
+from tests.oracles import brute_force_optimum, valid_at_stage
 
 MODELS = [BaseCostModel, binding_extended_model]
 
@@ -40,7 +40,7 @@ def _per_arc_solve_meta(costs, inst, x, p, model):
     lookup = get_transition_lookup(p)
     patterns = lookup.patterns
     n_pat = len(patterns)
-    valid_at = [[pat.valid_at_stage(k, n_d) for pat in patterns]
+    valid_at = [[valid_at_stage(pat, k, n_d) for pat in patterns]
                 for k in range(n_d + 1)]
     zeta = np.full((n_d + 1, n_pat, n_r), np.inf)
     eps = np.full((n_d + 1, n_pat, n_r), np.inf)

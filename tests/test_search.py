@@ -11,7 +11,7 @@ from drpe.generator import generate, get_setting, random_instance
 from drpe.metagraph import solve_meta
 from drpe.model import EPS, BaseCostModel, SizeGuardError, TimeLimitError, validate_tour
 from drpe.opsgraph import build_ops_graph
-from drpe.oracle import brute_force_optimum, is_bs_neighbor, split_optimal
+from drpe.oracle import is_bs_neighbor, split_optimal
 from drpe.search import (
     SearchConfig,
     rts,
@@ -22,6 +22,7 @@ from drpe.search import (
 )
 from drpe.baselines import initial_tsp_sequence
 from tests.conftest import binding_extended_model
+from tests.oracles import brute_force_optimum
 
 
 def test_width_one_is_the_splitter():

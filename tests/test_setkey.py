@@ -11,9 +11,8 @@ from drpe.opsgraph import (
     OpsGraphStats,
     SetKey,
     build_ops_graph,
-    set_window_valid,
-    valid_successor_indices,
 )
+from tests.oracles import set_window_valid, valid_successor_indices
 
 
 def _check_layout(layout, masks):
