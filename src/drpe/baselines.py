@@ -225,13 +225,18 @@ def _capped_op_table(inst: Instance, klim: int, model, deadline=None) -> Operati
     return OperationCostTable.from_dense(inst.n_d, inst.n_r, pairs())
 
 
+def check_klim(klim: int) -> None:
+    """Raise ValueError unless klim is an operation-size cap."""
+    if klim < 1:
+        raise ValueError("klim must be >= 1")
+
+
 def limop(inst: Instance, klim: int = 2, model: Optional[object] = None,
           time_limit: Optional[float] = None) -> SolveReport:
     """Optimal tour among those whose operations visit at most klim
     destinations each. Refused by ``size_guard`` before any table is built,
     and stopped by ``time_limit``, as ``solve_exact`` is."""
-    if klim < 1:
-        raise ValueError("klim must be >= 1")
+    check_klim(klim)
     if klim > KLIM_GUARD:
         raise SizeGuardError(f"operation-size cap limited to {KLIM_GUARD}")
     size_guard(inst, "limop")

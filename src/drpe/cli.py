@@ -21,7 +21,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import BaselineConfig, initial_tsp_sequence, limop, rts_3nn, sa_rts_3opt
+from .baselines import (
+    BaselineConfig,
+    check_klim,
+    initial_tsp_sequence,
+    limop,
+    rts_3nn,
+    sa_rts_3opt,
+)
 from .energy import ExtendedCostModel, ExtendedCosts, pract
 from .exact import solve_exact
 from .generator import SETTING_NAMES, SIZE_NAMES, all_settings, generate, get_setting
@@ -36,6 +43,7 @@ from .model import (
     TimeLimitError,
     validate_tour,
 )
+from .opsgraph import check_width
 from .oracle import enumerate_bs_neighbors
 from .reports import SolveReport
 from .search import SearchConfig, rts, vlsn, vlsn_ls, vlsn_vnd
@@ -67,10 +75,17 @@ def _cost_model(inst, args):
 def _solver_config(algo: str, args):
     """The configuration ``algo`` reads from ``args``: a ``SearchConfig``
     for the descents, a ``BaselineConfig`` for ``rts3nn``/``sa``, else
-    None. Raises ValueError on options ``algo`` cannot run with; ``bench``
-    calls it for every algorithm before any cell runs."""
-    if algo in ("vlsn-ls", "vlsn-vnd"):
+    None. Raises ValueError on options ``algo`` cannot run with, by the
+    rules the solvers themselves apply; ``bench`` calls it for every
+    algorithm before any cell runs."""
+    if algo in ("vlsn", "vlsn-ls"):
+        check_width(args.p)
+    if algo == "vlsn-ls":  # the width is --p; the config only times it
+        return SearchConfig(time_limit=args.time_limit)
+    if algo == "vlsn-vnd":
         return SearchConfig(p0=args.p0, p_max=args.p_max, time_limit=args.time_limit)
+    if algo == "limop":
+        check_klim(args.klim)
     if algo in ("rts3nn", "sa"):
         return BaselineConfig(iterations=args.budget, seed=args.seed,
                               time_limit=args.time_limit)

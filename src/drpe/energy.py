@@ -26,12 +26,13 @@ import numpy as np
 from .baselines import initial_tsp_sequence
 from .generator import grid_coordinates, metrics_from_coords
 from .model import (
+    BaseCostModel,
     Instance,
     InfeasibleError,
     Operation,
     RechargingLeg,
+    _price_operations,
     build_tour,
-    operation_flight_time,
 )
 from .reports import SolveReport
 
@@ -97,16 +98,13 @@ class ExtendedCosts:
     def usable(self) -> float:
         return (1.0 - self.residual) * self.xi_max
 
-
-@dataclass
-class ExtendedOpCost:
-    makespan: float
-    energy: float
-    feasible: bool
-    hover: float = 0.0
+    @property
+    def max_flight(self) -> float:
+        """Zero-hover flight-time cap of the usable charge."""
+        return (self.usable - self.xi_tkof - self.xi_land) / self.r_fl
 
 
-class ExtendedCostModel:
+class ExtendedCostModel(BaseCostModel):
     """Drop-in cost model for the solvers under the extended semantics.
 
     Intermediate pruning uses the optimistic zero-hover flight cap; the
@@ -117,11 +115,10 @@ class ExtendedCostModel:
 
     def __init__(self, inst: Instance, costs: Optional[ExtendedCosts] = None):
         self.inst = inst
-        self.costs = costs or ExtendedCosts()
+        self.costs = c = costs or ExtendedCosts()
         self.c_r = inst.c_r
-        c = self.costs
         self.usable = c.usable
-        self.max_flight = (self.usable - c.xi_tkof - c.xi_land) / c.r_fl
+        self.max_flight = c.max_flight
         if self.max_flight <= 0:
             raise ValueError("takeoff and landing alone exceed the usable charge")
         self._etol = 1e-9 * max(1.0, self.usable)
@@ -129,30 +126,18 @@ class ExtendedCostModel:
         self.flight_cap = self.max_flight + self._etol / c.r_fl
 
     def _costs(self, flights, rover):
-        """(hover, energy, feasible, makespan) of operations flying
-        ``flights`` against rover times ``rover``, scalars or arrays; the
-        hover enters both the energy and the makespan."""
+        """(hover, energy, feasible, makespan) arrays of operations flying
+        ``flights`` against rover times ``rover``; the hover enters both
+        the energy and the makespan, and a NaN energy is infeasible."""
         c = self.costs
         hover = np.maximum(0.0, rover - (c.c_tkof + flights))
         energy = c.xi_tkof + c.r_fl * flights + c.r_hov * hover + c.xi_land
         makespan = np.maximum(c.c_tkof + flights + hover + c.c_land, rover) + c.c_swap
         return hover, energy, energy <= self.usable + self._etol, makespan
 
-    def op_cost(self, flight: float, w: int, w_prime: int) -> ExtendedOpCost:
-        hover, energy, feasible, makespan = self._costs(flight, self.c_r[w, w_prime])
-        return ExtendedOpCost(makespan=float(makespan), energy=float(energy),
-                              feasible=bool(feasible), hover=float(hover))
-
-    def op_makespan(self, flight: float, w: int, w_prime: int) -> float:
-        return self.op_cost(flight, w, w_prime).makespan
-
-    def op_feasible(self, flight: float, w: int, w_prime: int) -> bool:
-        return self.op_cost(flight, w, w_prime).feasible
-
-    def price(self, flights: np.ndarray, rover: Optional[np.ndarray] = None) -> np.ndarray:
-        _, _, feasible, out = self._costs(flights, self.c_r if rover is None else rover)
-        out[~feasible] = np.inf  # NaN energy is infeasible too
-        return out
+    def cost(self, flights: np.ndarray, rover: Optional[np.ndarray] = None) -> tuple:
+        _, _, feasible, makespan = self._costs(flights, self.c_r if rover is None else rover)
+        return makespan, feasible
 
 
 def case_study_instance(seed: int, n_d: int = 14, n_r: int = 81,
@@ -169,14 +154,13 @@ def case_study_instance(seed: int, n_d: int = 14, n_r: int = 81,
     comparisons against it are meaningful.
     """
     costs = costs or ExtendedCosts()
-    cap = (costs.usable - costs.xi_tkof - costs.xi_land) / costs.r_fl
     for attempt in range(max_tries):
         rng = np.random.default_rng(seed * 1009 + attempt)
         dest_xy = rng.uniform(0.0, side, size=(n_d, 2))
         rl_xy = grid_coordinates(n_r, side)
         c_d, c_r = metrics_from_coords(dest_xy, rl_xy, rover_speed=1.0)
         inst = Instance(n_d=n_d, n_r=n_r, c_d=c_d / drone_speed,
-                        c_r=c_r / rover_speed, w0=0, wt=n_r - 1, e_max=cap,
+                        c_r=c_r / rover_speed, w0=0, wt=n_r - 1, e_max=costs.max_flight,
                         dest_xy=dest_xy, rl_xy=rl_xy,
                         name=f"case_study_s{seed}",
                         meta={"seed": seed, "attempt": attempt,
@@ -246,14 +230,9 @@ def pract(inst: Instance, costs: Optional[ExtendedCosts] = None,
         elements.append(op)
         elements.append(RechargingLeg(op.end_rl, op.end_rl))
     tour = build_tour(inst, elements, model)
-
-    violations = 0
-    for op in ops:
-        flight = operation_flight_time(op, inst)
-        if not model.op_cost(flight, op.start_rl, op.end_rl).feasible:
-            violations += 1
+    _, _, feasible = _price_operations(ops, inst, model)
     return SolveReport(algorithm="pract", tour=tour,
                        wall_time=time.perf_counter() - t0,
                        extras={"operations": len(ops),
-                               "energy_violations": violations,
+                               "energy_violations": int(np.count_nonzero(~feasible)),
                                "order_preserved": True})

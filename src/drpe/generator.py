@@ -62,9 +62,6 @@ class GeneratorSetting:
     side: float        # square side, length units
     density: float     # destinations per squared length unit
 
-    def label(self) -> str:
-        return f"{self.name}-{self.size}"
-
 
 def get_setting(name: str, size: str) -> GeneratorSetting:
     if name not in _FACTORS:

@@ -46,6 +46,7 @@ from .opsgraph import (
     OperationCostTable,
     _ctz,
     _top_bit,
+    check_width,
     recover_operation_order,
 )
 
@@ -75,8 +76,7 @@ def enumerate_valid_patterns(p: int) -> list:
     """All valid patterns at a typical stage, deterministic order: by
     cardinality, then lexicographically by the postponed set, then by the
     pulled-forward set. There are exactly 2^(p-1)."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    check_width(p)
     patterns = [MetaPattern((), ())]
     for card in range(1, p // 2 + 1):
         for plus in combinations(range(2 - p, 1), card):

@@ -211,18 +211,15 @@ class BaseCostModel:
     flight time stays within e_max; its makespan is the slower of drone and
     rover.
 
-    A cost model (this class or ``ExtendedCostModel``) has one pricing
-    method and one scalar pair:
-
-    - ``price(flights, rover=None)`` maps minimal flight times to operation
-      makespans, +inf where the flight is infeasible. ``flights`` is a
-      (start RL x end RL) matrix, a stack of them, or any array of the
-      shape of ``rover``, the rover time of each entry (default ``c_r``).
-      The splitter, stage 1 and limop's table call it once per value;
-      stage 2 and the exact sweep read the makespans they stored.
-    - ``op_feasible`` / ``op_makespan`` price one operation from its flight
-      time and endpoint RLs, for tour validation and tour pricing
-      (``tour_makespan``, ``build_tour``).
+    A cost model (this class or ``ExtendedCostModel``) writes its rule once,
+    as ``cost(flights, rover=None) -> (makespan, feasible)`` over arrays of
+    minimal flight times and of the rover time of each entry (default
+    ``c_r``, for (start RL x end RL) matrices or stacks of them). ``price``
+    is the makespan with +inf where infeasible: the splitter, stage 1 and
+    limop's table call it once per value, and stage 2 and the exact sweep
+    read the makespans they stored. Tour pricing (``tour_makespan``,
+    ``build_tour``), ``validate_tour`` and ``pract`` call ``cost`` once for
+    all of a tour's operations.
 
     ``max_flight`` is the nominal flight-time cap and ``flight_cap`` that cap
     plus the model's feasibility tolerance, in flight units: no flight above
@@ -238,16 +235,15 @@ class BaseCostModel:
         self.max_flight = float(inst.e_max)
         self.flight_cap = self.max_flight + EPS
 
-    def op_makespan(self, flight: float, w: int, w_prime: int) -> float:
-        return max(flight, self.c_r[w, w_prime])
-
-    def op_feasible(self, flight: float, w: int, w_prime: int) -> bool:
-        return flight <= self.flight_cap
+    def cost(self, flights: np.ndarray, rover: Optional[np.ndarray] = None) -> tuple:
+        return (np.maximum(flights, self.c_r if rover is None else rover),
+                flights <= self.flight_cap)
 
     def price(self, flights: np.ndarray, rover: Optional[np.ndarray] = None) -> np.ndarray:
-        out = np.maximum(flights, self.c_r if rover is None else rover)
-        out[flights > self.flight_cap] = np.inf
-        return out
+        makespan, feasible = self.cost(flights, rover)
+        # invert the verdict in place: a second mask cost large-ls 2.4 MB of peak RSS
+        np.putmask(makespan, np.logical_not(feasible, out=feasible), np.inf)
+        return makespan
 
 
 def operation_flight_time(op: Operation, inst: Instance) -> float:
@@ -261,10 +257,6 @@ def operation_flight_time(op: Operation, inst: Instance) -> float:
         t = t + c_d[cur, nxt]
         cur = nxt
     return float(t + c_d[cur, inst.rl_node(op.end_rl)])
-
-
-def leg_makespan(leg: RechargingLeg, inst: Instance) -> float:
-    return float(inst.c_r[leg.from_rl, leg.to_rl])
 
 
 def _check_structure(elements: Sequence[TourElement], inst: Instance) -> Optional[str]:
@@ -288,20 +280,31 @@ def _check_structure(elements: Sequence[TourElement], inst: Instance) -> Optiona
     return None
 
 
+def _price_operations(ops: Sequence[Operation], inst: Instance, model=None) -> tuple:
+    """(flights, makespans, feasible) arrays of ``ops`` under the model's
+    rule (default base), priced in one call against their rover times."""
+    flights = np.array([operation_flight_time(op, inst) for op in ops], dtype=float)
+    rover = inst.c_r[[op.start_rl for op in ops], [op.end_rl for op in ops]]
+    return (flights, *(model or BaseCostModel(inst)).cost(flights, rover))
+
+
+def _summed_makespan(elements, inst: Instance, op_makespans: np.ndarray) -> float:
+    """A well-formed tour's legs and operation makespans, summed left to right."""
+    ops = iter(op_makespans.tolist())
+    total = 0.0
+    for el in elements:
+        total = total + (inst.c_r[el.from_rl, el.to_rl] if isinstance(el, RechargingLeg)
+                         else next(ops))
+    return float(total)
+
+
 def tour_makespan(tour: DroneTour, inst: Instance, model: Optional[object] = None) -> float:
     """Recompute a tour's makespan; raises on broken chaining."""
     err = _check_structure(tour.elements, inst)
     if err is not None:
         raise TourStructureError(err)
-    model = model or BaseCostModel(inst)
-    total = 0.0
-    for el in tour.elements:
-        if isinstance(el, RechargingLeg):
-            total = total + leg_makespan(el, inst)
-        else:
-            total = total + model.op_makespan(
-                operation_flight_time(el, inst), el.start_rl, el.end_rl)
-    return float(total)
+    _, makespans, _ = _price_operations(tour.operations(), inst, model)
+    return _summed_makespan(tour.elements, inst, makespans)
 
 
 @dataclass
@@ -331,10 +334,7 @@ def validate_tour(tour: DroneTour, inst: Instance,
     reported as messages but do not fail the report (used to audit tours of
     heuristics that knowingly overrun the budget).
     """
-    model = model or BaseCostModel(inst)
-    checks = {}
-    messages = []
-
+    checks, messages = {}, []
     err = _check_structure(tour.elements, inst)
     checks["structure"] = err is None
     if err is not None:
@@ -361,28 +361,25 @@ def validate_tour(tour: DroneTour, inst: Instance,
         missing = sorted(set(range(inst.n_d)) - set(visited))
         messages.append(f"unvisited destinations: {missing}")
 
-    energy_ok = in_range
-    for i, op in enumerate(ops if in_range else ()):
-        flight = operation_flight_time(op, inst)
-        if not model.op_feasible(flight, op.start_rl, op.end_rl):
-            energy_ok = False
+    energy_ok, recomputed = in_range, None
+    if in_range:
+        flights, makespans, feasible = _price_operations(ops, inst, model)
+        energy_ok = bool(feasible.all())
+        for i in np.flatnonzero(~feasible).tolist():
             messages.append(
-                f"operation {i} infeasible: flight {flight:.6g} "
-                f"({op.start_rl}->{op.end_rl})")
+                f"operation {i} infeasible: flight {flights[i]:.6g} "
+                f"({ops[i].start_rl}->{ops[i].end_rl})")
+        if checks["structure"]:
+            recomputed = _summed_makespan(tour.elements, inst, makespans)
     if energy_required:
         checks["energy"] = energy_ok
     else:
         messages.append(f"energy feasibility: {'ok' if energy_ok else 'violated'}")
 
-    recomputed = None
-    if checks["structure"] and in_range:
-        recomputed = tour_makespan(tour, inst, model)
-        checks["makespan"] = abs(recomputed - tour.makespan) <= EPS
-        if not checks["makespan"]:
-            messages.append(
-                f"cached makespan {tour.makespan:.9g} != recomputed {recomputed:.9g}")
-    else:
-        checks["makespan"] = False
+    checks["makespan"] = recomputed is not None and abs(recomputed - tour.makespan) <= EPS
+    if recomputed is not None and not checks["makespan"]:
+        messages.append(
+            f"cached makespan {tour.makespan:.9g} != recomputed {recomputed:.9g}")
 
     return ValidationReport(checks=checks, messages=messages,
                             recomputed_makespan=recomputed)

@@ -55,6 +55,12 @@ def chunks(n: int, per_item: int):
     return (slice(i, i + step) for i in range(0, n, step))
 
 
+def check_width(p: int) -> None:
+    """Raise ValueError unless p is a neighborhood width."""
+    if p < 1:
+        raise ValueError("p must be >= 1")
+
+
 # ---------------------------------------------------------------------------
 # Set keys
 # ---------------------------------------------------------------------------
@@ -389,8 +395,8 @@ def build_ops_graph(inst: Instance, x: Sequence[int], p: Optional[int],
     x = tuple(x)
     if sorted(x) != list(range(inst.n_d)):
         raise ValueError("x must be a permutation of all destinations")
-    if p is not None and p < 1:
-        raise ValueError("p must be >= 1")
+    if p is not None:
+        check_width(p)
     model = model or BaseCostModel(inst)
     n = inst.n_d
     layout = SetKey(n, p)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .metagraph import walk_back
 from .model import BaseCostModel, DroneTour, InfeasibleError, Instance, SizeGuardError
+from .opsgraph import check_width
 
 ENUMERATION_GUARD = 10  # factorial guard for neighborhood enumeration
 
@@ -24,8 +25,7 @@ def is_bs_neighbor(x: Sequence[int], x_prime: Sequence[int], p: int) -> bool:
     """True iff x_prime keeps every element at most p-1 steps ahead of any
     element it overtakes: whenever j >= i + p, the j-th element of x must
     appear after the i-th."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    check_width(p)
     if len(x) != len(x_prime) or set(x) != set(x_prime):
         raise ValueError("orders must be permutations of the same destinations")
     position = {v: i for i, v in enumerate(x_prime)}

@@ -325,6 +325,9 @@ def test_bench_counts_a_tour_failing_validation_as_failed(tmp_path, monkeypatch)
 @pytest.mark.parametrize("options, message", [
     (["--algos", "rts,pract"], "pract requires --model extended"),
     (["--algos", "rts,vlsn-vnd", "--p0", "9"], "need 1 <= p0 <= p_max"),
+    (["--algos", "rts,limop", "--klim", "0"], "klim must be >= 1"),
+    (["--algos", "rts,vlsn", "--p", "0"], "p must be >= 1"),
+    (["--algos", "rts,vlsn-ls", "--p", "0"], "p must be >= 1"),
 ])
 def test_bench_refuses_bad_solver_options_before_any_cell(tmp_path, monkeypatch, capsys,
                                                           options, message):
@@ -340,13 +343,17 @@ def test_bench_refuses_bad_solver_options_before_any_cell(tmp_path, monkeypatch,
 
 
 def test_solver_options_are_read_only_by_their_solvers(tmp_path):
-    # p0 and p_max configure the descent alone, so neither stops the
-    # solvers that ignore them
+    # p0 and p_max configure the variable neighborhood descent alone, so
+    # neither stops the solvers that ignore them; vlsn-ls searches at --p
     path = tmp_path / "small.json"
     save_instance(random_instance(1, n_d=5, n_r=3), path)
     assert main(["solve", "--algo", "rts", "--p-max", "1", "-i", str(path)]) == 0
     assert main(["solve", "--algo", "exact", "--p0", "9", "-i", str(path)]) == 0
+    assert main(["solve", "--algo", "vlsn-ls", "--p", "3", "--p0", "9", "-i", str(path)]) == 0
     assert main(["solve", "--algo", "vlsn-vnd", "--p0", "9", "-i", str(path)]) == 1
+    # drpe solve reports the solvers' own usage errors as failures
+    assert main(["solve", "--algo", "limop", "--klim", "0", "-i", str(path)]) == 1
+    assert main(["solve", "--algo", "vlsn", "--p", "0", "-i", str(path)]) == 1
 
 
 def test_time_limit_reaches_exact_and_limop(tmp_path, capsys):

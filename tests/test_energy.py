@@ -70,16 +70,20 @@ def test_extended_operation_cost_formulas():
     costs = ExtendedCosts()
     op = Operation(inst.w0, (0,), int(np.argmin(inst.cd_dr[0])))
     flight = operation_flight_time(op, inst)
-    res = ExtendedCostModel(inst, costs).op_cost(flight, op.start_rl, op.end_rl)
-    hover = max(0.0, inst.c_r[op.start_rl, op.end_rl] - (costs.c_tkof + flight))
-    assert res.makespan == pytest.approx(
-        max(costs.c_tkof + flight + hover + costs.c_land,
-            inst.c_r[op.start_rl, op.end_rl]) + costs.c_swap)
-    assert res.energy == pytest.approx(
+    rover = inst.c_r[op.start_rl, op.end_rl]
+    model = ExtendedCostModel(inst, costs)
+    res_hover, energy, feasible, makespan = model._costs(flight, rover)
+    hover = max(0.0, rover - (costs.c_tkof + flight))
+    assert res_hover == pytest.approx(hover)
+    assert makespan == pytest.approx(
+        max(costs.c_tkof + flight + hover + costs.c_land, rover) + costs.c_swap)
+    assert energy == pytest.approx(
         costs.xi_tkof + costs.r_fl * flight + costs.r_hov * hover + costs.xi_land)
     # 600 s of cruise burns 600 * 15806 mAs of flight charge
     assert 600.0 * costs.r_fl == pytest.approx(9.4836e6)
-    assert res.feasible == (res.energy <= 0.9 * 21.6e6 + 1e-3)
+    assert feasible == (energy <= 0.9 * 21.6e6 + 1e-3)
+    # the rule the solvers and validation read is the same makespan and verdict
+    assert model.cost(flight, rover) == (makespan, feasible)
 
 
 def test_no_hover_when_rover_arrives_first():
@@ -87,8 +91,8 @@ def test_no_hover_when_rover_arrives_first():
     c_r = np.zeros((2, 2))
     inst = Instance(n_d=1, n_r=2, c_d=c_d, c_r=c_r, w0=0, wt=1, e_max=100.0)
     flight = operation_flight_time(Operation(0, (0,), 1), inst)
-    res = ExtendedCostModel(inst, ExtendedCosts()).op_cost(flight, 0, 1)
-    assert res.hover == 0.0
+    hover, _, _, _ = ExtendedCostModel(inst, ExtendedCosts())._costs(flight, inst.c_r[0, 1])
+    assert hover == 0.0
 
 
 def test_degeneration_reproduces_base_model():

@@ -54,9 +54,11 @@ def test_operation_makespan_max_of_sides():
     inst = _two_rl_instance(3.5)
     flight = operation_flight_time(Operation(0, (0,), 1), inst)
     inst.c_r = np.array([[0.0, 4.0], [4.0, 0.0]])
-    assert BaseCostModel(inst).op_makespan(flight, 0, 1) == 7.0  # flight 7 vs rover 4
+    # flight 7 vs rover 4
+    assert BaseCostModel(inst).cost(flight, inst.c_r[0, 1]) == (7.0, True)
     inst.c_r = np.array([[0.0, 9.0], [9.0, 0.0]])
-    assert BaseCostModel(inst).op_makespan(flight, 0, 1) == 9.0  # rover-bound, drone waits
+    # rover-bound, drone waits
+    assert BaseCostModel(inst).cost(flight, inst.c_r[0, 1]) == (9.0, True)
 
 
 def test_worked_example_values(worked_instance, worked_tour):
@@ -66,7 +68,8 @@ def test_worked_example_values(worked_instance, worked_tour):
     model = BaseCostModel(inst)
     for op, want in zip(ops, (4.0, 7.0, 7.0)):
         flight = operation_flight_time(op, inst)
-        assert model.op_makespan(flight, op.start_rl, op.end_rl) == pytest.approx(want, abs=1e-12)
+        makespan, _ = model.cost(flight, inst.c_r[op.start_rl, op.end_rl])
+        assert makespan == pytest.approx(want, abs=1e-12)
     assert worked_tour.makespan == pytest.approx(22.0, abs=1e-12)
     report = validate_tour(worked_tour, inst)
     assert report.passed
@@ -154,7 +157,7 @@ def test_makespan_dominates_parts():
             for w in range(inst.n_r):
                 for wp in range(inst.n_r):
                     flight = operation_flight_time(Operation(w, (v,), wp), inst)
-                    m = model.op_makespan(flight, w, wp)
+                    m, _ = model.cost(flight, inst.c_r[w, wp])
                     assert m >= flight - 1e-12
                     assert m >= inst.c_r[w, wp] - 1e-12
 

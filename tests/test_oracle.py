@@ -118,8 +118,8 @@ def test_split_single_destination_picks_best_rl_pair():
 
 def _block_split_best(x, inst, model=None):
     """Brute force over the 2^(n-1) block splits of x; for each split, a
-    chain DP over the RLs between blocks, priced with the model's scalar
-    methods."""
+    chain DP over the RLs between blocks, priced one operation at a time
+    with the model's rule."""
     model = model or BaseCostModel(inst)
     n = len(x)
     best = math.inf
@@ -131,8 +131,9 @@ def _block_split_best(x, inst, model=None):
             end = np.full(inst.n_r, math.inf)
             for w, wp in itertools.product(range(inst.n_r), repeat=2):
                 flight = operation_flight_time(Operation(w, blk, wp), inst)
-                if model.op_feasible(flight, w, wp):
-                    end[wp] = min(end[wp], at[w] + model.op_makespan(flight, w, wp))
+                makespan, feasible = model.cost(flight, inst.c_r[w, wp])
+                if feasible:
+                    end[wp] = min(end[wp], at[w] + makespan)
             at = (end[:, None] + inst.c_r).min(axis=0)
         best = min(best, at[inst.wt])
     return best
@@ -189,7 +190,7 @@ def test_split_keeps_a_block_whose_flight_is_within_the_energy_tolerance():
     xi_max = ((k - 2e-8) * c.r_fl + c.xi_tkof + c.xi_land) / (1 - c.residual)
     model = ExtendedCostModel(inst, ExtendedCosts(xi_max=xi_max, **costs))
     assert model.max_flight + 1e-9 < k <= model.flight_cap
-    assert model.op_feasible(k, 0, 1)
+    assert model.cost(k, c_r[0, 1])[1]
     tour = split_optimal((0, 1), inst, model)
     assert tour.elements == (RechargingLeg(0, 0), Operation(0, (0, 1), 1),
                              RechargingLeg(1, 0))

@@ -1,12 +1,16 @@
-"""The cost models' one pricing method against the two-step pricing it
-replaced (``two_step_price``), bitwise, +inf included."""
+"""The cost models' one rule: ``price`` against the two-step pricing it
+replaced (``two_step_price``), bitwise, +inf included, and tour pricing and
+validation against ``price`` and ``cost``."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from drpe.energy import ExtendedCostModel
+from drpe.energy import ExtendedCostModel, ExtendedCosts, case_study_instance, pract
 from drpe.generator import random_instance
-from drpe.model import BaseCostModel
+from drpe.model import BaseCostModel, operation_flight_time, tour_makespan, validate_tour
+from drpe.oracle import split_optimal
 from tests.conftest import binding_extended_model, two_step_price
 from tests.oracles import degenerate_costs
 
@@ -67,17 +71,51 @@ def test_flight_cap_is_the_last_feasible_flight(make_model):
     assert np.isfinite(got[:2]).all() and got[2] == np.inf
 
 
+def _overflying_tours(inst):
+    """Tours split from three orders at 1.2 and 1.5 times ``inst``'s e_max,
+    so some of their operations overfly ``inst``'s budget."""
+    for factor in (1.2, 1.5):
+        loose = dataclasses.replace(inst, e_max=factor * inst.e_max)
+        for seed in range(3):
+            x = np.random.default_rng(seed).permutation(inst.n_d).tolist()
+            yield split_optimal(tuple(x), loose)
+
+
+def _check_tour_pricing(tour, inst, model):
+    """validate_tour flags exactly the operations that ``price`` puts at
+    +inf, and tour_makespan is the legs and the rule's operation makespans
+    summed left to right; returns the number flagged."""
+    ops = tour.operations()
+    flights = np.array([operation_flight_time(op, inst) for op in ops])
+    rover = np.array([inst.c_r[op.start_rl, op.end_rl] for op in ops])
+    infinite = np.flatnonzero(model.price(flights, rover) == np.inf).tolist()
+    report = validate_tour(tour, inst, model)
+    flagged = [int(m.split()[1]) for m in report.messages if m.startswith("operation ")]
+    assert flagged == infinite
+    assert report.checks["energy"] == (not infinite)
+    makespans, _ = model.cost(flights, rover)
+    total = 0.0
+    for k, leg in enumerate(tour.legs()):
+        total = total + inst.c_r[leg.from_rl, leg.to_rl]
+        if k < len(ops):
+            total = total + makespans[k]
+    assert tour_makespan(tour, inst, model) == total == report.recomputed_makespan
+    return len(flagged)
+
+
 @pytest.mark.parametrize("make_model", MODELS)
-def test_price_matches_the_scalar_pair(make_model):
-    # op_feasible / op_makespan, which validation uses, agree with price
-    inst, model = _model(make_model)
-    rng = np.random.default_rng(5)
-    flights = rng.uniform(0.0, 1.5 * model.flight_cap, (inst.n_r, inst.n_r))
-    got = model.price(flights)
-    for w in range(inst.n_r):
-        for wp in range(inst.n_r):
-            flight = float(flights[w, wp])
-            if model.op_feasible(flight, w, wp):
-                assert got[w, wp] == model.op_makespan(flight, w, wp)
-            else:
-                assert got[w, wp] == np.inf
+def test_tour_pricing_and_validation_read_the_rule(make_model):
+    inst, model = _model(make_model, n_d=8)
+    tours = list(_overflying_tours(inst))
+    flagged = sum(_check_tour_pricing(tour, inst, model) for tour in tours)
+    assert 0 < flagged < sum(len(tour.operations()) for tour in tours)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_pract_overruns_are_the_infeasible_operations(seed):
+    # at residual 0.3 the practitioner's tours overrun the smaller usable
+    # charge on several operations
+    inst, costs = case_study_instance(seed), ExtendedCosts(residual=0.3)
+    report = pract(inst, costs)
+    flagged = _check_tour_pricing(report.tour, inst, ExtendedCostModel(inst, costs))
+    assert flagged == report.extras["energy_violations"] >= 3

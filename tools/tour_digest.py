@@ -1,14 +1,18 @@
-"""One sha256 over the tours and makespans of a fixed list of solves.
+"""One sha256 over the tours, makespans and validation reports of a fixed
+list of solves.
 
     python3 tools/tour_digest.py [SRC]
 
 SRC is the `src` directory of the tree to check (default: this tree's). Run
-it on two trees to check that a change keeps every tour bitwise identical:
-the digests must be equal. The list covers every solve of the perfbench
-workloads (read from the perfbench directory next to SRC), `solve_exact`
-and `limop` (klim 1-3) under both cost models, `vlsn` at p 1-4, and
-`split_optimal` from the initial order and from random orders, on random
-instances and on the Basis instances.
+it on two trees to check that a change keeps every tour, and the report of
+`validate_tour` on it under the cost model it was solved with, bitwise
+identical: the digests must be equal. The list covers every solve of the
+perfbench workloads (read from the perfbench directory next to SRC),
+`solve_exact` and `limop` (klim 1-3) under both cost models, `vlsn` at p
+1-4, and `split_optimal` from the initial order and from random orders, on
+random instances and on the Basis instances, and `pract` on the case-study
+instances of seeds 0-2 at residual charge 0.1 and 0.3 (its energy audited,
+not required).
 """
 
 from __future__ import annotations
@@ -30,14 +34,18 @@ def binding_model(drpe, inst):
 
 
 def solves(drpe, workloads):
-    """(label, thunk) of every solve, in a fixed order."""
+    """(label, instance, cost model, thunk, energy_required) of every
+    solve, in a fixed order: the thunk solves under that model, and the
+    tour is validated under it (``energy_required=False`` audits the
+    energy of a tour that may knowingly overrun it)."""
     import numpy as np
 
     for w in workloads.WORKLOADS.values():
         for inst in w.bases():
             for s in w.solves:
-                yield (f"{w.name} {inst.name} {s.label}",
-                       lambda s=s, inst=inst: s.run(inst, workloads.cost_model(s.model, inst)))
+                model = workloads.cost_model(s.model, inst)
+                yield (f"{w.name} {inst.name} {s.label}", inst, model,
+                       lambda s=s, inst=inst, model=model: s.run(inst, model), True)
 
     small = drpe.generate(drpe.get_setting("Basis", "small"), 1)
     large = drpe.generate(drpe.get_setting("Basis", "large"), 1)
@@ -49,24 +57,32 @@ def solves(drpe, workloads):
               "binding": lambda inst: binding_model(drpe, inst)}
     for inst in [*randoms, small]:
         x = drpe.initial_tsp_sequence(inst)
-        for name, model in models.items():
-            yield (f"exact {inst.name} {name}",
-                   lambda inst=inst, model=model: drpe.solve_exact(inst, model=model(inst)))
+        for name, make_model in models.items():
+            model = make_model(inst)
+            yield (f"exact {inst.name} {name}", inst, model,
+                   lambda inst=inst, model=model: drpe.solve_exact(inst, model=model), True)
             for klim in (1, 2, 3):
-                yield (f"limop {inst.name} {name} klim={klim}",
+                yield (f"limop {inst.name} {name} klim={klim}", inst, model,
                        lambda inst=inst, model=model, klim=klim:
-                       drpe.limop(inst, klim, model=model(inst)))
+                       drpe.limop(inst, klim, model=model), True)
             for p in (1, 2, 3, 4):
-                yield (f"vlsn {inst.name} {name} p={p}",
+                yield (f"vlsn {inst.name} {name} p={p}", inst, model,
                        lambda inst=inst, model=model, x=x, p=p:
-                       drpe.vlsn(inst, x, p, model=model(inst)))
+                       drpe.vlsn(inst, x, p, model=model), True)
     for inst in [*randoms, small, loose, large]:
         x = drpe.initial_tsp_sequence(inst)
         orders = [x, *(tuple(np.random.default_rng(seed).permutation(inst.n_d).tolist())
                        for seed in range(3))]
         for i, order in enumerate(orders):
-            yield (f"split {inst.name} order {i}",
-                   lambda inst=inst, order=order: drpe.split_optimal(order, inst))
+            yield (f"split {inst.name} order {i}", inst, drpe.BaseCostModel(inst),
+                   lambda inst=inst, order=order: drpe.split_optimal(order, inst), True)
+    for seed in range(3):
+        inst = drpe.case_study_instance(seed)
+        for residual in (0.1, 0.3):
+            costs = drpe.ExtendedCosts(residual=residual)
+            yield (f"pract {inst.name} residual={residual}", inst,
+                   drpe.ExtendedCostModel(inst, costs),
+                   lambda inst=inst, costs=costs: drpe.pract(inst, costs), False)
 
 
 def main(argv=None) -> int:
@@ -81,10 +97,11 @@ def main(argv=None) -> int:
         raise SystemExit(f"error: imported drpe from {drpe.__file__}, not {src}")
 
     digest, count = hashlib.sha256(), 0
-    for label, run in solves(drpe, workloads):
+    for label, inst, model, run, energy_required in solves(drpe, workloads):
         result = run()
         tour = getattr(result, "tour", result)
-        digest.update(f"{label}\n{tour!r}\n{tour.makespan!r}\n".encode())
+        check = drpe.validate_tour(tour, inst, model, energy_required=energy_required)
+        digest.update(f"{label}\n{tour!r}\n{tour.makespan!r}\n{check}\n".encode())
         count += 1
     print(f"{digest.hexdigest()}  {count} solves")
     return 0
