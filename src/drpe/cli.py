@@ -74,14 +74,12 @@ def _cost_model(inst, args):
 
 def _solver_config(algo: str, args):
     """The configuration ``algo`` reads from ``args``: a ``SearchConfig``
-    for the descents, a ``BaselineConfig`` for ``rts3nn``/``sa``, else
+    for ``vlsn-vnd``, a ``BaselineConfig`` for ``rts3nn``/``sa``, else
     None. Raises ValueError on options ``algo`` cannot run with, by the
     rules the solvers themselves apply; ``bench`` calls it for every
     algorithm before any cell runs."""
     if algo in ("vlsn", "vlsn-ls"):
         check_width(args.p)
-    if algo == "vlsn-ls":  # the width is --p; the config only times it
-        return SearchConfig(time_limit=args.time_limit)
     if algo == "vlsn-vnd":
         return SearchConfig(p0=args.p0, p_max=args.p_max, time_limit=args.time_limit)
     if algo == "limop":
@@ -99,7 +97,7 @@ def _run_algorithm(inst, algo: str, args, model) -> SolveReport:
     if algo == "vlsn":
         return vlsn(inst, initial_tsp_sequence(inst), args.p, model=model)
     if algo == "vlsn-ls":
-        return vlsn_ls(inst, p=args.p, model=model, config=cfg)
+        return vlsn_ls(inst, p=args.p, model=model, time_limit=args.time_limit)
     if algo == "vlsn-vnd":
         return vlsn_vnd(inst, config=cfg, model=model)
     if algo == "rts":

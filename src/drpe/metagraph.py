@@ -206,6 +206,8 @@ class MetaStats:
 # candidates per stage-2 relaxation batch, 0.5 MB per index or value array;
 # on small-loose, batches of 2^14 and of 2^18 ran slower
 RELAX_BATCH = 1 << 16
+# largest gap walk_back accepts between a rebuilt tour's makespan and its DP value
+WALK_BACK_TOL = 1e-6
 
 
 def walk_back(inst: Instance, zeta, eps, row: int, arcs_into, order_of, model):
@@ -229,7 +231,7 @@ def walk_back(inst: Instance, zeta, eps, row: int, arcs_into, order_of, model):
         row = int(src[a])
     rev.append(RechargingLeg(inst.w0, w))
     tour = build_tour(inst, reversed(rev), model)
-    if abs(tour.makespan - value) > 1e-6:
+    if abs(tour.makespan - value) > WALK_BACK_TOL:
         raise AssertionError(
             f"reconstructed makespan {tour.makespan!r} != DP value {value!r}")
     return tour

@@ -263,8 +263,7 @@ def _check_structure(elements: Sequence[TourElement], inst: Instance) -> Optiona
     if len(elements) == 0 or len(elements) % 2 == 0:
         return "tour must be an odd-length alternating sequence leg, op, ..., leg"
     for i, el in enumerate(elements):
-        want_leg = i % 2 == 0
-        if want_leg != isinstance(el, RechargingLeg):
+        if not isinstance(el, RechargingLeg if i % 2 == 0 else Operation):
             return f"element {i} breaks the leg/operation alternation"
     if elements[0].from_rl != inst.w0:
         return "first leg does not start at the start depot"
@@ -344,9 +343,8 @@ def validate_tour(tour: DroneTour, inst: Instance,
     visited = [v for op in ops for v in op.destinations]
     # range checks come before any indexing: an index past the end would
     # raise or read another node's times, a negative one would wrap around
-    rls = [rl for el in tour.elements
-           for rl in ((el.from_rl, el.to_rl) if isinstance(el, RechargingLeg)
-                      else (el.start_rl, el.end_rl))]
+    rls = [rl for leg in tour.legs() for rl in (leg.from_rl, leg.to_rl)]
+    rls += [rl for op in ops for rl in (op.start_rl, op.end_rl)]
     for name, ids, n in (("rl_range", rls, inst.n_r),
                          ("destination_range", visited, inst.n_d)):
         bad = sorted({v for v in ids if not 0 <= v < n})

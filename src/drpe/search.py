@@ -17,7 +17,7 @@ from .baselines import initial_tsp_sequence
 from .model import EPS, BaseCostModel, Instance, SizeGuardError, TimeLimitError, check_deadline
 from .metagraph import solve_meta
 from .opsgraph import build_ops_graph
-from .oracle import split_optimal
+from .oracle import block_prices, split_optimal
 from .reports import SolveReport
 
 
@@ -56,7 +56,8 @@ def vlsn(inst: Instance, x: Sequence[int], p: int,
     """Best tour in the order neighborhood of x at width p.
 
     For single-depot instances the wrap-around orders excluded by the
-    neighborhood are additionally evaluated with the optimal splitter.
+    neighborhood are additionally split, each against the best tour so far
+    and from one pricing of the blocks of x (``block_prices``).
     ``extras["layers"]`` holds the seconds spent in stage 1, stage 2's
     forward pass, the recovery of the tour and its operation orders, and
     those splits. Past ``deadline`` (a ``time.perf_counter()`` value,
@@ -73,12 +74,11 @@ def vlsn(inst: Instance, x: Sequence[int], p: int,
     extra_orders = 0
     t_split = time.perf_counter()
     if inst.w0 == inst.wt and p >= 2:
+        prices = block_prices(x, inst, model)
         for y in shifted_permutations(x, p):
             check_deadline(deadline)
             extra_orders += 1
-            cand = split_optimal(y, inst, model=model)
-            if cand.makespan < best.makespan - EPS:
-                best = cand
+            best = split_optimal(y, inst, model=model, prices=prices, incumbent=best)
     layers = {"stage1_s": table.stats.elapsed, "stage2_s": meta_stats.elapsed,
               "recovery_s": meta_stats.recovery_elapsed,
               "split_s": time.perf_counter() - t_split}
@@ -107,7 +107,7 @@ def _accumulate(total: SolveReport, part: SolveReport) -> None:
         total.extras["layers"][key] += val
 
 
-def _descend(inst, x0, p0, p_max, model, config, algorithm, extras):
+def _descend(inst, x0, p0, p_max, model, time_limit, algorithm, extras):
     """Search the neighborhood of the incumbent's order at width p, starting
     at p0: re-center and fall back to p0 after an improvement, widen
     otherwise, and stop past p_max (or when the time budget runs out,
@@ -117,9 +117,8 @@ def _descend(inst, x0, p0, p_max, model, config, algorithm, extras):
     ``extras["layers"]`` sums the searches' layer times and adds the
     initial order's and its split's."""
     model = model or BaseCostModel(inst)
-    config = config or SearchConfig()
     t0 = time.perf_counter()
-    deadline = None if config.time_limit is None else t0 + config.time_limit
+    deadline = None if time_limit is None else t0 + time_limit
     x0 = tuple(initial_tsp_sequence(inst) if x0 is None else x0)
     t_split = time.perf_counter()
     incumbent = split_optimal(x0, inst, model=model)
@@ -157,10 +156,11 @@ def _descend(inst, x0, p0, p_max, model, config, algorithm, extras):
 
 def vlsn_ls(inst: Instance, x0: Optional[Sequence[int]] = None, p: int = 4,
             model: Optional[object] = None,
-            config: Optional[SearchConfig] = None) -> SolveReport:
+            time_limit: Optional[float] = None) -> SolveReport:
     """Local search: descent at the one width p, re-centering on the
-    incumbent's destination order until the value stalls."""
-    return _descend(inst, x0, p, p, model, config, f"vlsn-ls(p={p})", {"p": p})
+    incumbent's destination order until the value stalls or ``time_limit``
+    seconds have passed."""
+    return _descend(inst, x0, p, p, model, time_limit, f"vlsn-ls(p={p})", {"p": p})
 
 
 def vlsn_vnd(inst: Instance, x0: Optional[Sequence[int]] = None,
@@ -169,7 +169,7 @@ def vlsn_vnd(inst: Instance, x0: Optional[Sequence[int]] = None,
     """Variable neighborhood descent from p0 up to p_max: re-center and fall
     back to p0 after an improvement, widen the neighborhood otherwise."""
     config = config or SearchConfig()
-    return _descend(inst, x0, config.p0, config.p_max, model, config,
+    return _descend(inst, x0, config.p0, config.p_max, model, config.time_limit,
                     f"vlsn-vnd(p0={config.p0},p_max={config.p_max})",
                     {"p0": config.p0, "p_max": config.p_max})
 

@@ -104,6 +104,14 @@ def test_broken_chaining_raises(worked_instance):
     assert not report.passed and not report.checks["structure"]
 
 
+def test_foreign_element_is_a_structure_failure(worked_instance):
+    # an element at an operation position that is not an Operation
+    bad = DroneTour((RechargingLeg(0, 0), 5, RechargingLeg(0, 0)), 0.0)
+    report = validate_tour(bad, worked_instance)
+    assert not report.passed and not report.checks["structure"]
+    assert "element 1 breaks the leg/operation alternation" in report.messages
+
+
 def test_validation_catches_missing_destination(worked_instance, worked_tour):
     inst = worked_instance
     elements = list(worked_tour.elements)

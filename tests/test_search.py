@@ -229,7 +229,7 @@ def test_time_limit_returns_the_split_incumbent():
     inst = random_instance(5, n_d=7, n_r=3)
     x = initial_tsp_sequence(inst)
     split = split_optimal(x, inst)
-    for rep in (vlsn_ls(inst, p=3, config=SearchConfig(time_limit=0)),
+    for rep in (vlsn_ls(inst, p=3, time_limit=0),
                 vlsn_vnd(inst, config=SearchConfig(time_limit=0))):
         assert rep.iterations == 0 and rep.neighborhoods == 0
         assert rep.extras["timed_out"] is True
@@ -270,7 +270,7 @@ def test_time_limit_inside_the_first_neighborhood_keeps_the_split(monkeypatch):
     x = initial_tsp_sequence(inst)
     split = split_optimal(x, inst)
     config = SearchConfig(p0=2, p_max=4, time_limit=0.3)
-    for search in (lambda: vlsn_ls(inst, x, p=3, config=config),
+    for search in (lambda: vlsn_ls(inst, x, p=3, time_limit=config.time_limit),
                    lambda: vlsn_vnd(inst, x, config=config)):
         rep = search()
         assert built.pop() is not None and not built

@@ -1,5 +1,8 @@
 """The sparse splitter against the per-block dense DP it replaced, kept here
-as an oracle, and split properties on generated instances."""
+as an oracle, split properties on generated instances, and the split from
+shared block prices against the plain split."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from drpe.model import (
     RechargingLeg,
     build_tour,
 )
-from drpe.oracle import split_optimal
+from drpe.oracle import block_prices, split_optimal
 from drpe.search import shifted_permutations, vlsn
 from tests.conftest import binding_extended_model, two_step_price
 from tests.test_oracle import _block_split_best
@@ -160,3 +163,48 @@ def test_split_equals_block_brute_force_and_width_one(seed, n_d, n_r, emax_facto
     split = split_optimal(x, inst, model).makespan
     assert split == pytest.approx(_block_split_best(x, inst, model), abs=1e-9)
     assert vlsn(inst, x, 1, model=model).makespan == split
+
+
+def _plain_split(y, inst, model):
+    try:
+        return split_optimal(y, inst, model)
+    except InfeasibleError:
+        return None
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 10_000), n_d=st.integers(2, 8), n_r=st.integers(1, 4),
+       emax_factor=st.sampled_from([1.1, 1.6, 50.0]), p=st.integers(2, 8),
+       make_model=st.sampled_from(MODELS))
+def test_split_from_shared_prices_equals_the_plain_split(seed, n_d, n_r, emax_factor,
+                                                         p, make_model):
+    # at emax_factor 50 the whole order fits in one block
+    inst = random_instance(seed, n_d=n_d, n_r=n_r, emax_factor=emax_factor,
+                           single_depot=True)
+    model = make_model(inst)
+    x = tuple(np.random.default_rng(seed).permutation(n_d).tolist())
+    prices = block_prices(x, inst, model)
+    orders = [x, *shifted_permutations(x, p)]
+    plain = [_plain_split(y, inst, model) for y in orders]
+    values = [t.makespan for t in plain if t is not None]
+    best = next(t for t in plain if t is not None and t.makespan == min(values))
+    worst = dataclasses.replace(best, makespan=max(values) + 1.0)
+    for y, want in zip(orders, plain):
+        edge = [] if want is None else [
+            dataclasses.replace(best, makespan=want.makespan + d) for d in (EPS, 2 * EPS)]
+        # best is unbeatable; worst is beaten by every feasible order
+        for incumbent in (best, worst, *edge):
+            got = split_optimal(y, inst, model, prices=prices, incumbent=incumbent)
+            if want is not None and want.makespan < incumbent.makespan - EPS:
+                assert repr(got) == repr(want)
+            else:
+                assert got is incumbent
+
+
+def test_prices_of_an_order_over_other_destinations_are_refused():
+    inst = random_instance(0, n_d=6, n_r=3, single_depot=True)
+    other = random_instance(0, n_d=5, n_r=3, single_depot=True)
+    prices = block_prices(range(5), other)
+    with pytest.raises(ValueError, match="other destinations"):
+        split_optimal(range(6), inst, prices=prices)

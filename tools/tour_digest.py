@@ -10,7 +10,9 @@ identical: the digests must be equal. The list covers every solve of the
 perfbench workloads (read from the perfbench directory next to SRC),
 `solve_exact` and `limop` (klim 1-3) under both cost models, `vlsn` at p
 1-4, and `split_optimal` from the initial order and from random orders, on
-random instances and on the Basis instances, and `pract` on the case-study
+random instances and on the Basis instances, `vlsn` at p 2-4 under both
+cost models on single-depot random instances, where it also splits the
+wrap-around orders, and `pract` on the case-study
 instances of seeds 0-2 at residual charge 0.1 and 0.3 (its energy audited,
 not required).
 """
@@ -66,6 +68,16 @@ def solves(drpe, workloads):
                        lambda inst=inst, model=model, klim=klim:
                        drpe.limop(inst, klim, model=model), True)
             for p in (1, 2, 3, 4):
+                yield (f"vlsn {inst.name} {name} p={p}", inst, model,
+                       lambda inst=inst, model=model, x=x, p=p:
+                       drpe.vlsn(inst, x, p, model=model), True)
+    # 12 of these 24 searches return the tour of a wrap-around order
+    for seed, n_d, n_r in ((4, 9, 4), (8, 7, 3), (10, 7, 3), (14, 8, 3)):
+        inst = drpe.random_instance(seed, n_d=n_d, n_r=n_r, single_depot=True)
+        x = drpe.initial_tsp_sequence(inst)
+        for name, make_model in models.items():
+            model = make_model(inst)
+            for p in (2, 3, 4):
                 yield (f"vlsn {inst.name} {name} p={p}", inst, model,
                        lambda inst=inst, model=model, x=x, p=p:
                        drpe.vlsn(inst, x, p, model=model), True)
