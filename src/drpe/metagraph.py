@@ -267,10 +267,10 @@ def _meta_values(costs: OperationCostTable, inst: Instance,
                  deadline: Optional[float] = None):
     """Forward pass of ``solve_meta``: (zeta, eps, stats, arcs_into), the
     value arrays with row k * n_pat + b for pattern b at stage k and the
-    walk-back's arc source."""
+    walk-back's arc source, which gives each arc's operation as its set
+    key."""
     n_d, n_r, c_r = inst.n_d, inst.n_r, inst.c_r
     lookup = get_transition_lookup(costs.p)
-    layout = costs.layout
     n_pat = len(lookup.patterns)
     valid_at = lookup.valid_at(n_d)
     zeta = np.full(((n_d + 1) * n_pat, n_r), np.inf)
@@ -297,7 +297,7 @@ def _meta_values(costs: OperationCostTable, inst: Instance,
         sel = np.flatnonzero(target == row * n_r)
         w, end, c, src, key = expand(sel, source[sel] // n_r, keys[sel])
         hit = end == wp
-        yield src[hit], w[hit], c[hit], layout.masks(key[hit])
+        yield src[hit], w[hit], c[hit], key[hit]
 
     for k in range(n_d + 1):
         check_deadline(deadline)
@@ -343,7 +343,8 @@ def solve_meta(costs: OperationCostTable, inst: Instance,
         raise InfeasibleError("no feasible tour in this neighborhood")
     x = costs.x
     tour = walk_back(inst, zeta, eps, final, arcs_into,
-                     lambda mask, w, wp: tuple(x[t] for t in recover_operation_order(
-                         inst, x, int(mask), w, wp, costs.p)), model)
+                     lambda key, w, wp: tuple(x[t] for t in recover_operation_order(
+                         inst, x, int(costs.layout.masks([key])[0]), w, wp, costs.p)),
+                     model)
     stats.recovery_elapsed = time.perf_counter() - t1
     return tour, stats

@@ -19,14 +19,15 @@ One engine serves every size and width: a level-synchronous frontier DP
 whose sets are int64 ``SetKey`` keys (the window's ends and its boundary
 bits), grown and grouped by array operations on a whole level, and whose
 per-state values are vectors over the starting RL, reduced with
-vectorised gathers. Each level is closed at every end RL in blocks of
-about ``CHUNK_VALUES`` values, and only the flights within the cost
-model's cap are priced. The cost table keeps the finite makespans alone:
-per operation size the set keys and each set's run of entries (a packed
-(start RL, end RL) cell and the makespan); other modules read a table
-through ``sets``, ``lookup`` and ``gather`` and build one with
-``from_dense``. Order recovery replays the same DP within one entry's
-set and walks its levels back.
+vectorised gathers. Each level is closed only at its held (set, start
+RL) pairs, those where some row of the set has a finite partial flight,
+each pair at every end RL, in blocks of about ``CHUNK_VALUES`` values;
+only the flights within the cost model's cap are priced. The cost table
+keeps the finite makespans alone: per operation size the set keys and
+each set's run of entries (a packed (start RL, end RL) cell and the
+makespan); other modules read a table through ``sets``, ``lookup`` and
+``gather`` and build one with ``from_dense``. Order recovery replays the
+same DP within one entry's set and walks its levels back.
 """
 
 from __future__ import annotations
@@ -407,12 +408,11 @@ def build_ops_graph(inst: Instance, x: Sequence[int], p: Optional[int],
     t0 = time.perf_counter()
     stats = OpsGraphStats(per_stage=[0] * (n + 2))
     n_r = inst.n_r
-    step = max(1, CHUNK_VALUES // (n_r * n_r))  # sets closed at once
-    # (cell, rover time) of each value of a block of closed sets
-    of_cell = rl_cells(n_r), inst.c_r.ravel()
-    of_block = tuple(f[:0] for f in of_cell)
+    grid = rl_cells(n_r).reshape(n_r, n_r)
+    rover = np.empty(int(grid.max()) + 1)  # c_r by packed cell
+    rover[grid] = inst.c_r
     keys, starts, stops = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    cells, values = [of_cell[0][:0]], [np.empty(0)]
+    cells, values = [grid[:0, 0]], [np.empty(0)]
     held = 0
     levels = _levels(layout, np.arange(n), inst.cd_dd[np.ix_(idx, idx)],
                      inst.cd_rd[:, idx].T, inst.nearest_rl_time()[idx],
@@ -426,38 +426,39 @@ def build_ops_graph(inst: Instance, x: Sequence[int], p: Optional[int],
             raise SizeGuardError(
                 f"neighborhood width p={p} expands past the stage-1 state "
                 f"budget on this instance; lower p")
-        # close the operation at every RL and price the flights within the
-        # cost model's cap, keeping the finite makespans: blocks of sets of
-        # decreasing row count, so that each block's row minimum is short
-        by_rows = np.argsort(-count.astype(np.int16), kind="stable")
-        m = min(by_rows.size, step)
-        if of_block[0].size < m * n_r * n_r:
-            of_block = tuple(np.tile(f, m) for f in of_cell)
-        closed, n_e, parts = [], [], []
-        for sl in chunks(by_rows.size, n_r * n_r):
-            order, close = _min_over_rows(
-                count, first, by_rows[sl],
-                lambda rows, sel, out: np.add(val[rows][:, :, None],
-                                              cdp_dr[pos[rows]][:, None, :], out=out),
-                (n_r, n_r))
-            close = close.reshape(-1)
+        # close each held pair (set, start RL w), where some row of the set
+        # has a finite partial flight, at every end RL and price the flights
+        # within the cost model's cap, keeping the finite makespans: pairs by
+        # set, in decreasing row count (so ``_min_over_rows`` keeps their
+        # order, and each block's row minimum is short), then w
+        by_rows, low = _min_over_rows(
+            count, first, np.arange(set_keys.size),
+            lambda rows, sel, out: np.take(val, rows, axis=0, out=out, mode="clip"), (n_r,))
+        s, w = np.divmod(np.flatnonzero(np.isfinite(low)), n_r)
+        # before[i]: the entries ahead of set by_rows[i]'s pairs, block by block
+        bound, before, parts = np.searchsorted(s, np.arange(set_keys.size + 1)), 0, []
+        for sl in chunks(s.size, n_r):
+            ws = w[sl]
+            _, close = _min_over_rows(
+                count, first, by_rows[s[sl]],
+                lambda rows, sel, out: np.add(
+                    np.take(cdp_dr, pos[rows], axis=0, out=out, mode="clip"),
+                    np.take(val, rows * n_r + ws[sel])[:, None], out=out), (n_r,))
             at = np.flatnonzero(close <= model.flight_cap)
-            cost = model.price(close[at], of_block[1][at])
+            cell = np.take(grid[ws], at)
+            cost = model.price(np.take(close, at), rover[cell])
             if not np.isfinite(cost).all():
-                at, cost = at[np.isfinite(cost)], cost[np.isfinite(cost)]
-            closed.append(by_rows[sl][order])
-            n_e.append(np.diff(np.searchsorted(at, np.arange(0, close.size + 1, n_r * n_r))))
-            parts.append((of_block[0][at], cost))
+                at, cell, cost = (f[np.isfinite(cost)] for f in (at, cell, cost))
+            parts.append((cell, cost))
+            before = before + np.searchsorted(at, np.clip(bound - sl.start, 0, ws.size) * n_r)
         for field, part in zip((cells, values), zip(*parts)):
             field.append(np.concatenate(part))
-        # each set's entry count and first entry
         run = np.zeros((2, set_keys.size), np.int64)
-        n_e = np.concatenate(n_e)
-        run[:, np.concatenate(closed)] = n_e, np.cumsum(n_e) - n_e
-        placed = np.flatnonzero(run[0])
+        run[:, by_rows] = before[:-1], before[1:]
+        placed = np.flatnonzero(run[1] > run[0])
         keys.append(set_keys[placed])
-        starts.append(run[1, placed])
-        stops.append(run[1, placed] + run[0, placed])
+        starts.append(run[0, placed])
+        stops.append(run[1, placed])
         stats.terminal_entries += values[-1].size
     # every live arc is one finite value of the level it reaches
     stats.arcs = sum(stats.per_stage[2:])

@@ -180,8 +180,9 @@ def split_optimal(x: Sequence[int], inst: Instance,
     scatters each cut's entries into the pre-leg labels g with one
     ``minimum.at`` and takes the leg minimum into f, O(E + n_d n_r^2) for E
     entries. The walk-back is stage 2's ``walk_back`` over these entries,
-    O(E) per operation: ties keep the leg from the lowest RL, then the
-    lowest block start, then the lowest start RL.
+    sorted by target once (O(E log E)) and searched per operation: ties
+    keep the leg from the lowest RL, then the lowest block start, then the
+    lowest start RL.
 
     ``prices`` (``block_prices`` of another order under the same instance
     and model) supplies the blocks x shares with that order, so only the
@@ -219,9 +220,13 @@ def split_optimal(x: Sequence[int], inst: Instance,
     if not np.isfinite(value):
         raise InfeasibleError("no feasible replenishment insertion for this order")
 
+    by_target = np.argsort(target, kind="stable")
+    sorted_target = target[by_target]
+
     def arcs_into(j, wp):
         # block start ascending, then start RL ascending
-        into = np.flatnonzero(target == j * n_r + wp)
+        lo, hi = np.searchsorted(sorted_target, [j * n_r + wp, j * n_r + wp + 1])
+        into = by_target[lo:hi]
         yield start[into], rl[into], weight[into], [slice(i, j) for i in start[into].tolist()]
 
     tour = walk_back(inst, f, g, n_d, arcs_into, lambda block, w, wp: x[block], model)

@@ -17,7 +17,7 @@ from .baselines import initial_tsp_sequence
 from .model import EPS, BaseCostModel, Instance, SizeGuardError, TimeLimitError, check_deadline
 from .metagraph import solve_meta
 from .opsgraph import build_ops_graph
-from .oracle import block_prices, split_optimal
+from .oracle import BlockPrices, block_prices, split_optimal
 from .reports import SolveReport
 
 
@@ -50,14 +50,21 @@ def shifted_permutations(x: Sequence[int], p: int) -> list:
     return list(out)
 
 
+def _wraps_around(inst: Instance, p: int) -> bool:
+    """Whether ``vlsn`` at width p also splits wrap-around orders."""
+    return inst.w0 == inst.wt and p >= 2
+
+
 def vlsn(inst: Instance, x: Sequence[int], p: int,
          model: Optional[object] = None,
-         deadline: Optional[float] = None) -> SolveReport:
+         deadline: Optional[float] = None,
+         prices: Optional[BlockPrices] = None) -> SolveReport:
     """Best tour in the order neighborhood of x at width p.
 
     For single-depot instances the wrap-around orders excluded by the
     neighborhood are additionally split, each against the best tour so far
-    and from one pricing of the blocks of x (``block_prices``).
+    and from one pricing of the blocks of x (``block_prices``, or
+    ``prices`` when given, which must be those of x under this model).
     ``extras["layers"]`` holds the seconds spent in stage 1, stage 2's
     forward pass, the recovery of the tour and its operation orders, and
     those splits. Past ``deadline`` (a ``time.perf_counter()`` value,
@@ -73,8 +80,9 @@ def vlsn(inst: Instance, x: Sequence[int], p: int,
 
     extra_orders = 0
     t_split = time.perf_counter()
-    if inst.w0 == inst.wt and p >= 2:
-        prices = block_prices(x, inst, model)
+    if _wraps_around(inst, p):
+        if prices is None:
+            prices = block_prices(x, inst, model)
         for y in shifted_permutations(x, p):
             check_deadline(deadline)
             extra_orders += 1
@@ -121,7 +129,10 @@ def _descend(inst, x0, p0, p_max, model, time_limit, algorithm, extras):
     deadline = None if time_limit is None else t0 + time_limit
     x0 = tuple(initial_tsp_sequence(inst) if x0 is None else x0)
     t_split = time.perf_counter()
-    incumbent = split_optimal(x0, inst, model=model)
+    # the blocks of the center, priced once per center for its split and
+    # the searches' wrap-around splits
+    prices = block_prices(x0, inst, model)
+    incumbent = split_optimal(x0, inst, model=model, prices=prices)
     layers = {"initial_order_s": t_split - t0,
               "initial_split_s": time.perf_counter() - t_split,
               "stage1_s": 0.0, "stage2_s": 0.0, "recovery_s": 0.0, "split_s": 0.0}
@@ -134,8 +145,12 @@ def _descend(inst, x0, p0, p_max, model, time_limit, algorithm, extras):
             report.extras["timed_out"] = True
             break
         center = report.tour.destination_order()
+        if prices is None and _wraps_around(inst, p):
+            t_split = time.perf_counter()
+            prices = block_prices(center, inst, model)
+            layers["split_s"] += time.perf_counter() - t_split
         try:
-            step = vlsn(inst, center, p, model=model, deadline=deadline)
+            step = vlsn(inst, center, p, model=model, deadline=deadline, prices=prices)
         except SizeGuardError:
             report.extras["stopped_by_state_budget"] = True
             break
@@ -145,7 +160,7 @@ def _descend(inst, x0, p0, p_max, model, time_limit, algorithm, extras):
         report.iterations += 1
         _accumulate(report, step)
         if step.makespan < report.makespan - EPS:
-            report.tour = step.tour
+            report.tour, prices = step.tour, None
             p = p_reset
         else:
             p += 1

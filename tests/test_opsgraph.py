@@ -359,12 +359,13 @@ def _assert_matches_dense_close(inst, x, p, model, size_cap=None):
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(seed=st.integers(0, 10_000), n_d=st.integers(1, 8), n_r=st.integers(1, 4),
-       emax_factor=st.sampled_from([1.1, 1.6, 4.0]), p=st.sampled_from([1, 2, 3, 4, 5, None]),
-       size_cap=st.sampled_from([1, 2, 3, None]),
+@given(seed=st.integers(0, 10_000), n_d=st.integers(1, 8), n_r=st.integers(1, 8),
+       emax_factor=st.sampled_from([1.05, 1.1, 1.6, 4.0]),
+       p=st.sampled_from([1, 2, 3, 4, 5, None]), size_cap=st.sampled_from([1, 2, 3, None]),
        make_model=st.sampled_from([BaseCostModel, binding_extended_model]))
 def test_property_sparse_table_equals_dense_close(seed, n_d, n_r, emax_factor, p,
                                                   size_cap, make_model):
+    # at emax_factor 1.05 most (set, start RL) pairs hold no finite flight
     inst = random_instance(seed, n_d=n_d, n_r=n_r, emax_factor=emax_factor)
     x = tuple(np.random.default_rng(seed).permutation(n_d).tolist())
     _assert_matches_dense_close(inst, x, p, make_model(inst), size_cap)
@@ -372,11 +373,12 @@ def test_property_sparse_table_equals_dense_close(seed, n_d, n_r, emax_factor, p
 
 @pytest.mark.parametrize("make_model", [BaseCostModel, binding_extended_model])
 def test_sparse_table_is_independent_of_the_close_block_size(make_model, monkeypatch):
-    # blocks of one to three sets split every level into many closes
+    # blocks of one to three (set, start RL) pairs split every level into
+    # many closes, and a set's pairs across blocks
     for seed, n_r in ((0, 1), (1, 3), (2, 4)):
         inst = random_instance(seed, n_d=8, n_r=n_r, emax_factor=4.0)
         x = tuple(range(8))
-        for chunk in (1, 2 * n_r * n_r, 3 * n_r * n_r):
+        for chunk in (1, 2 * n_r, 3 * n_r):
             monkeypatch.setattr(drpe.opsgraph, "CHUNK_VALUES", chunk)
             for p in (2, 4, None):
                 _assert_matches_dense_close(inst, x, p, make_model(inst))
@@ -390,6 +392,14 @@ def test_close_keeps_a_flight_exactly_at_the_cap():
     _assert_matches_dense_close(inst, tuple(range(5)), 2, model)
     table = build_ops_graph(inst, tuple(range(5)), 2, model=model)
     assert dense_view(table)[1][0, 0] == model.flight_cap
+
+
+@pytest.mark.parametrize("make_model", [BaseCostModel, binding_extended_model])
+def test_sparse_table_equals_dense_close_past_62_destinations(make_model):
+    # Basis-large (n_d=100, n_r=49): set masks are Python ints, and 7-9% of
+    # the (set, start RL) pairs hold a finite partial flight
+    inst = generate(get_setting("Basis", "large"), 1)
+    _assert_matches_dense_close(inst, initial_tsp_sequence(inst), 2, make_model(inst))
 
 
 def test_large_p3_table_holds_under_2mb():

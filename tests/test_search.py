@@ -11,7 +11,7 @@ from drpe.generator import generate, get_setting, random_instance
 from drpe.metagraph import solve_meta
 from drpe.model import EPS, BaseCostModel, SizeGuardError, TimeLimitError, validate_tour
 from drpe.opsgraph import build_ops_graph
-from drpe.oracle import is_bs_neighbor, split_optimal
+from drpe.oracle import block_prices, is_bs_neighbor, split_optimal
 from drpe.search import (
     SearchConfig,
     rts,
@@ -194,6 +194,27 @@ def test_single_depot_extension_only_helps():
         with_ext = vlsn(inst, x, 3).makespan
         without = solve_meta(build_ops_graph(inst, x, 3), inst)[0].makespan
         assert with_ext <= without + 1e-9
+
+
+def test_descent_prices_each_center_once(monkeypatch):
+    # the initial split and every search of a center read one pricing of
+    # it, however many widths fail there
+    priced = []
+
+    def counted(x, *args, **kwargs):
+        priced.append(tuple(x))
+        return block_prices(x, *args, **kwargs)
+
+    monkeypatch.setattr(drpe.search, "block_prices", counted)
+    for seed in range(3):
+        inst = random_instance(seed, n_d=8, n_r=3, single_depot=True)
+        rep = vlsn_vnd(inst, config=SearchConfig(p0=2, p_max=5))
+        assert priced[0] == tuple(rep.extras["x0"])
+        assert len(set(priced)) == len(priced) < rep.iterations + 1
+        priced.clear()
+    # without wrap-around orders only the initial split reads prices
+    vlsn_ls(random_instance(0, n_d=8, n_r=3), p=3)
+    assert len(priced) == 1
 
 
 def test_search_config_validation():

@@ -202,6 +202,27 @@ def test_split_from_shared_prices_equals_the_plain_split(seed, n_d, n_r, emax_fa
                 assert got is incumbent
 
 
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 10_000), n_d=st.integers(1, 9), n_r=st.integers(1, 5),
+       emax_factor=st.sampled_from([1.05, 1.6, 50.0]), single_depot=st.booleans(),
+       make_model=st.sampled_from(MODELS))
+def test_property_split_from_its_own_prices_equals_the_plain_split(
+        seed, n_d, n_r, emax_factor, single_depot, make_model):
+    # the searches split each descent center from the prices they keep
+    inst = random_instance(seed, n_d=n_d, n_r=n_r, emax_factor=emax_factor,
+                           single_depot=single_depot)
+    model = make_model(inst)
+    x = tuple(np.random.default_rng(seed).permutation(n_d).tolist())
+    want = _plain_split(x, inst, model)
+    prices = block_prices(x, inst, model)
+    if want is None:
+        with pytest.raises(InfeasibleError):
+            split_optimal(x, inst, model, prices=prices)
+    else:
+        assert repr(split_optimal(x, inst, model, prices=prices)) == repr(want)
+
+
 def test_prices_of_an_order_over_other_destinations_are_refused():
     inst = random_instance(0, n_d=6, n_r=3, single_depot=True)
     other = random_instance(0, n_d=5, n_r=3, single_depot=True)

@@ -1,20 +1,28 @@
 """One sha256 over the tours, makespans and validation reports of a fixed
-list of solves.
+list of solves, and over a fixed list of stage-1 tables.
 
     python3 tools/tour_digest.py [SRC]
 
 SRC is the `src` directory of the tree to check (default: this tree's). Run
 it on two trees to check that a change keeps every tour, and the report of
 `validate_tour` on it under the cost model it was solved with, bitwise
-identical: the digests must be equal. The list covers every solve of the
-perfbench workloads (read from the perfbench directory next to SRC),
-`solve_exact` and `limop` (klim 1-3) under both cost models, `vlsn` at p
-1-4, and `split_optimal` from the initial order and from random orders, on
-random instances and on the Basis instances, `vlsn` at p 2-4 under both
-cost models on single-depot random instances, where it also splits the
-wrap-around orders, and `pract` on the case-study
-instances of seeds 0-2 at residual charge 0.1 and 0.3 (its energy audited,
-not required).
+identical, and every listed stage-1 table too: the digests must be equal.
+The list of solves covers every solve of the perfbench workloads (read
+from the perfbench directory next to SRC), `solve_exact` and `limop`
+(klim 1-3) under both cost models, `vlsn` at p 1-4, and `split_optimal`
+from the initial order and from random orders, on random instances and on
+the Basis instances, `vlsn` at p 2-4 under both cost models on
+single-depot random instances, where it also splits the wrap-around
+orders, and `pract` on the case-study instances of seeds 0-2 at residual
+charge 0.1 and 0.3 (its energy audited, not required).
+
+The tables are stage 1's from the perfbench workloads' initial (TSP)
+orders, at each width the workload searches and under each cost model its
+solves use, and Basis-small s1's at p=None under both cost models. A
+table is hashed as each set's key with its run of (cell, makespan)
+entries, in key order, read from the table's `keys`, `starts`, `stops`,
+`cells` and `values` fields alone, so the script reads older trees'
+tables as well.
 """
 
 from __future__ import annotations
@@ -97,6 +105,35 @@ def solves(drpe, workloads):
                    lambda inst=inst, costs=costs: drpe.pract(inst, costs), False)
 
 
+def tables(drpe, workloads):
+    """(label, thunk) of every hashed stage-1 table, in a fixed order; the
+    thunk builds the table."""
+    cases = [(w.name, inst, name, p) for w in workloads.WORKLOADS.values()
+             for inst in w.bases() for name in sorted({s.model for s in w.solves})
+             for p in w.widths]
+    small = drpe.generate(drpe.get_setting("Basis", "small"), 1)
+    cases += [("every-subset", small, name, None) for name in ("base", "extended")]
+    for label, inst, name, p in cases:
+        x = drpe.initial_tsp_sequence(inst)
+        model = workloads.cost_model(name, inst)
+        yield (f"table {label} {inst.name} {name} p={p}",
+               lambda inst=inst, x=x, p=p, model=model:
+               drpe.build_ops_graph(inst, x, p, model=model))
+
+
+def table_bytes(table):
+    """Each set's key with its (cell, makespan) run, in key order, size by
+    size."""
+    import numpy as np
+
+    for keys, starts, stops, cells, values in zip(
+            table.keys, table.starts, table.stops, table.cells, table.values):
+        n = stops - starts
+        at = np.repeat(starts - (np.cumsum(n) - n), n) + np.arange(n.sum())
+        for part in (keys, n, cells[at], values[at]):
+            yield part.tobytes()
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("src", nargs="?", default=str(Path(__file__).resolve().parents[1] / "src"))
@@ -115,7 +152,13 @@ def main(argv=None) -> int:
         check = drpe.validate_tour(tour, inst, model, energy_required=energy_required)
         digest.update(f"{label}\n{tour!r}\n{tour.makespan!r}\n{check}\n".encode())
         count += 1
-    print(f"{digest.hexdigest()}  {count} solves")
+    n_tables = 0
+    for label, build in tables(drpe, workloads):
+        digest.update(f"{label}\n".encode())
+        for part in table_bytes(build()):
+            digest.update(part)
+        n_tables += 1
+    print(f"{digest.hexdigest()}  {count} solves, {n_tables} tables")
     return 0
 
 
