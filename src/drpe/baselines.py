@@ -127,18 +127,36 @@ def _framed(order, inst) -> np.ndarray:
     return np.array([inst.n_d + inst.w0, *order, inst.n_d + inst.wt], dtype=np.intp)
 
 
+def _first_row(delta, rows) -> Optional[int]:
+    """The first of ``rows`` whose gains ``delta`` hold one below -1e-9."""
+    hit = np.flatnonzero((delta < -1e-9).any(axis=1))
+    return int(rows[hit[0]]) if hit.size else None
+
+
 def _two_opt(order, inst) -> list:
     """First-improvement 2-opt sweeps until none improves; needs a symmetric
-    drone metric. For each first position i, the gains of every end
-    position j are one vector; after the first improving reversal the scan
-    goes on from j + 1 against the new order."""
+    drone metric. The gains of every (first position i, end position j)
+    from the scan position on are one 2-D array, so the scan jumps to the
+    first i that moves; for that i the gains of every j are one vector, and
+    after the first improving reversal the scan goes on from j + 1 against
+    the new order."""
     cd = inst.c_d
     path = _framed(order, inst)  # path[i + 1] is order[i]
     n = len(order)
     improved = True
     while improved:
         improved = False
-        for i in range(n - 1):
+        i = 0
+        while i < n - 1:
+            # row r is first position i + r, column c end position i + 1 + c
+            rows = np.arange(i, n - 1)
+            a, oi = path[rows, None], path[rows + 1, None]
+            oj, b = path[i + 2:n + 1], path[i + 3:]
+            delta = cd[a, oj] + cd[oi, b] - cd[a, oi] - cd[oj, b]
+            delta[np.tril_indices(rows.size, -1)] = np.inf
+            i = _first_row(delta, rows)
+            if i is None:
+                break
             a = path[i]
             j0 = i + 1
             while j0 < n:
@@ -151,13 +169,15 @@ def _two_opt(order, inst) -> list:
                 path[i + 1:j + 2] = path[j + 1:i:-1]
                 improved = True
                 j0 = j + 1
+            i += 1
     return path[1:-1].tolist()
 
 
 def _or_opt(order, inst) -> list:
     """Best-insertion moves of segments of 1, 2 and 3 destinations until
-    none improves. For each segment, the gains of every insertion point are
-    one vector; the first best one below -1e-9 is taken."""
+    none improves. The gains of every (segment start i, insertion point j)
+    from the scan position on are one 2-D array; the scan jumps to the
+    first i whose best gain is below -1e-9 and takes its first best j."""
     cd = inst.c_d
     path = _framed(order, inst)
     n = len(order)
@@ -165,21 +185,27 @@ def _or_opt(order, inst) -> list:
     while improved:
         improved = False
         for seg in (1, 2, 3):
-            for i in range(0, n - seg + 1):
-                head, tail = path[i + 1], path[i + seg]
-                base_gain = (cd[path[i], head] + cd[tail, path[i + seg + 1]]
-                             - cd[path[i], path[i + seg + 1]])
+            i = 0
+            while i <= n - seg:
+                rows = np.arange(i, n - seg + 1)
+                head, tail = path[rows + 1, None], path[rows + seg, None]
+                before, after = path[rows, None], path[rows + seg + 1, None]
+                base_gain = cd[before, head] + cd[tail, after] - cd[before, after]
                 # the path without the segment; insertion point j sits
-                # between rest[j] and rest[j + 1]
-                rest = np.concatenate((path[:i + 1], path[i + seg + 1:]))
-                prev, nxt = rest[:-1], rest[1:]
+                # between prev[j] and nxt[j]
+                point = np.arange(n - seg + 1)
+                prev = np.where(point <= rows[:, None], path[point], path[point + seg])
+                nxt = np.where(point < rows[:, None], path[point + 1], path[point + seg + 1])
                 delta = cd[prev, head] + cd[tail, nxt] - cd[prev, nxt] - base_gain
-                delta[i] = np.inf
-                j = int(np.argmin(delta))
-                if delta[j] < -1e-9:
-                    path = np.concatenate((rest[:j + 1], path[i + 1:i + seg + 1],
-                                           rest[j + 1:]))
-                    improved = True
+                delta[rows - i, rows] = np.inf
+                i = _first_row(delta, rows)
+                if i is None:
+                    break
+                j = int(np.argmin(delta[i - int(rows[0])]))
+                rest = np.concatenate((path[:i + 1], path[i + seg + 1:]))
+                path = np.concatenate((rest[:j + 1], path[i + 1:i + seg + 1], rest[j + 1:]))
+                improved = True
+                i += 1
     return path[1:-1].tolist()
 
 

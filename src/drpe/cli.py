@@ -11,6 +11,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -485,9 +486,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_run_options(parser, args) -> None:
+    """Refuse, as a usage error (exit 2), the values argparse's int and
+    float types let through but no run can honor."""
+    limit = getattr(args, "time_limit", None)
+    if limit is not None and not 0 <= limit < math.inf:
+        parser.error(f"--time-limit must be a finite number of seconds >= 0, not {limit}; "
+                     "leave it out for no limit")
+    for name in ("seed", "budget"):
+        if getattr(args, name, 0) < 0:
+            parser.error(f"--{name} must be >= 0, not {getattr(args, name)}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_run_options(parser, args)
     try:
         return args.func(args)
     except SizeGuardError as exc:

@@ -10,15 +10,18 @@ per gap. An arc's operation has a stage-1 set key linear in the stage, so
 ``table_arcs`` finds every arc the cost table holds with one sorted
 search per gap before the forward pass. Values live in two (state row
 x RL) arrays, row k * n_pat + b: ``eps`` on arrival by an operation,
-``zeta`` after the recharging leg that follows. Each stage's operation
-arcs are relaxed at once from the table's sparse entries (``gather``):
+``zeta`` after the recharging leg that follows. The arcs' entries are
+read from the table (``gather``) once, in chunks of about
+``RELAX_BATCH`` entries cut at arc boundaries, which may span stages:
 each (start RL w, end RL w', makespan) entry of an arc's operation is one
-candidate ``zeta[source, w] + makespan`` for ``eps[target, w']``, and one
-exact scatter-min takes each batch of about ``RELAX_BATCH`` candidates. No
-pointers are kept: ``walk_back`` takes the first exact-equality match in
-the forward order (leg from the lowest RL; arc from the lowest source
-stage, then pattern, then start RL). The exact sweep (over the same
-table type) and the splitter walk back with ``walk_back`` too.
+candidate ``zeta[source, w] + makespan`` for ``eps[target, w']`` (+inf
+from an unreached source), and each stage relaxes its slice of a chunk by
+one exact scatter-min. No pointers are kept: ``walk_back`` takes the
+first exact-equality match in the forward order (leg from the lowest RL;
+arc from the lowest source stage, then pattern, then start RL), reading
+only the arcs that leave the stages an operation can span. The exact
+sweep (over the same table type) and the splitter walk back with
+``walk_back`` too.
 """
 
 from __future__ import annotations
@@ -203,9 +206,10 @@ class MetaStats:
     recovery_elapsed: float = 0.0  # walk-back and operation-order recovery
 
 
-# candidates per stage-2 relaxation batch, 0.5 MB per index or value array;
-# on small-loose, batches of 2^14 and of 2^18 ran slower
-RELAX_BATCH = 1 << 16
+# entries per stage-2 chunk, 0.25 MB per index or value array; chunks of
+# 2^16 ran about 9% slower on Basis-small at p=8, and of 2^14 about 10%
+# slower on small-loose
+RELAX_BATCH = 1 << 15
 # largest gap walk_back accepts between a rebuilt tour's makespan and its DP value
 WALK_BACK_TOL = 1e-6
 
@@ -280,11 +284,19 @@ def _meta_values(costs: OperationCostTable, inst: Instance,
     stats = MetaStats(states=sum(per_stage) * n_r, patterns_per_stage=per_stage)
 
     stage, gap, a, b, keys, rows = table_arcs(costs, lookup, valid_at)
-    bounds = np.searchsorted(stage, np.arange(n_d + 2))
+    bounds = np.searchsorted(stage, np.arange(n_d + 2)).tolist()
     source = (stage * n_pat + a) * n_r
     target = ((stage + gap) * n_pat + b) * n_r
-    # the entries of each arc: those of row ``rows`` of the table's size ``gap``
+    # the entries of each arc: those of row ``rows`` of the table's size
+    # ``gap``; arc i's are entries ends[i] to ends[i + 1] - 1 of all arcs'
     first, size = costs.lookup(gap, rows)
+    ends = np.concatenate(([0], np.cumsum(size)))
+    # chunk i holds arcs cuts[i] to cuts[i + 1] - 1: about RELAX_BATCH
+    # entries, cut at arc boundaries, and it may span stages
+    cuts = np.searchsorted(ends[:-1], np.arange(0, ends[-1], RELAX_BATCH))
+    cuts = np.unique(np.append(cuts, stage.size)).tolist()
+    ends = ends.tolist()
+    h_max = int(gap.max(initial=0))
 
     def expand(arcs, *per_arc):
         """(w, w', makespan) of every entry of these arcs, arc by arc, and
@@ -292,32 +304,50 @@ def _meta_values(costs: OperationCostTable, inst: Instance,
         n = size[arcs]
         return (*costs.gather(gap[arcs], first[arcs], n), *(np.repeat(x, n) for x in per_arc))
 
+    def entries(lo, hi):
+        """(at, to, makespan) of the entries of arcs lo to hi - 1: each
+        entry's flat index into zeta (source, w) and into eps (target,
+        w'), and its makespan."""
+        w, wp, c, at, to = expand(slice(lo, hi), source[lo:hi], target[lo:hi])
+        at += w
+        to += wp
+        return at, to, c
+
     def arcs_into(row, wp):
-        # source stage ascending, then source pattern ascending
-        sel = np.flatnonzero(target == row * n_r)
+        # arcs into stage t leave one of the h_max stages before it; source
+        # stage ascending, then source pattern ascending
+        t = row // n_pat
+        lo = bounds[max(t - h_max, 0)]
+        sel = lo + np.flatnonzero(target[lo:bounds[t]] == row * n_r)
         w, end, c, src, key = expand(sel, source[sel] // n_r, keys[sel])
         hit = end == wp
         yield src[hit], w[hit], c[hit], key[hit]
 
+    # each chunk's entries are expanded once; a stage relaxes its slice of
+    # each chunk its arcs lie in: one candidate zeta[source, w] + makespan
+    # per entry (+inf from an unreached source), scattered onto eps[target,
+    # w'] by an exact minimum
+    flat_zeta, flat_eps = zeta.reshape(-1), eps.reshape(-1)
+    next_cut, lo, hi = iter(cuts[1:]), 0, 0
     for k in range(n_d + 1):
         check_deadline(deadline)
-        states = k * n_pat + np.flatnonzero(valid_at[k])
         if k > 0:
-            E = eps[states]
-            live = np.isfinite(E).any(axis=1)
-            zeta[states[live]] = (E[live][:, :, None] + c_r[None, :, :]).min(axis=1)
-        reached = np.isfinite(zeta[k * n_pat:(k + 1) * n_pat]).any(axis=1)
-        out = bounds[k] + np.flatnonzero(reached[a[bounds[k]:bounds[k + 1]]])
-        stats.arcs += out.size
-        # one candidate zeta[source, w] + makespan per entry of an arc,
-        # scattered onto eps[target, w'] by an exact minimum, in batches of
-        # about RELAX_BATCH entries
-        step = max(1, out.size * RELAX_BATCH // max(int(size[out].sum()), 1))
-        for lo in range(0, out.size, step):
-            arcs = out[lo:lo + step]
-            w, wp, cand, src, tgt = expand(arcs, source[arcs], target[arcs])
-            cand += zeta.reshape(-1)[src + w]
-            np.minimum.at(eps.reshape(-1), tgt + wp, cand)
+            # the leg after each arrival: +inf where the state was not reached
+            block = slice(k * n_pat, (k + 1) * n_pat)
+            np.min(eps[block, :, None] + c_r, axis=1, out=zeta[block])
+        i, stop = bounds[k], bounds[k + 1]
+        while i < stop:
+            if i == hi:
+                at = to = c = cand = None  # free the last chunk before reading the next
+                lo, hi = hi, next(next_cut)
+                at, to, c = entries(lo, hi)
+            j = min(stop, hi)
+            part = slice(ends[i] - ends[lo], ends[j] - ends[lo])
+            cand = flat_zeta[at[part]]
+            cand += c[part]
+            np.minimum.at(flat_eps, to[part], cand)
+            i = j
+    stats.arcs = int(np.count_nonzero(np.isfinite(zeta).any(axis=1)[source // n_r]))
     return zeta, eps, stats, arcs_into
 
 
@@ -344,7 +374,7 @@ def solve_meta(costs: OperationCostTable, inst: Instance,
     x = costs.x
     tour = walk_back(inst, zeta, eps, final, arcs_into,
                      lambda key, w, wp: tuple(x[t] for t in recover_operation_order(
-                         inst, x, int(costs.layout.masks([key])[0]), w, wp, costs.p)),
+                         inst, x, costs.layout.mask(int(key)), w, wp, costs.p)),
                      model)
     stats.recovery_elapsed = time.perf_counter() - t1
     return tour, stats

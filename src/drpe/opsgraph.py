@@ -123,6 +123,19 @@ class SetKey:
         tail = mask >> base if base >= 0 else mask << -base
         return self.pack(m, M, (mask >> (m + 1)) & self.low, tail & self.low)
 
+    def mask(self, key: int) -> int:
+        """The bitmask of one key: the inverse of ``key``, and ``masks``
+        for a single key without arrays."""
+        p = self.p
+        m, M = key >> self.shift_m, (key >> self.shift_M) & ((1 << self.bits) - 1)
+        head, tail = (key >> (p - 1)) & self.low, key & self.low
+        base = M - (p - 1)
+        tail = tail << base if base >= 0 else tail >> -base
+        # the interior [m+p, M-p], empty when lo == hi
+        lo = min(m + p, M + 1)
+        hi = max(base, lo)
+        return (((head << 1) | 1) << m) | tail | (1 << M) | ((1 << hi) - (1 << lo))
+
     def masks(self, keys) -> np.ndarray:
         """The bitmasks of these keys: int64 up to 62 positions, Python ints
         (an object array) beyond."""
@@ -270,8 +283,8 @@ class OperationCostTable:
         edges = [*(np.cumsum(count) - count)[heads].tolist(), at.size]
         # the indices are in range, and mode="clip" takes into ``out`` unbuffered
         for k, lo, hi in zip(size[heads].tolist(), edges, edges[1:]):
-            np.take(self.cells[k], at[lo:hi], out=cell[lo:hi], mode="clip")
-            np.take(self.values[k], at[lo:hi], out=value[lo:hi], mode="clip")
+            self.cells[k].take(at[lo:hi], out=cell[lo:hi], mode="clip")
+            self.values[k].take(at[lo:hi], out=value[lo:hi], mode="clip")
         return (*cell_rls(cell, self.n_r), value)
 
     @classmethod

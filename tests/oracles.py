@@ -6,8 +6,10 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
+import numpy as np
+
 from drpe.energy import ExtendedCosts
-from drpe.metagraph import MetaPattern
+from drpe.metagraph import MetaPattern, get_transition_lookup, table_arcs
 from drpe.model import DroneTour, Instance, SizeGuardError
 from drpe.oracle import enumerate_bs_neighbors, split_optimal
 
@@ -70,6 +72,22 @@ def transition_destination_set(a: MetaPattern, b: MetaPattern, k: int, h: int) -
     positions visited at stage k+h but not at stage k."""
     ops = b.visited(k + h) & ~a.visited(k)
     return frozenset(t for t in range(ops.bit_length()) if ops >> t & 1)
+
+
+def arcs_into_by_filter(costs, inst: Instance, row: int, wp: int) -> tuple:
+    """The batch stage 2's walk-back reads for state row ``row`` and end RL
+    wp, by a filter over every entry of every arc: (source rows, start
+    RLs, makespans, set keys) of the entries into (row, wp), in arc order
+    (source stage, then source pattern), each arc's in table order."""
+    lookup = get_transition_lookup(costs.p)
+    n_pat = len(lookup.patterns)
+    stage, gap, a, b, keys, rows = table_arcs(costs, lookup, lookup.valid_at(inst.n_d))
+    first, size = costs.lookup(gap, rows)
+    w, end, c = costs.gather(gap, first, size)
+    arc = np.repeat(np.arange(stage.size), size)
+    hit = ((stage + gap) * n_pat + b)[arc] == row
+    hit &= end == wp
+    return (stage * n_pat + a)[arc[hit]], w[hit], c[hit], keys[arc[hit]]
 
 
 def enumerate_valid_operation_sequences(n_d: int, p: int) -> set:

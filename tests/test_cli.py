@@ -356,6 +356,24 @@ def test_solver_options_are_read_only_by_their_solvers(tmp_path):
     assert main(["solve", "--algo", "vlsn", "--p", "0", "-i", str(path)]) == 1
 
 
+@pytest.mark.parametrize("options, message", [
+    (["--algo", "vlsn-ls", "--time-limit", "nan"], "--time-limit must be a finite number"),
+    (["--algo", "vlsn-ls", "--time-limit", "-1"], "--time-limit must be a finite number"),
+    (["--algo", "rts3nn", "--budget", "-3"], "--budget must be >= 0"),
+    (["--algo", "rts3nn", "--seed", "-1"], "--seed must be >= 0"),
+])
+def test_run_options_no_run_can_honor_are_usage_errors(tmp_path, capsys, options, message):
+    # each once ran: with no limit, returning the initial split, with zero
+    # iterations, or into numpy's own error (exit 1)
+    path, out = tmp_path / "small.json", tmp_path / "sol.json"
+    save_instance(random_instance(1, n_d=5, n_r=3), path)
+    with pytest.raises(SystemExit) as err:
+        main(["solve", "-i", str(path), *options, "--out", str(out)])
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_time_limit_reaches_exact_and_limop(tmp_path, capsys):
     out = _gen(tmp_path, count=1)
     inst_path = str(next(out.glob("Basis_small_s1.json")))

@@ -27,7 +27,7 @@ from drpe.model import (
 )
 from drpe.opsgraph import OperationCostTable, build_ops_graph, recover_operation_order
 from tests.conftest import FlightPricing, binding_extended_model, dense_view, two_step_price
-from tests.oracles import brute_force_optimum, valid_at_stage
+from tests.oracles import arcs_into_by_filter, brute_force_optimum, valid_at_stage
 
 MODELS = [BaseCostModel, binding_extended_model]
 
@@ -286,7 +286,8 @@ def test_table_rebuilt_from_its_dense_view_sweeps_alike(make_model):
 
 @pytest.mark.parametrize("make_model", MODELS)
 def test_stage2_values_do_not_depend_on_the_batch_size(make_model, monkeypatch):
-    # batches of one entry, and batches that span arcs of several gaps
+    # chunks of one entry, chunks that span arcs of several gaps, and one
+    # chunk larger than the whole table, which spans every stage
     cases = [(random_instance(seed, n_d=n_d, n_r=n_r, emax_factor=4.0), p)
              for seed, n_d, n_r in ((0, 8, 3), (1, 9, 2)) for p in (2, 4)]
     cases += [(_twin_instance(4), 3)]
@@ -296,12 +297,30 @@ def test_stage2_values_do_not_depend_on_the_batch_size(make_model, monkeypatch):
         table = build_ops_graph(inst, x, p, model=model)
         zeta, eps, stats, _ = _meta_values(table, inst)
         tour = repr(solve_meta(table, inst, model)[0])
-        for batch in (1, 7, 64):
+        for batch in (1, 7, 64, 1 << 40):
             monkeypatch.setattr(drpe.metagraph, "RELAX_BATCH", batch)
             new_zeta, new_eps, new_stats, _ = _meta_values(table, inst)
             assert np.array_equal(new_zeta, zeta) and np.array_equal(new_eps, eps)
             assert new_stats.arcs == stats.arcs
             assert repr(solve_meta(table, inst, model)[0]) == tour
+
+
+@pytest.mark.parametrize("make_model", MODELS)
+def test_walk_back_reads_the_arcs_a_filter_over_all_arcs_reads(make_model):
+    cases = [(random_instance(seed, n_d=n_d, n_r=n_r, emax_factor=f), p)
+             for seed, n_d, n_r, f in ((0, 8, 3, 4.0), (1, 9, 2, 1.6), (2, 7, 4, 4.0))
+             for p in (1, 2, 4)]
+    cases += [(_twin_instance(4), 3), (_twin_instance(6, n_d=8), 2)]
+    for inst, p in cases:
+        table = build_ops_graph(inst, initial_tsp_sequence(inst), p, model=make_model(inst))
+        _, eps, _, arcs_into = _meta_values(table, inst)
+        for row, wp in zip(*np.nonzero(np.isfinite(eps))):
+            batches = list(arcs_into(int(row), int(wp)))
+            assert len(batches) == 1
+            want = arcs_into_by_filter(table, inst, int(row), int(wp))
+            assert want[0].size
+            for got, expected in zip(batches[0], want):
+                assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
 def test_time_limit_stops_stage2_at_a_stage():

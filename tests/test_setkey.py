@@ -120,6 +120,24 @@ def _lookup_against_dict(p, q, share, seed=0):
     return holes
 
 
+@pytest.mark.parametrize("n", [16, 100])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, None])
+def test_scalar_mask_inverts_the_key(n, p):
+    if p is None and n > 27:
+        with pytest.raises(SizeGuardError):
+            SetKey(n, p)
+        return
+    layout = SetKey(n, p)
+    rng = np.random.default_rng(n)
+    masks = [_random_valid_mask(rng, n, layout.p) for _ in range(400)]
+    masks += [1, 1 << (n - 1), (1 << n) - 1]
+    keys = [layout.key(m) for m in masks]
+    assert [layout.mask(k) for k in keys] == masks
+    assert [layout.mask(k) for k in keys] == layout.masks(keys).tolist()
+    for k in keys[:40] + keys[-3:]:
+        assert layout.mask(k) == layout.masks([k])[0]
+
+
 @pytest.mark.parametrize("p", range(1, 9))
 def test_stage2_lookup_equals_dict_membership(p):
     # stage 2's operations are window-valid at its own width

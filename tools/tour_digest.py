@@ -1,12 +1,14 @@
 """One sha256 over the tours, makespans and validation reports of a fixed
-list of solves, and over a fixed list of stage-1 tables.
+list of solves, over a fixed list of stage-1 tables and over the initial
+orders of a fixed list of instances.
 
     python3 tools/tour_digest.py [SRC]
 
 SRC is the `src` directory of the tree to check (default: this tree's). Run
 it on two trees to check that a change keeps every tour, and the report of
 `validate_tour` on it under the cost model it was solved with, bitwise
-identical, and every listed stage-1 table too: the digests must be equal.
+identical, and every listed stage-1 table and initial order too: the
+digests must be equal.
 The list of solves covers every solve of the perfbench workloads (read
 from the perfbench directory next to SRC), `solve_exact` and `limop`
 (klim 1-3) under both cost models, `vlsn` at p 1-4, and `split_optimal`
@@ -23,6 +25,12 @@ table is hashed as each set's key with its run of (cell, makespan)
 entries, in key order, read from the table's `keys`, `starts`, `stops`,
 `cells` and `values` fields alone, so the script reads older trees'
 tables as well.
+
+The initial orders are `initial_tsp_sequence`'s on the instances above 16
+destinations (the nearest-neighbor, 2-opt and or-opt descent) that the
+initial-order tests check against their scalar oracle: random instances
+of 17 to 120 destinations, asymmetric ones of 17 and 40, and Basis-large
+seeds 1-3.
 """
 
 from __future__ import annotations
@@ -121,6 +129,26 @@ def tables(drpe, workloads):
                drpe.build_ops_graph(inst, x, p, model=model))
 
 
+def descent_instances(drpe):
+    """(label, instance) of every hashed initial order, in a fixed order."""
+    import numpy as np
+
+    for n_d in (17, 23, 31, 48, 75, 120):
+        for seed in (0, 1):
+            yield (f"order random n_d={n_d} seed={seed}",
+                   drpe.random_instance(seed, n_d=n_d, n_r=4, single_depot=seed == 1))
+    for n_d in (17, 40):
+        # every drone leg lengthened by its own random amount
+        inst = drpe.random_instance(n_d, n_d=n_d, n_r=3)
+        c_d = inst.c_d + np.random.default_rng(n_d).uniform(0.0, 5.0, inst.c_d.shape)
+        np.fill_diagonal(c_d, 0.0)
+        yield (f"order asymmetric n_d={n_d}",
+               drpe.Instance(n_d=n_d, n_r=inst.n_r, c_d=c_d, c_r=inst.c_r,
+                             w0=inst.w0, wt=inst.wt, e_max=inst.e_max))
+    for seed in (1, 2, 3):
+        yield f"order Basis-large s{seed}", drpe.generate(drpe.get_setting("Basis", "large"), seed)
+
+
 def table_bytes(table):
     """Each set's key with its (cell, makespan) run, in key order, size by
     size."""
@@ -158,7 +186,11 @@ def main(argv=None) -> int:
         for part in table_bytes(build()):
             digest.update(part)
         n_tables += 1
-    print(f"{digest.hexdigest()}  {count} solves, {n_tables} tables")
+    n_orders = 0
+    for label, inst in descent_instances(drpe):
+        digest.update(f"{label}\n{drpe.initial_tsp_sequence(inst)!r}\n".encode())
+        n_orders += 1
+    print(f"{digest.hexdigest()}  {count} solves, {n_tables} tables, {n_orders} orders")
     return 0
 
 
