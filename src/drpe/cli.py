@@ -215,6 +215,11 @@ def _config_hash(payload: dict) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:12]
 
 
+# the SolveReport work counters a ``bench --per-instance`` row carries
+BENCH_COUNTS = ("ops_states", "ops_arcs", "meta_states", "meta_arcs", "neighborhoods",
+                "iterations")
+
+
 def _bench_cell(payload):
     """Worker: one (instance, algorithm) cell, solved and validated as
     ``drpe solve`` does. A refused, infeasible or timed-out solve and a tour
@@ -222,15 +227,16 @@ def _bench_cell(payload):
     args = argparse.Namespace(**payload["args"], algo=payload["algo"])
     inst = load_instance(payload["path"])
     t0 = time.perf_counter()
-    value, layers, status = float("nan"), {}, "error: failed validation"
+    value, layers, counts, status = float("nan"), {}, {}, "error: failed validation"
     try:
         report, check = _solve(inst, args)
+        counts = {name: getattr(report, name) for name in BENCH_COUNTS}
         if check.passed:
             value, layers, status = report.makespan, report.extras.get("layers", {}), "ok"
     except (SizeGuardError, InfeasibleError, TimeLimitError) as exc:
         status = f"error: {exc}"
     return {"path": payload["path"], "algo": payload["algo"], "value": value,
-            "time": time.perf_counter() - t0, "status": status,
+            "time": time.perf_counter() - t0, "status": status, "counts": counts,
             "setting": payload["setting"], "seed": args.seed, "layers": layers}
 
 
@@ -342,7 +348,7 @@ def cmd_bench(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(["setting", "instance", "algorithm", "value",
                              "reference", "gap_pct", "runtime_s", "seed", "config",
-                             *layer_names])
+                             "status", *BENCH_COUNTS, *layer_names])
             for r in sorted(results, key=lambda r: (r["setting"], Path(r["path"]).name,
                                                     r["algo"])):
                 writer.writerow([
@@ -350,7 +356,8 @@ def cmd_bench(args) -> int:
                     "" if not np.isfinite(r["value"]) else f"{r['value']:.9g}",
                     "" if r["reference"] is None else f"{r['reference']:.9g}",
                     "" if r["gap"] is None else f"{r['gap']:.6f}",
-                    f"{r['time']:.3f}", r["seed"], config_hash,
+                    f"{r['time']:.3f}", r["seed"], config_hash, r["status"],
+                    *(r["counts"].get(n, "") for n in BENCH_COUNTS),
                     *(f"{r['layers'][n]:.6f}" if n in r["layers"] else ""
                       for n in layer_names)])
 

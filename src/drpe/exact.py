@@ -179,7 +179,8 @@ def full_meta_sweep(inst: Instance, table: OperationCostTable, model=None, deadl
     t1 = time.perf_counter()
     if not np.isfinite(zeta[inst.wt, full]):
         raise InfeasibleError("no feasible tour exists")
-    masks, _, read = _set_entries(table)
+    masks, size, row = table.sets()
+    first, count = table.lookup(size, row)
 
     def arcs_into(S, wp):
         # bitmask ascending, then start RL: a block is read in table order
@@ -188,18 +189,17 @@ def full_meta_sweep(inst: Instance, table: OperationCostTable, model=None, deadl
         inside = inside[np.argsort(masks[inside])]
         for sl in chunks(inside.size, inst.n_r * inst.n_r):
             sel = np.sort(inside[sl])
-            owner, w, end, c = read(sel)
-            hit = np.flatnonzero(end == wp)
-            hit = hit[np.argsort(masks[sel[owner[hit]]], kind="stable")]
+            owner, w, c = table.ending_at(size[sel], first[sel], count[sel], wp)
+            hit = np.argsort(masks[sel[owner]], kind="stable")
             ops = masks[sel[owner[hit]]]
             yield S & ~ops, w[hit], c[hit], ops
 
     tour = walk_back(inst, zeta.T, eps.T, full, arcs_into,
-                     lambda mask, w, wp: recover_operation_order(
-                         inst, tuple(range(inst.n_d)), int(mask), w, wp, None), model)
+                     lambda ops: recover_operation_order(inst, range(inst.n_d), ops, None),
+                     model)
     return tour, {"meta_states": (full + 1) * inst.n_r, "meta_arcs": arcs,
                   "layers": {"sweep_s": t1 - t0,
-                             "walkback_s": time.perf_counter() - t1}}
+                             "recovery_s": time.perf_counter() - t1}}
 
 
 def solve_exact(inst: Instance, model=None, time_limit: Optional[float] = None) -> SolveReport:

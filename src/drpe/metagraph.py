@@ -214,27 +214,29 @@ RELAX_BATCH = 1 << 15
 WALK_BACK_TOL = 1e-6
 
 
-def walk_back(inst: Instance, zeta, eps, row: int, arcs_into, order_of, model):
+def walk_back(inst: Instance, zeta, eps, row: int, arcs_into, orders_of, model):
     """The tour of ``zeta[row, inst.wt]``, walked back to row 0 by exact
     equality: the leg from the lowest RL that matches, then the first arc
     and start RL that match. ``arcs_into(row, wp)`` yields batches (source
-    rows, start RLs, makespans, operations) in DP order, and ``order_of(op,
-    w, wp)`` gives the matched operation's destinations in order."""
+    rows, start RLs, makespans, operations) in DP order, and
+    ``orders_of(ops)``, called once with every matched ``(operation, w,
+    wp)`` in tour order, gives each one's destinations in order."""
     value = float(zeta[row, inst.wt])
-    rev, w = [], inst.wt
+    steps, w = [], inst.wt  # (operation, its start RL, its end RL, next RL), last first
     while row:
         wp = int(np.flatnonzero(eps[row] + inst.c_r[:, w] == zeta[row, w])[0])
-        rev.append(RechargingLeg(wp, w))
         for src, ws, c, ops in arcs_into(row, wp):
             hit = np.flatnonzero(zeta[src, ws] + c == eps[row, wp])
             if hit.size:
                 break
         a = int(hit[0])
-        w = int(ws[a])
-        rev.append(Operation(w, order_of(ops[a], w, wp), wp))
-        row = int(src[a])
-    rev.append(RechargingLeg(inst.w0, w))
-    tour = build_tour(inst, reversed(rev), model)
+        steps.append((ops[a], int(ws[a]), wp, w))
+        w, row = int(ws[a]), int(src[a])
+    steps.reverse()
+    items = [RechargingLeg(inst.w0, w)]
+    for (_, w, wp, after), order in zip(steps, orders_of([s[:3] for s in steps])):
+        items += [Operation(w, order, wp), RechargingLeg(wp, after)]
+    tour = build_tour(inst, items, model)
     if abs(tour.makespan - value) > WALK_BACK_TOL:
         raise AssertionError(
             f"reconstructed makespan {tour.makespan!r} != DP value {value!r}")
@@ -298,30 +300,27 @@ def _meta_values(costs: OperationCostTable, inst: Instance,
     ends = ends.tolist()
     h_max = int(gap.max(initial=0))
 
-    def expand(arcs, *per_arc):
-        """(w, w', makespan) of every entry of these arcs, arc by arc, and
-        each array of ``per_arc`` repeated once per entry of its arc."""
-        n = size[arcs]
-        return (*costs.gather(gap[arcs], first[arcs], n), *(np.repeat(x, n) for x in per_arc))
-
     def entries(lo, hi):
         """(at, to, makespan) of the entries of arcs lo to hi - 1: each
         entry's flat index into zeta (source, w) and into eps (target,
         w'), and its makespan."""
-        w, wp, c, at, to = expand(slice(lo, hi), source[lo:hi], target[lo:hi])
+        n = size[lo:hi]
+        w, wp, c = costs.gather(gap[lo:hi], first[lo:hi], n)
+        at, to = np.repeat(source[lo:hi], n), np.repeat(target[lo:hi], n)
         at += w
         to += wp
         return at, to, c
 
     def arcs_into(row, wp):
         # arcs into stage t leave one of the h_max stages before it; source
-        # stage ascending, then source pattern ascending
+        # stage ascending, then source pattern ascending; of each arc's
+        # entries, those ending at wp
         t = row // n_pat
         lo = bounds[max(t - h_max, 0)]
         sel = lo + np.flatnonzero(target[lo:bounds[t]] == row * n_r)
-        w, end, c, src, key = expand(sel, source[sel] // n_r, keys[sel])
-        hit = end == wp
-        yield src[hit], w[hit], c[hit], key[hit]
+        arc, w, c = costs.ending_at(gap[sel], first[sel], size[sel], wp)
+        arc = sel[arc]
+        yield source[arc] // n_r, w, c, keys[arc]
 
     # each chunk's entries are expanded once; a stage relaxes its slice of
     # each chunk its arcs lie in: one candidate zeta[source, w] + makespan
@@ -372,9 +371,11 @@ def solve_meta(costs: OperationCostTable, inst: Instance,
     if not np.isfinite(zeta[final, inst.wt]):
         raise InfeasibleError("no feasible tour in this neighborhood")
     x = costs.x
-    tour = walk_back(inst, zeta, eps, final, arcs_into,
-                     lambda key, w, wp: tuple(x[t] for t in recover_operation_order(
-                         inst, x, costs.layout.mask(int(key)), w, wp, costs.p)),
-                     model)
+    def orders_of(ops):
+        found = recover_operation_order(
+            inst, x, [(costs.layout.mask(int(key)), w, wp) for key, w, wp in ops], costs.p)
+        return [tuple(x[t] for t in order) for order in found]
+
+    tour = walk_back(inst, zeta, eps, final, arcs_into, orders_of, model)
     stats.recovery_elapsed = time.perf_counter() - t1
     return tour, stats

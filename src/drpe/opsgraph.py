@@ -25,9 +25,10 @@ each pair at every end RL, in blocks of about ``CHUNK_VALUES`` values;
 only the flights within the cost model's cap are priced. The cost table
 keeps the finite makespans alone: per operation size the set keys and
 each set's run of entries (a packed (start RL, end RL) cell and the
-makespan); other modules read a table through ``sets``, ``lookup`` and
-``gather`` and build one with ``from_dense``. Order recovery replays the
-same DP within one entry's set and walks its levels back.
+makespan); other modules read a table through ``sets``, ``lookup``,
+``gather`` and ``ending_at`` and build one with ``from_dense``. Order
+recovery reruns the DP, under the same successor rule, within the sets
+of all the entries of one tour at once and walks its levels back.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -73,12 +73,9 @@ def _ctz(x):
 
 def _top_bit(x):
     """Index of the highest set bit of each positive int64."""
-    out = np.zeros(x.shape, dtype=np.int64)
-    for s in (32, 16, 8, 4, 2, 1):
-        big = (x >> s) > 0
-        x = np.where(big, x >> s, x)
-        out += s * big
-    return out
+    # the float rounds to nearest, at worst up to the next power of two
+    top = np.frexp(x.astype(np.float64))[1].astype(np.int64) - 1
+    return top - (x >> top == 0)
 
 
 class SetKey:
@@ -287,6 +284,30 @@ class OperationCostTable:
             self.values[k].take(at[lo:hi], out=value[lo:hi], mode="clip")
         return (*cell_rls(cell, self.n_r), value)
 
+    def ending_at(self, size, first, count, end: int) -> tuple:
+        """(set, w, makespan) of the entries of these sets (as ``lookup``
+        gives them) that end at RL ``end``, set by set, ``set`` indexing the
+        given sets: the cells of their entries are read, and the makespans
+        of the matches only. For a few sets: their runs of one size are
+        found in Python."""
+        at, stops = runs(first, count), np.cumsum(count)
+        sizes, edges, ends = [], [], [0, *stops.tolist()]
+        for i, k in enumerate(size.tolist()):
+            if not sizes or k != sizes[-1]:
+                sizes.append(k)
+                edges.append(ends[i])
+        edges.append(at.size)
+        cell = np.empty(at.size, self.cells[0].dtype)
+        for k, lo, hi in zip(sizes, edges, edges[1:]):
+            self.cells[k].take(at[lo:hi], out=cell[lo:hi], mode="clip")
+        w, wp = cell_rls(cell, self.n_r)
+        hit = np.flatnonzero(wp == end)
+        cut, at = np.searchsorted(hit, edges).tolist(), at[hit]
+        value = np.empty(hit.size)
+        for k, lo, hi in zip(sizes, cut, cut[1:]):
+            self.values[k].take(at[lo:hi], out=value[lo:hi], mode="clip")
+        return np.searchsorted(stops, hit, side="right"), w[hit], value
+
     @classmethod
     def from_dense(cls, n_d: int, n_r: int, pairs) -> "OperationCostTable":
         """The table of every subset (width None, identity order) that holds
@@ -485,80 +506,124 @@ def build_ops_graph(inst: Instance, x: Sequence[int], p: Optional[int],
 # Order recovery
 # ---------------------------------------------------------------------------
 
-def _recovery_plan(shape: int, p: Optional[int]) -> list:
-    """Value-free structure of stage 1's level DP on the positions of
-    ``shape`` (a bitmask with bit 0 set), found by running ``_levels`` on
-    zero flights: one ``(first, count, pos, src, arcs)`` per level, as
-    ``_levels`` yields them, where ``src`` is the previous level's set of
-    each row. ``arcs = (rows, cells, starts)`` lists, grouped by row, the
-    previous level's rows ``rows`` that extend to it and their flights as
-    flat indices ``cells`` into the positions' flight matrix, so a level's
-    values are ``np.minimum.reduceat(val[rows] + dd.flat[cells], starts)``.
-    The successor rule looks at position differences only, so a plan
-    serves every entry of the same shape."""
-    P = np.flatnonzero([(shape >> t) & 1 for t in range(shape.bit_length())])
-    s = P.size
-    plan, prev = [], None
-    for _, count, first, pos, src, _ in itertools.islice(
-            _levels(SetKey(shape.bit_length(), p), P, np.zeros((s, s)),
-                    np.zeros((s, 1))), s):
-        arcs = None
-        if prev is not None:
-            p_count, p_first, p_pos = prev
-            n_in = p_count[src]
-            starts = np.cumsum(n_in) - n_in
-            rows = runs(p_first[src], n_in)
-            arcs = (rows, p_pos[rows] * s + np.repeat(pos, n_in), starts)
-        plan.append((first, count, pos, src, arcs))
-        prev = count, first, pos
-    return plan
+def recover_operation_order(inst: Instance, x: Sequence[int], entries,
+                            p: Optional[int]) -> list:
+    """The visiting order behind each cost-table entry ``(mask, w, w')``
+    of a table built on order x at width p (None: every subset), as
+    destination positions in visiting order.
 
-
-# plans of entries up to this size are kept: the structure of a small
-# entry costs more than its values, and small shapes recur
-_cached_plan = lru_cache(maxsize=256)(_recovery_plan)
-CACHED_PLAN_SIZE = 6
-
-
-def recover_operation_order(inst: Instance, x: Sequence[int], mask: int,
-                            w: int, w_prime: int,
-                            p: Optional[int]) -> tuple:
-    """Re-derive the visiting order behind a cost-table entry built at
-    width p (None: every subset).
-
-    Replays stage 1's level DP on the entry's positions alone, from start
-    RL w only and without energy pruning (``_recovery_plan``), and walks
-    it back from the end: each position is the one whose flight plus the
-    next leg equals the current value exactly, the smallest position on
-    ties. Returns destination positions in visiting order.
+    Reruns stage 1's DP on each entry's positions alone, from start RL w
+    only and without energy pruning, and walks it back from the end: each
+    position is the one whose flight plus the next leg equals the current
+    value exactly, the smallest position on ties. A one-position entry is
+    its position. The others share one frontier DP, level by level over
+    the operation size, under stage 1's successor rule
+    (``SetKey.successors``) on bitmasks of positions counted from the
+    entry's lowest; a set is one int64 key, its entry's index above that
+    bitmask. A level keeps, per set, one slot per member: the value of the
+    state that ends there, or +inf where none does. Raises ``ValueError``
+    when an entry's set cannot be reached at width p.
     """
-    P, rest = [], mask
-    while rest:
-        low = rest & -rest
-        P.append(low.bit_length() - 1)
-        rest ^= low
-    plan = (_cached_plan if len(P) <= CACHED_PLAN_SIZE else _recovery_plan)(
-        mask >> P[0], p)
-    if len(plan) < len(P):
-        raise ValueError("entry is not reachable in the stage-1 graph at this width")
-    ids = [x[t] for t in P]
-    dd = inst.cd_dd[np.ix_(ids, ids)]
-    vals = [inst.cd_rd[w, ids]]
-    for *_, (rows, cells, starts) in plan[1:]:
-        vals.append(np.minimum.reduceat(vals[-1][rows] + dd.flat[cells], starts))
+    orders, multi = [None] * len(entries), []
+    for i, (mask, w, wp) in enumerate(entries):
+        mask = int(mask)
+        low = (mask & -mask).bit_length() - 1
+        if mask >> low == 1:
+            orders[i] = (low,)
+        else:
+            multi.append((-mask.bit_count(), i, low, mask >> low, w, wp))
+    if not multi:
+        return orders
+    # by decreasing size, so that the entries a level holds are a prefix
+    size, index, base, shape, w, wp = (np.array(f) for f in zip(*sorted(multi)))
+    size = -size
+    span = max(int(s).bit_length() for s in shape.tolist())
+    if span + (shape.size - 1).bit_length() > 62:
+        raise SizeGuardError(f"an operation spanning {span} positions is too wide to recover")
+    p = span if p is None else min(p, span)
+    # the destination at each entry's relative position, the flights between
+    # them, and from each to the entry's end RL
+    dest = np.asarray(x)[np.minimum(base[:, None] + np.arange(span), len(x) - 1)]
+    hops = inst.cd_dd[dest[:, :, None], dest[:, None, :]]
+    hop, leg = hops.ravel(), inst.cd_dr[dest, wp[:, None]]
+    low, nbytes = (1 << span) - 1, (span + 7) // 8
 
-    order, i = [], 0
-    leg = inst.cd_dr[ids, w_prime]
-    for (first, count, pos, src, _), val in zip(reversed(plan), reversed(vals)):
-        rows = np.arange(first[i], first[i] + count[i])
-        cand = val[rows] + leg[pos[rows]]
-        if not order:
-            target = cand.min()
-            if not np.isfinite(target):
+    entry, rel = np.nonzero(shape[:, None] >> np.arange(span) & 1)
+    # a level: its sets' keys, ascending, and its states' values and last
+    # positions (int8), one column per set and one row per slot
+    levels = [(entry << span | 1 << rel, inst.cd_rd[w[entry], dest[entry, rel]][None],
+               rel[None].astype(np.int8))]
+    for k in range(1, int(size.max())):
+        keys, val, member = levels[-1]
+        e, mask = keys >> span, keys & low
+        succ = shape[e] & ~mask
+        if p < span:
+            # within [M - p + 1, g + p - 1], g the first position at or
+            # above m + p that the set lacks
+            g = np.minimum(_ctz(mask) + p, 63)
+            g += _ctz(~mask >> g)
+            succ &= (1 << np.minimum(g + p, 62)) - (1 << np.maximum(_top_bit(mask) - (p - 1), 0))
+        # (set, u) pairs from the successor bits, byte by byte
+        bits = np.unpackbits(succ.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)[:, :nbytes],
+                             axis=1, bitorder="little")
+        src, u = np.divmod(np.flatnonzero(bits.view(bool)), 8 * nbytes)
+        if not src.size:
+            break
+        # (S | u, u) is worth the best of S's members' values plus the flight to u
+        at = (e * span + member) * span
+        grown = np.empty(src.size)
+        for sl in chunks(src.size, k):
+            flight = np.take(at, src[sl], axis=1)
+            flight += u[sl]
+            np.min(np.take(val, src[sl], axis=1) + hop.take(flight), axis=0, out=grown[sl])
+        # the new level's sets, ascending, each with its states in any order
+        new = keys[src] | 1 << u
+        order = np.argsort(new)
+        new, u = new[order], u[order]
+        head = np.empty(new.size, dtype=bool)
+        head[0] = True
+        np.not_equal(new[1:], new[:-1], out=head[1:])
+        first = np.flatnonzero(head)
+        group = np.cumsum(head) - 1
+        slot = np.arange(new.size) - first[group]
+        keys = new[first]
+        val = np.full((k + 1, keys.size), np.inf)
+        val[slot, group] = grown[order]
+        # a slot without a state holds some member of the set, at +inf
+        member = np.empty((k + 1, keys.size), dtype=np.int8)
+        member[:] = u[first]
+        member[slot, group] = u
+        levels.append((keys, val, member))
+
+    # walk every entry back at once, each from the level of its own size
+    # (entries [:held] are at level k); position ``span`` stands for the end
+    # RL, so an entry's first step adds its leg
+    hops = np.concatenate((hops, leg[:, :, None]), axis=2)
+    ent, bit = np.arange(shape.size), 1 << np.arange(span + 1)
+    key = ent << span | shape
+    target, last = np.empty(shape.size), np.full(shape.size, span)
+    picks = np.zeros((shape.size, span), dtype=np.int64)
+    sizes, held = size.tolist(), 0
+    for k in range(len(levels), 0, -1):
+        keys, val, member = levels[k - 1]
+        done = held
+        while held < len(sizes) and sizes[held] >= k:
+            held += 1
+        at = np.searchsorted(keys, key[:held])
+        member = member.take(at, axis=1, mode="clip")
+        cand = val.take(at, axis=1, mode="clip")
+        cand += hops[ent[:held], member, last[:held]]
+        if done < held:
+            # the others' sets are in the level: their chosen states came from them
+            found = keys.take(at[done:], mode="clip") == key[done:held]
+            target[done:held] = cand[:, done:].min(axis=0)
+            if not (found.all() and np.isfinite(target[done:held]).all()):
                 raise ValueError("entry is not reachable in the stage-1 graph at this width")
-        hit = rows[cand == target]
-        r = hit[np.argmin(pos[hit])]
-        order.append(P[pos[r]])
-        target, leg, i = val[r], dd[:, pos[r]], src[r]
-    order.reverse()
-    return tuple(order)
+        col = np.where(cand == target[:held], member, span).argmin(axis=0)
+        last[:held] = member[col, ent[:held]]
+        target[:held] = val[col, at]
+        picks[:held, k - 1] = last[:held]
+        key[:held] ^= bit[last[:held]]
+    for i, b, n, row in zip(index.tolist(), base.tolist(), size.tolist(), picks.tolist()):
+        orders[i] = tuple(b + t for t in row[:n])
+    return orders

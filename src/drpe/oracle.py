@@ -229,7 +229,8 @@ def split_optimal(x: Sequence[int], inst: Instance,
         into = by_target[lo:hi]
         yield start[into], rl[into], weight[into], [slice(i, j) for i in start[into].tolist()]
 
-    tour = walk_back(inst, f, g, n_d, arcs_into, lambda block, w, wp: x[block], model)
+    tour = walk_back(inst, f, g, n_d, arcs_into,
+                     lambda ops: [x[block] for block, _, _ in ops], model)
     if incumbent is not None and not tour.makespan < incumbent.makespan - EPS:
         return incumbent
     return tour

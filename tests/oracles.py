@@ -11,6 +11,7 @@ import numpy as np
 from drpe.energy import ExtendedCosts
 from drpe.metagraph import MetaPattern, get_transition_lookup, table_arcs
 from drpe.model import DroneTour, Instance, SizeGuardError
+from drpe.opsgraph import SetKey, _levels, runs
 from drpe.oracle import enumerate_bs_neighbors, split_optimal
 
 BRUTE_FORCE_ND = 7
@@ -88,6 +89,72 @@ def arcs_into_by_filter(costs, inst: Instance, row: int, wp: int) -> tuple:
     hit = ((stage + gap) * n_pat + b)[arc] == row
     hit &= end == wp
     return (stage * n_pat + a)[arc[hit]], w[hit], c[hit], keys[arc[hit]]
+
+
+def _recovery_plan(shape: int, p: Optional[int]) -> list:
+    """Value-free structure of stage 1's level DP on the positions of
+    ``shape`` (a bitmask with bit 0 set), found by running ``_levels`` on
+    zero flights: one ``(first, count, pos, src, arcs)`` per level, as
+    ``_levels`` yields them, where ``src`` is the previous level's set of
+    each row. ``arcs = (rows, cells, starts)`` lists, grouped by row, the
+    previous level's rows ``rows`` that extend to it and their flights as
+    flat indices ``cells`` into the positions' flight matrix, so a level's
+    values are ``np.minimum.reduceat(val[rows] + dd.flat[cells], starts)``."""
+    P = np.flatnonzero([(shape >> t) & 1 for t in range(shape.bit_length())])
+    s = P.size
+    plan, prev = [], None
+    for _, count, first, pos, src, _ in itertools.islice(
+            _levels(SetKey(shape.bit_length(), p), P, np.zeros((s, s)),
+                    np.zeros((s, 1))), s):
+        arcs = None
+        if prev is not None:
+            p_count, p_first, p_pos = prev
+            n_in = p_count[src]
+            starts = np.cumsum(n_in) - n_in
+            rows = runs(p_first[src], n_in)
+            arcs = (rows, p_pos[rows] * s + np.repeat(pos, n_in), starts)
+        plan.append((first, count, pos, src, arcs))
+        prev = count, first, pos
+    return plan
+
+
+def replayed_operation_order(inst: Instance, x, mask: int, w: int, w_prime: int,
+                             p: Optional[int]) -> tuple:
+    """The visiting order behind one cost-table entry, as destination
+    positions: stage 1's level DP replayed on the entry's positions alone
+    (``_recovery_plan``), from start RL w only and without energy pruning,
+    and walked back from the end, each position the one whose flight plus
+    the next leg equals the current value exactly, the smallest position on
+    ties. The per-entry statement of ``recover_operation_order``."""
+    P, rest = [], mask
+    while rest:
+        low = rest & -rest
+        P.append(low.bit_length() - 1)
+        rest ^= low
+    plan = _recovery_plan(mask >> P[0], p)
+    if len(plan) < len(P):
+        raise ValueError("entry is not reachable in the stage-1 graph at this width")
+    ids = [x[t] for t in P]
+    dd = inst.cd_dd[np.ix_(ids, ids)]
+    vals = [inst.cd_rd[w, ids]]
+    for *_, (rows, cells, starts) in plan[1:]:
+        vals.append(np.minimum.reduceat(vals[-1][rows] + dd.flat[cells], starts))
+
+    order, i = [], 0
+    leg = inst.cd_dr[ids, w_prime]
+    for (first, count, pos, src, _), val in zip(reversed(plan), reversed(vals)):
+        rows = np.arange(first[i], first[i] + count[i])
+        cand = val[rows] + leg[pos[rows]]
+        if not order:
+            target = cand.min()
+            if not np.isfinite(target):
+                raise ValueError("entry is not reachable in the stage-1 graph at this width")
+        hit = rows[cand == target]
+        r = hit[np.argmin(pos[hit])]
+        order.append(P[pos[r]])
+        target, leg, i = val[r], dd[:, pos[r]], src[r]
+    order.reverse()
+    return tuple(order)
 
 
 def enumerate_valid_operation_sequences(n_d: int, p: int) -> set:

@@ -254,11 +254,17 @@ def test_bench_per_instance_appends_layer_columns(tmp_path):
     assert main(["bench", "--instances", str(out), "--algos", "vlsn-ls,sa",
                  "--out", str(tmp_path / "b.csv"), "--per-instance", str(cells)]) == 0
     header, *rows = list(csv.reader(cells.open()))
-    assert header[:9] == ["setting", "instance", "algorithm", "value", "reference",
-                          "gap_pct", "runtime_s", "seed", "config"]
-    layers = header[9:]
+    assert header[:16] == ["setting", "instance", "algorithm", "value", "reference",
+                           "gap_pct", "runtime_s", "seed", "config", "status",
+                           "ops_states", "ops_arcs", "meta_states", "meta_arcs",
+                           "neighborhoods", "iterations"]
+    layers = header[16:]
     assert {"stage1_s", "stage2_s", "recovery_s"} <= set(layers)
-    by_algo = {row[2]: dict(zip(layers, row[9:])) for row in rows}
+    by_algo = {row[2]: dict(zip(layers, row[16:])) for row in rows}
+    counts = {row[2]: dict(zip(header[9:16], row[9:16])) for row in rows}
+    assert counts["vlsn-ls"]["status"] == counts["sa"]["status"] == "ok"
+    assert int(counts["vlsn-ls"]["neighborhoods"]) > 0
+    assert int(counts["vlsn-ls"]["ops_states"]) > 0 and int(counts["vlsn-ls"]["meta_arcs"]) > 0
     assert all(float(v) >= 0.0 for v in by_algo["vlsn-ls"].values())
     # sa reports no layers
     assert set(by_algo["sa"].values()) == {""}
@@ -318,8 +324,10 @@ def test_bench_counts_a_tour_failing_validation_as_failed(tmp_path, monkeypatch)
     assert rows["rts"]["instances"] == "0" and rows["rts"]["failed"] == "1"
     assert rows["rts"]["avg_gap_pct"] == rows["rts"]["worst_gap_pct"] == ""
     assert rows["vlsn"]["instances"] == "1" and rows["vlsn"]["failed"] == "0"
-    cell = {r["algorithm"]: r for r in csv.DictReader(cells.open())}["rts"]
-    assert cell["value"] == cell["gap_pct"] == ""
+    cells = {r["algorithm"]: r for r in csv.DictReader(cells.open())}
+    assert cells["rts"]["value"] == cells["rts"]["gap_pct"] == ""
+    assert cells["rts"]["status"] == "error: failed validation"
+    assert cells["vlsn"]["status"] == "ok"
 
 
 @pytest.mark.parametrize("options, message", [

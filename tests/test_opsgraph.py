@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import drpe.opsgraph
@@ -20,6 +20,7 @@ from tests.conftest import FlightPricing, binding_extended_model, dense_view, en
 from tests.oracles import (
     enumerate_valid_operation_sequences,
     ops_nonterminal_state_bound,
+    replayed_operation_order,
     set_window_valid,
     valid_successor_indices,
 )
@@ -253,15 +254,14 @@ def test_recover_reproduces_best_order():
     for make_model, p in itertools.product([BaseCostModel, binding_extended_model],
                                            [2, 3, 4, None]):
         table = build_ops_graph(inst, x, p, model=FlightPricing(make_model(inst)))
-        checked = 0
-        for m, mat in dense_view(table).items():
-            for w, wp in zip(*np.nonzero(np.isfinite(mat))):
-                order = recover_operation_order(inst, x, m, int(w), int(wp), p)
-                assert sorted(order) == [t for t in range(6) if (m >> t) & 1]
-                op = Operation(int(w), tuple(x[t] for t in order), int(wp))
-                assert operation_flight_time(op, inst) == mat[w, wp]
-                checked += 1
-        assert checked > 200
+        dense = dense_view(table)
+        cells = [(m, int(w), int(wp)) for m, mat in dense.items()
+                 for w, wp in zip(*np.nonzero(np.isfinite(mat)))]
+        for (m, w, wp), order in zip(cells, recover_operation_order(inst, x, cells, p)):
+            assert sorted(order) == [t for t in range(6) if (m >> t) & 1]
+            op = Operation(w, tuple(x[t] for t in order), wp)
+            assert operation_flight_time(op, inst) == dense[m][w, wp]
+        assert len(cells) > 200
 
 
 def test_recover_breaks_bitwise_ties_at_the_smallest_position():
@@ -275,10 +275,9 @@ def test_recover_breaks_bitwise_ties_at_the_smallest_position():
         # walking back, the last position is the smaller twin position,
         # its predecessor the larger one
         lo, hi = sorted((x.index(1), x.index(2)))
-        for w, wp in [(0, 0), (0, 1), (1, 1)]:
-            assert recover_operation_order(inst, x, _mask(lo, hi), w, wp, 2) == (hi, lo)
-            assert recover_operation_order(inst, x, _mask(lo, hi), w, wp,
-                                           None) == (hi, lo)
+        cells = [(_mask(lo, hi), w, wp) for w, wp in [(0, 0), (0, 1), (1, 1)]]
+        for p in (2, None):
+            assert recover_operation_order(inst, x, cells, p) == [(hi, lo)] * 3
 
 
 def _check_recovered_orders(inst, x, p, model, per_table=None):
@@ -291,8 +290,7 @@ def _check_recovered_orders(inst, x, p, model, per_table=None):
     if per_table is not None and len(cells) > per_table:
         pick = np.random.default_rng(len(cells)).choice(len(cells), per_table, replace=False)
         cells = [cells[i] for i in sorted(pick)]
-    for m, w, wp in cells:
-        order = recover_operation_order(inst, x, m, w, wp, p)
+    for (m, w, wp), order in zip(cells, recover_operation_order(inst, x, cells, p)):
         assert sorted(order) == [t for t in range(inst.n_d) if (m >> t) & 1]
         op = Operation(w, tuple(x[t] for t in order), wp)
         assert operation_flight_time(op, inst) == dense[m][w, wp]
@@ -318,6 +316,54 @@ def test_recovered_orders_reproduce_their_entries_past_64_destinations(make_mode
     x = tuple(np.random.default_rng(64).permutation(70).tolist())
     for p in (2, 3, 4, 5):
         assert _check_recovered_orders(inst, x, p, make_model(inst), per_table=80) == 80
+
+
+def _replayed_or_unreachable(inst, x, cell, p):
+    try:
+        return replayed_operation_order(inst, x, *cell, p)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 10_000), n_d=st.integers(2, 9), n_r=st.integers(1, 3),
+       width=st.integers(0, 9), integral=st.booleans(),
+       make_model=st.sampled_from([BaseCostModel, binding_extended_model]))
+@example(seed=5, n_d=9, n_r=2, width=0, integral=True, make_model=BaseCostModel)
+@example(seed=6, n_d=8, n_r=3, width=2, integral=True, make_model=binding_extended_model)
+def test_property_batched_recovery_equals_the_replay_oracle(seed, n_d, n_r, width, integral,
+                                                            make_model):
+    # width 0 is p=None; integral distances make bitwise ties common, so the
+    # smallest-position rule decides many orders; flights are uncapped, so
+    # the table holds operations of every size
+    p = None if width == 0 else min(width, n_d)
+    inst = random_instance(seed, n_d=n_d, n_r=n_r)
+    scale = 1.0 / 8 if integral else 1.0
+    inst = Instance(n_d=n_d, n_r=n_r, c_d=np.round(inst.c_d * scale, 0 if integral else 12),
+                    c_r=np.round(inst.c_r * scale, 0 if integral else 12),
+                    w0=inst.w0, wt=inst.wt, e_max=1e9)
+    rng = np.random.default_rng(seed)
+    x = tuple(rng.permutation(n_d).tolist())
+    table = build_ops_graph(inst, x, p, model=make_model(inst))
+    cells = [(m, int(w), int(wp)) for m, mat in dense_view(table).items()
+             for w, wp in zip(*np.nonzero(np.isfinite(mat)))]
+    cells = [cells[i] for i in sorted(rng.choice(len(cells), min(len(cells), 120),
+                                                 replace=False))]
+    # besides the table's entries: every position at once (past 6 when
+    # n_d > 6), and random sets with holes, which the width may forbid
+    extra = [(1 << n_d) - 1, *(int(m) for m in rng.integers(3, 1 << n_d, 6))]
+    for mask in extra:
+        cell = (mask, int(rng.integers(n_r)), int(rng.integers(n_r)))
+        if _replayed_or_unreachable(inst, x, cell, p) is not None:
+            cells.append(cell)
+        elif mask & (mask - 1):
+            with pytest.raises(ValueError):
+                recover_operation_order(inst, x, [cell], p)
+    want = [replayed_operation_order(inst, x, *cell, p) for cell in cells]
+    assert recover_operation_order(inst, x, cells, p) == want
+    # one entry at a time, too: no entry's order depends on its batch
+    assert [recover_operation_order(inst, x, [cell], p)[0] for cell in cells[:20]] == want[:20]
 
 
 def _dense_table(inst, x, p, model, size_cap=None):

@@ -76,17 +76,19 @@ def _per_arc_solve_meta(costs, inst, x, p, model):
                     arg = cand.argmin(axis=0)
                     for wp in np.flatnonzero(improved):
                         ptr_eps[k + h][b_id][wp] = (k, a_id, int(arg[wp]), mask)
-    rev = []
+    steps = []  # (operation, its start RL, its end RL, next RL), last first
     k, pat, w = n_d, 0, inst.wt
     while k > 0:
         wp = int(ptr_zeta[k, pat, w])
-        rev.append(RechargingLeg(wp, w))
         k_prev, a_id, wpp, mask = ptr_eps[k][pat][wp]
-        order = recover_operation_order(inst, x, mask, wpp, wp, p)
-        rev.append(Operation(wpp, tuple(x[t] for t in order), wp))
+        steps.append((mask, wpp, wp, w))
         k, pat, w = k_prev, a_id, wpp
-    rev.append(RechargingLeg(inst.w0, w))
-    return zeta, eps, build_tour(inst, reversed(rev), model)
+    steps.reverse()
+    items = [RechargingLeg(inst.w0, w)]
+    for (_, wpp, wp, after), order in zip(
+            steps, recover_operation_order(inst, x, [s[:3] for s in steps], p)):
+        items += [Operation(wpp, tuple(x[t] for t in order), wp), RechargingLeg(wp, after)]
+    return zeta, eps, build_tour(inst, items, model)
 
 
 def _dense_sweep(inst, op_flights, model):
@@ -392,5 +394,5 @@ def test_reports_carry_layer_times():
     inst = random_instance(1, n_d=6, n_r=3)
     for rep in (solve_exact(inst, time_limit=60), limop(inst, klim=2)):
         layers = rep.extras["layers"]
-        assert sorted(layers) == ["stage1_s", "sweep_s", "walkback_s"]
+        assert sorted(layers) == ["recovery_s", "stage1_s", "sweep_s"]
         assert all(v >= 0.0 for v in layers.values())

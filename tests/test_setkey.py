@@ -10,6 +10,8 @@ from drpe.opsgraph import (
     OperationCostTable,
     OpsGraphStats,
     SetKey,
+    _ctz,
+    _top_bit,
     build_ops_graph,
 )
 from tests.oracles import set_window_valid, valid_successor_indices
@@ -118,6 +120,17 @@ def _lookup_against_dict(p, q, share, seed=0):
     for h, r, mask in zip(gap.tolist(), rows.tolist(), masks):
         assert table.layout.masks(table.keys[h][r:r + 1]).tolist() == [mask]
     return holes
+
+
+def test_bit_scans_match_python_ints():
+    # _top_bit reads the exponent of a rounded float: near 2^k it may round
+    # up, and the correction must undo that up to bit 62
+    rng = np.random.default_rng(7)
+    x = np.concatenate([rng.integers(1, 1 << 62, 20_000), 1 << np.arange(63),
+                        (1 << np.arange(1, 63)) - 1, [2 ** 63 - 1, 2 ** 53 + 1, 2 ** 54 - 1]])
+    x = x.astype(np.int64)
+    assert _top_bit(x).tolist() == [int(v).bit_length() - 1 for v in x.tolist()]
+    assert _ctz(x).tolist() == [(int(v) & -int(v)).bit_length() - 1 for v in x.tolist()]
 
 
 @pytest.mark.parametrize("n", [16, 100])

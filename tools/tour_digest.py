@@ -13,9 +13,11 @@ The list of solves covers every solve of the perfbench workloads (read
 from the perfbench directory next to SRC), `solve_exact` and `limop`
 (klim 1-3) under both cost models, `vlsn` at p 1-4, and `split_optimal`
 from the initial order and from random orders, on random instances and on
-the Basis instances, `vlsn` at p 2-4 under both cost models on
-single-depot random instances, where it also splits the wrap-around
-orders, and `pract` on the case-study instances of seeds 0-2 at residual
+the Basis instances, `solve_exact` and `vlsn` at p 4 and 7 under both
+cost models on random instances with loose flights, whose tours but one
+hold operations of 7 to 11 destinations, `vlsn` at p 2-4 under both cost
+models on single-depot random instances, where it also splits the
+wrap-around orders, and `pract` on the case-study instances of seeds 0-2 at residual
 charge 0.1 and 0.3 (its energy audited, not required).
 
 The tables are stage 1's from the perfbench workloads' initial (TSP)
@@ -85,6 +87,20 @@ def solves(drpe, workloads):
                        drpe.limop(inst, klim, model=model), True)
             for p in (1, 2, 3, 4):
                 yield (f"vlsn {inst.name} {name} p={p}", inst, model,
+                       lambda inst=inst, model=model, x=x, p=p:
+                       drpe.vlsn(inst, x, p, model=model), True)
+    # loose flights: 29 of these 30 tours hold an operation of 7 to 11
+    # destinations, recovered at p=None by exact and at width p by vlsn
+    for seed, n_d, emax_factor in ((11, 12, 2.5), (14, 12, 2.0), (15, 14, 1.8),
+                                   (16, 12, 2.2), (17, 13, 2.0)):
+        inst = drpe.random_instance(seed, n_d=n_d, n_r=3, emax_factor=emax_factor)
+        x = drpe.initial_tsp_sequence(inst)
+        for name, make_model in models.items():
+            model = make_model(inst)
+            yield (f"exact {inst.name} {name} e_max x{emax_factor}", inst, model,
+                   lambda inst=inst, model=model: drpe.solve_exact(inst, model=model), True)
+            for p in (4, 7):
+                yield (f"vlsn {inst.name} {name} e_max x{emax_factor} p={p}", inst, model,
                        lambda inst=inst, model=model, x=x, p=p:
                        drpe.vlsn(inst, x, p, model=model), True)
     # 12 of these 24 searches return the tour of a wrap-around order
