@@ -1,8 +1,8 @@
 """Command-line harness: instance generation, solving, validation,
 neighborhood diagnostics and benchmark campaigns with CSV gap tables.
 
-Exit codes: 0 ok, 1 failed validation / infeasible / time limit of `exact`
-or `limop` / other errors, 2 usage error, 3 size guard refused the instance.
+Exit codes: 0 ok, 1 failed validation / infeasible / time limit of `vlsn`,
+`exact` or `limop` / other errors, 2 usage error, 3 size guard refused the instance.
 """
 
 from __future__ import annotations
@@ -96,7 +96,9 @@ def _solver_config(algo: str, args):
 def _run_algorithm(inst, algo: str, args, model) -> SolveReport:
     cfg = _solver_config(algo, args)
     if algo == "vlsn":
-        return vlsn(inst, initial_tsp_sequence(inst), args.p, model=model)
+        limit = args.time_limit
+        deadline = None if limit is None else time.perf_counter() + limit
+        return vlsn(inst, initial_tsp_sequence(inst), args.p, model=model, deadline=deadline)
     if algo == "vlsn-ls":
         return vlsn_ls(inst, p=args.p, model=model, time_limit=args.time_limit)
     if algo == "vlsn-vnd":

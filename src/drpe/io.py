@@ -140,12 +140,15 @@ def _instance_fields(doc: dict, metric_closure: bool) -> Instance:
                     name=str(doc.get("name", "")), meta=meta)
 
 
-def load_instance(path: PathLike, metric_closure: bool = False) -> Instance:
+def _read_json(path: PathLike):
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
-    return instance_from_dict(doc, metric_closure=metric_closure)
+
+
+def load_instance(path: PathLike, metric_closure: bool = False) -> Instance:
+    return instance_from_dict(_read_json(path), metric_closure=metric_closure)
 
 
 def solution_to_dict(tour: DroneTour) -> dict:
@@ -165,7 +168,7 @@ def save_solution(tour: DroneTour, path: PathLike) -> None:
 
 
 def load_solution(path: PathLike) -> DroneTour:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = _read_json(path)
     try:
         elements = []
         for item in _typed(doc["elements"], "elements", list):

@@ -27,8 +27,8 @@ keeps the finite makespans alone: per operation size the set keys and
 each set's run of entries (a packed (start RL, end RL) cell and the
 makespan); other modules read a table through ``sets``, ``lookup``,
 ``gather`` and ``ending_at`` and build one with ``from_dense``. Order
-recovery reruns the DP, under the same successor rule, within the sets
-of all the entries of one tour at once and walks its levels back.
+recovery reruns the same engine once for all the entries of one tour,
+each laid out in its own block of positions, and walks its levels back.
 """
 
 from __future__ import annotations
@@ -512,17 +512,15 @@ def recover_operation_order(inst: Instance, x: Sequence[int], entries,
     of a table built on order x at width p (None: every subset), as
     destination positions in visiting order.
 
-    Reruns stage 1's DP on each entry's positions alone, from start RL w
-    only and without energy pruning, and walks it back from the end: each
-    position is the one whose flight plus the next leg equals the current
-    value exactly, the smallest position on ties. A one-position entry is
-    its position. The others share one frontier DP, level by level over
-    the operation size, under stage 1's successor rule
-    (``SetKey.successors``) on bitmasks of positions counted from the
-    entry's lowest; a set is one int64 key, its entry's index above that
-    bitmask. A level keeps, per set, one slot per member: the value of the
-    state that ends there, or +inf where none does. Raises ``ValueError``
-    when an entry's set cannot be reached at width p.
+    Reruns stage 1's DP (``_levels``) on each entry's positions alone,
+    from start RL w only and without energy pruning, and walks it back
+    from the end: each position is the one whose flight plus the next leg
+    equals the current value exactly, the smallest position on ties. A
+    one-position entry is its position. The others share one run of
+    ``_levels``: entry j, in decreasing size, holds the block of positions
+    from j * (span + 2q - 1), span the widest entry's and q = min(p, span),
+    so that no set grows from one block into the next. Raises
+    ``ValueError`` when an entry's set cannot be reached at width p.
     """
     orders, multi = [None] * len(entries), []
     for i, (mask, w, wp) in enumerate(entries):
@@ -535,95 +533,51 @@ def recover_operation_order(inst: Instance, x: Sequence[int], entries,
     if not multi:
         return orders
     # by decreasing size, so that the entries a level holds are a prefix
-    size, index, base, shape, w, wp = (np.array(f) for f in zip(*sorted(multi)))
-    size = -size
-    span = max(int(s).bit_length() for s in shape.tolist())
-    if span + (shape.size - 1).bit_length() > 62:
-        raise SizeGuardError(f"an operation spanning {span} positions is too wide to recover")
-    p = span if p is None else min(p, span)
-    # the destination at each entry's relative position, the flights between
-    # them, and from each to the entry's end RL
-    dest = np.asarray(x)[np.minimum(base[:, None] + np.arange(span), len(x) - 1)]
-    hops = inst.cd_dd[dest[:, :, None], dest[:, None, :]]
-    hop, leg = hops.ravel(), inst.cd_dr[dest, wp[:, None]]
-    low, nbytes = (1 << span) - 1, (span + 7) // 8
-
-    entry, rel = np.nonzero(shape[:, None] >> np.arange(span) & 1)
-    # a level: its sets' keys, ascending, and its states' values and last
-    # positions (int8), one column per set and one row per slot
-    levels = [(entry << span | 1 << rel, inst.cd_rd[w[entry], dest[entry, rel]][None],
-               rel[None].astype(np.int8))]
-    for k in range(1, int(size.max())):
-        keys, val, member = levels[-1]
-        e, mask = keys >> span, keys & low
-        succ = shape[e] & ~mask
-        if p < span:
-            # within [M - p + 1, g + p - 1], g the first position at or
-            # above m + p that the set lacks
-            g = np.minimum(_ctz(mask) + p, 63)
-            g += _ctz(~mask >> g)
-            succ &= (1 << np.minimum(g + p, 62)) - (1 << np.maximum(_top_bit(mask) - (p - 1), 0))
-        # (set, u) pairs from the successor bits, byte by byte
-        bits = np.unpackbits(succ.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)[:, :nbytes],
-                             axis=1, bitorder="little")
-        src, u = np.divmod(np.flatnonzero(bits.view(bool)), 8 * nbytes)
-        if not src.size:
-            break
-        # (S | u, u) is worth the best of S's members' values plus the flight to u
-        at = (e * span + member) * span
-        grown = np.empty(src.size)
-        for sl in chunks(src.size, k):
-            flight = np.take(at, src[sl], axis=1)
-            flight += u[sl]
-            np.min(np.take(val, src[sl], axis=1) + hop.take(flight), axis=0, out=grown[sl])
-        # the new level's sets, ascending, each with its states in any order
-        new = keys[src] | 1 << u
-        order = np.argsort(new)
-        new, u = new[order], u[order]
-        head = np.empty(new.size, dtype=bool)
-        head[0] = True
-        np.not_equal(new[1:], new[:-1], out=head[1:])
-        first = np.flatnonzero(head)
-        group = np.cumsum(head) - 1
-        slot = np.arange(new.size) - first[group]
-        keys = new[first]
-        val = np.full((k + 1, keys.size), np.inf)
-        val[slot, group] = grown[order]
-        # a slot without a state holds some member of the set, at +inf
-        member = np.empty((k + 1, keys.size), dtype=np.int8)
-        member[:] = u[first]
-        member[slot, group] = u
-        levels.append((keys, val, member))
+    multi.sort()
+    size, _, base, shape, w, wp = zip(*multi)
+    size, base, w, wp = -np.array(size), np.array(base), np.array(w), np.array(wp)
+    span = max(s.bit_length() for s in shape)
+    q = span if p is None else min(p, span)
+    stride = span + 2 * q - 1
+    layout = SetKey(len(multi) * stride, q)
+    # each position's entry and offset from the entry's lowest position
+    ent, rel = (np.array(f) for f in zip(*((j, t) for j, s in enumerate(shape)
+                                             for t in range(s.bit_length()) if s >> t & 1)))
+    xpos = base[ent] + rel
+    dest = np.asarray(x)[xpos]
+    # the flights between the positions, and in one more column the leg
+    # from each position to its entry's end RL
+    dd = np.column_stack((inst.cd_dd[np.ix_(dest, dest)], inst.cd_dr[dest, wp[ent]]))
+    levels = list(itertools.islice(
+        _levels(layout, ent * stride + rel, dd, inst.cd_rd[w[ent], dest][:, None]),
+        int(size[0])))
+    if len(levels) < size[0]:
+        raise ValueError("entry is not reachable in the stage-1 graph at this width")
 
     # walk every entry back at once, each from the level of its own size
-    # (entries [:held] are at level k); position ``span`` stands for the end
-    # RL, so an entry's first step adds its leg
-    hops = np.concatenate((hops, leg[:, :, None]), axis=2)
-    ent, bit = np.arange(shape.size), 1 << np.arange(span + 1)
-    key = ent << span | shape
-    target, last = np.empty(shape.size), np.full(shape.size, span)
-    picks = np.zeros((shape.size, span), dtype=np.int64)
-    sizes, held = size.tolist(), 0
+    # (entries [:held] are at level k), starting with the leg column
+    key = np.array([layout.key(s << j * stride) for j, s in enumerate(shape)])
+    at, target = np.zeros(len(multi), dtype=np.intp), np.empty(len(multi))
+    last = np.full(len(multi), dest.size)
+    picks = np.empty((len(multi), len(levels)), dtype=np.intp)
+    held = 0
     for k in range(len(levels), 0, -1):
-        keys, val, member = levels[k - 1]
-        done = held
-        while held < len(sizes) and sizes[held] >= k:
-            held += 1
-        at = np.searchsorted(keys, key[:held])
-        member = member.take(at, axis=1, mode="clip")
-        cand = val.take(at, axis=1, mode="clip")
-        cand += hops[ent[:held], member, last[:held]]
+        keys, count, first, pos, src, val = levels[k - 1]
+        done, held = held, int(np.searchsorted(-size, -k, side="right"))
         if done < held:
-            # the others' sets are in the level: their chosen states came from them
-            found = keys.take(at[done:], mode="clip") == key[done:held]
-            target[done:held] = cand[:, done:].min(axis=0)
-            if not (found.all() and np.isfinite(target[done:held]).all()):
+            at[done:held] = np.minimum(np.searchsorted(keys, key[done:held]), keys.size - 1)
+            if not (keys[at[done:held]] == key[done:held]).all():
                 raise ValueError("entry is not reachable in the stage-1 graph at this width")
-        col = np.where(cand == target[:held], member, span).argmin(axis=0)
-        last[:held] = member[col, ent[:held]]
-        target[:held] = val[col, at]
+        n = count[at[:held]]
+        rows, owner = runs(first[at[:held]], n), np.repeat(np.arange(held), n)
+        cand = val[rows, 0] + dd[pos[rows], last[owner]]
+        lead = np.cumsum(n) - n
+        target[done:held] = np.minimum.reduceat(cand, lead)[done:held]
+        # the smallest position whose value plus the flight hits the target
+        mark = np.where(cand == target[owner], pos[rows], dest.size)
+        hit = rows[mark == np.minimum.reduceat(mark, lead)[owner]]
+        target[:held], last[:held], at[:held] = val[hit, 0], pos[hit], src[hit]
         picks[:held, k - 1] = last[:held]
-        key[:held] ^= bit[last[:held]]
-    for i, b, n, row in zip(index.tolist(), base.tolist(), size.tolist(), picks.tolist()):
-        orders[i] = tuple(b + t for t in row[:n])
+    for (_, i, *_), n, row in zip(multi, size.tolist(), picks):
+        orders[i] = tuple(xpos[row[:n]].tolist())
     return orders

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from drpe.baselines import initial_tsp_sequence
-from drpe.cli import main
+from drpe.cli import BENCH_COUNTS, main
 from drpe.energy import (
     DroneEnergyParams,
     ExtendedCostModel,
@@ -315,15 +315,22 @@ def test_c12_determinism(tmp_path):
         sols.append(path.read_bytes())
     solve_same = sols[0] == sols[1]
 
-    tables = []
+    tables, counts = [], []
     for tag in ("t1", "t2"):
-        out = tmp_path / f"{tag}.csv"
-        assert main(["bench", "--instances", str(a), "--algos", "rts,sa,rts3nn",
-                     "--budget", "30", "--seed", "7", "--out", str(out)]) == 0
+        out, cells = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.cells.csv"
+        assert main(["bench", "--instances", str(a), "--algos", "rts,sa,rts3nn,vlsn-ls",
+                     "--budget", "30", "--seed", "7", "--out", str(out),
+                     "--per-instance", str(cells)]) == 0
         rows = list(csv.DictReader(out.open()))
         tables.append([(r["setting"], r["algorithm"], r["avg_gap_pct"],
                         r["worst_gap_pct"], r["matches"]) for r in rows])
+        counts.append([(r["instance"], r["algorithm"], *(r[n] for n in BENCH_COUNTS))
+                       for r in csv.DictReader(cells.open())])
     bench_same = tables[0] == tables[1]
-    _verdict(12, gen_same and solve_same and bench_same,
+    # the search's work counts are nonzero, so equal counts say something
+    counts_same = counts[0] == counts[1] and any(
+        int(row[2]) > 0 for row in counts[0] if row[1] == "vlsn-ls")
+    _verdict(12, gen_same and solve_same and bench_same and counts_same,
              f"instances byte-identical {gen_same}; solutions byte-identical "
-             f"{solve_same}; campaign value columns identical {bench_same}")
+             f"{solve_same}; campaign value columns identical {bench_same}; "
+             f"per-instance work counts identical {counts_same}")

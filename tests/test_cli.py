@@ -385,7 +385,7 @@ def test_run_options_no_run_can_honor_are_usage_errors(tmp_path, capsys, options
 def test_time_limit_reaches_exact_and_limop(tmp_path, capsys):
     out = _gen(tmp_path, count=1)
     inst_path = str(next(out.glob("Basis_small_s1.json")))
-    for algo in ("exact", "limop"):
+    for algo in ("vlsn", "exact", "limop"):
         assert main(["solve", "--algo", algo, "-i", inst_path,
                      "--time-limit", "0"]) == 1
         err = capsys.readouterr().err

@@ -101,6 +101,9 @@ def test_solution_schema_error(tmp_path):
                     encoding="utf-8")
     with pytest.raises(SchemaError):
         load_solution(path)
+    path.write_text("not json", encoding="utf-8")
+    with pytest.raises(SchemaError, match="bad.sol.json: not valid JSON"):
+        load_solution(path)
 
 
 def test_instance_from_dict_rejects_wrong_shapes():

@@ -353,6 +353,7 @@ def test_property_batched_recovery_equals_the_replay_oracle(seed, n_d, n_r, widt
     # besides the table's entries: every position at once (past 6 when
     # n_d > 6), and random sets with holes, which the width may forbid
     extra = [(1 << n_d) - 1, *(int(m) for m in rng.integers(3, 1 << n_d, 6))]
+    unreachable = []
     for mask in extra:
         cell = (mask, int(rng.integers(n_r)), int(rng.integers(n_r)))
         if _replayed_or_unreachable(inst, x, cell, p) is not None:
@@ -360,10 +361,15 @@ def test_property_batched_recovery_equals_the_replay_oracle(seed, n_d, n_r, widt
         elif mask & (mask - 1):
             with pytest.raises(ValueError):
                 recover_operation_order(inst, x, [cell], p)
+            unreachable.append(cell)
     want = [replayed_operation_order(inst, x, *cell, p) for cell in cells]
     assert recover_operation_order(inst, x, cells, p) == want
     # one entry at a time, too: no entry's order depends on its batch
     assert [recover_operation_order(inst, x, [cell], p)[0] for cell in cells[:20]] == want[:20]
+    # one unreachable entry fails its whole batch, wherever it sorts by size
+    for cell in unreachable:
+        with pytest.raises(ValueError):
+            recover_operation_order(inst, x, [*cells, cell], p)
 
 
 def _dense_table(inst, x, p, model, size_cap=None):
