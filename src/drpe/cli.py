@@ -244,14 +244,17 @@ def _bench_cell(payload):
 
 def _instance_files(directory: Path) -> list:
     """(path, setting) of each instance file: the setting named in the
-    file's ``extra``, else the first ``_``-separated field of its name."""
+    file's ``extra``, else the first ``_``-separated field of its name. A
+    ``*.json`` file that cannot be read as JSON is named on stderr and
+    skipped."""
     files = []
     for f in sorted(directory.glob("*.json")):
         if f.name in ("manifest.json", "best_known.json"):
             continue
         try:
             doc = json.loads(f.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, OSError):
+        except (ValueError, OSError) as exc:  # bad JSON or bad UTF-8
+            print(f"warning: skipping {f}: {exc}", file=sys.stderr)
             continue
         if isinstance(doc, dict) and "n_d" in doc:  # skip solutions etc.
             extra, setting = doc.get("extra", {}), f.stem.split("_")[0]

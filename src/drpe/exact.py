@@ -76,9 +76,10 @@ def _set_entries(table: OperationCostTable):
 
 
 def _sweep_values(inst: Instance, table: OperationCostTable, deadline=None):
-    """Forward pass of ``full_meta_sweep``: (zeta, eps, arcs), the value
-    arrays indexed by RL and visited bitmask and the number of arcs whose
-    source is reachable."""
+    """Forward pass of ``full_meta_sweep``: (zeta, eps, arcs, arcs_into),
+    the value arrays indexed by RL and visited bitmask, the number of arcs
+    whose source is reachable and the walk-back's arc source, which gives
+    each arc's operation as its bitmask."""
     n, n_r, c_r = inst.n_d, inst.n_r, inst.c_r
     full = (1 << n) - 1
     levels = _masks_by_popcount(n)
@@ -146,7 +147,20 @@ def _sweep_values(inst: Instance, table: OperationCostTable, deadline=None):
                     if sources:
                         arcs += sources
                         _relax_block(zeta, eps, S, gmasks[sl], rows, W[sl], ends)
-    return zeta, eps, arcs
+
+    def arcs_into(S, wp):
+        # bitmask ascending, then start RL: a chunk of sets is read in table
+        # order (a run per size), then sorted stably by mask, keeping w's order
+        inside = np.flatnonzero(masks & S == masks)
+        inside = inside[np.argsort(masks[inside])]
+        for sl in chunks(inside.size, n_r * n_r):
+            sel = np.sort(inside[sl])
+            owner, w, end, c = read(sel)
+            hit = np.flatnonzero(end == wp)
+            hit = hit[np.argsort(masks[sel[owner[hit]]], kind="stable")]
+            ops = masks[sel[owner[hit]]]
+            yield S & ~ops, w[hit], c[hit], ops
+    return zeta, eps, arcs, arcs_into
 
 
 def _relax_block(zeta, eps, S, gmasks, rows, W, ends) -> None:
@@ -175,25 +189,10 @@ def full_meta_sweep(inst: Instance, table: OperationCostTable, model=None, deadl
     model = model or BaseCostModel(inst)
     full = (1 << inst.n_d) - 1
     t0 = time.perf_counter()
-    zeta, eps, arcs = _sweep_values(inst, table, deadline)
+    zeta, eps, arcs, arcs_into = _sweep_values(inst, table, deadline)
     t1 = time.perf_counter()
     if not np.isfinite(zeta[inst.wt, full]):
         raise InfeasibleError("no feasible tour exists")
-    masks, size, row = table.sets()
-    first, count = table.lookup(size, row)
-
-    def arcs_into(S, wp):
-        # bitmask ascending, then start RL: a block is read in table order
-        # (a run per size), then sorted stably by mask, keeping w's order
-        inside = np.flatnonzero(masks & S == masks)
-        inside = inside[np.argsort(masks[inside])]
-        for sl in chunks(inside.size, inst.n_r * inst.n_r):
-            sel = np.sort(inside[sl])
-            owner, w, c = table.ending_at(size[sel], first[sel], count[sel], wp)
-            hit = np.argsort(masks[sel[owner]], kind="stable")
-            ops = masks[sel[owner[hit]]]
-            yield S & ~ops, w[hit], c[hit], ops
-
     tour = walk_back(inst, zeta.T, eps.T, full, arcs_into,
                      lambda ops: recover_operation_order(inst, range(inst.n_d), ops, None),
                      model)

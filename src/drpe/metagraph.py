@@ -19,9 +19,10 @@ from an unreached source), and each stage relaxes its slice of a chunk by
 one exact scatter-min. No pointers are kept: ``walk_back`` takes the
 first exact-equality match in the forward order (leg from the lowest RL;
 arc from the lowest source stage, then pattern, then start RL), reading
-only the arcs that leave the stages an operation can span. The exact
-sweep (over the same table type) and the splitter walk back with
-``walk_back`` too.
+the entries of only the arcs that leave the stages an operation can span,
+with the forward pass's ``gather``, and keeping those that end at the
+current RL. The exact sweep (over the same table type) and the splitter
+walk back with ``walk_back`` too.
 """
 
 from __future__ import annotations
@@ -318,9 +319,10 @@ def _meta_values(costs: OperationCostTable, inst: Instance,
         t = row // n_pat
         lo = bounds[max(t - h_max, 0)]
         sel = lo + np.flatnonzero(target[lo:bounds[t]] == row * n_r)
-        arc, w, c = costs.ending_at(gap[sel], first[sel], size[sel], wp)
-        arc = sel[arc]
-        yield source[arc] // n_r, w, c, keys[arc]
+        w, end, c = costs.gather(gap[sel], first[sel], size[sel])
+        hit = np.flatnonzero(end == wp)
+        arc = np.repeat(sel, size[sel])[hit]
+        yield source[arc] // n_r, w[hit], c[hit], keys[arc]
 
     # each chunk's entries are expanded once; a stage relaxes its slice of
     # each chunk its arcs lie in: one candidate zeta[source, w] + makespan
@@ -372,8 +374,9 @@ def solve_meta(costs: OperationCostTable, inst: Instance,
         raise InfeasibleError("no feasible tour in this neighborhood")
     x = costs.x
     def orders_of(ops):
+        masks = costs.layout.masks([key for key, _, _ in ops])
         found = recover_operation_order(
-            inst, x, [(costs.layout.mask(int(key)), w, wp) for key, w, wp in ops], costs.p)
+            inst, x, [(mask, w, wp) for mask, (_, w, wp) in zip(masks, ops)], costs.p)
         return [tuple(x[t] for t in order) for order in found]
 
     tour = walk_back(inst, zeta, eps, final, arcs_into, orders_of, model)

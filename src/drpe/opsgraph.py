@@ -25,10 +25,11 @@ each pair at every end RL, in blocks of about ``CHUNK_VALUES`` values;
 only the flights within the cost model's cap are priced. The cost table
 keeps the finite makespans alone: per operation size the set keys and
 each set's run of entries (a packed (start RL, end RL) cell and the
-makespan); other modules read a table through ``sets``, ``lookup``,
-``gather`` and ``ending_at`` and build one with ``from_dense``. Order
-recovery reruns the same engine once for all the entries of one tour,
-each laid out in its own block of positions, and walks its levels back.
+makespan); other modules read a table through ``sets``, ``lookup`` and
+``gather`` and build one with ``from_dense``, and the walk-backs read
+their entries with the same ``gather`` as the forward passes. Order
+recovery reruns the same engine for the entries of one tour, each laid
+out in its own block of positions, and walks its levels back.
 """
 
 from __future__ import annotations
@@ -119,19 +120,6 @@ class SetKey:
         base = M - self.p + 1
         tail = mask >> base if base >= 0 else mask << -base
         return self.pack(m, M, (mask >> (m + 1)) & self.low, tail & self.low)
-
-    def mask(self, key: int) -> int:
-        """The bitmask of one key: the inverse of ``key``, and ``masks``
-        for a single key without arrays."""
-        p = self.p
-        m, M = key >> self.shift_m, (key >> self.shift_M) & ((1 << self.bits) - 1)
-        head, tail = (key >> (p - 1)) & self.low, key & self.low
-        base = M - (p - 1)
-        tail = tail << base if base >= 0 else tail >> -base
-        # the interior [m+p, M-p], empty when lo == hi
-        lo = min(m + p, M + 1)
-        hi = max(base, lo)
-        return (((head << 1) | 1) << m) | tail | (1 << M) | ((1 << hi) - (1 << lo))
 
     def masks(self, keys) -> np.ndarray:
         """The bitmasks of these keys: int64 up to 62 positions, Python ints
@@ -283,30 +271,6 @@ class OperationCostTable:
             self.cells[k].take(at[lo:hi], out=cell[lo:hi], mode="clip")
             self.values[k].take(at[lo:hi], out=value[lo:hi], mode="clip")
         return (*cell_rls(cell, self.n_r), value)
-
-    def ending_at(self, size, first, count, end: int) -> tuple:
-        """(set, w, makespan) of the entries of these sets (as ``lookup``
-        gives them) that end at RL ``end``, set by set, ``set`` indexing the
-        given sets: the cells of their entries are read, and the makespans
-        of the matches only. For a few sets: their runs of one size are
-        found in Python."""
-        at, stops = runs(first, count), np.cumsum(count)
-        sizes, edges, ends = [], [], [0, *stops.tolist()]
-        for i, k in enumerate(size.tolist()):
-            if not sizes or k != sizes[-1]:
-                sizes.append(k)
-                edges.append(ends[i])
-        edges.append(at.size)
-        cell = np.empty(at.size, self.cells[0].dtype)
-        for k, lo, hi in zip(sizes, edges, edges[1:]):
-            self.cells[k].take(at[lo:hi], out=cell[lo:hi], mode="clip")
-        w, wp = cell_rls(cell, self.n_r)
-        hit = np.flatnonzero(wp == end)
-        cut, at = np.searchsorted(hit, edges).tolist(), at[hit]
-        value = np.empty(hit.size)
-        for k, lo, hi in zip(sizes, cut, cut[1:]):
-            self.values[k].take(at[lo:hi], out=value[lo:hi], mode="clip")
-        return np.searchsorted(stops, hit, side="right"), w[hit], value
 
     @classmethod
     def from_dense(cls, n_d: int, n_r: int, pairs) -> "OperationCostTable":
@@ -516,11 +480,11 @@ def recover_operation_order(inst: Instance, x: Sequence[int], entries,
     from start RL w only and without energy pruning, and walks it back
     from the end: each position is the one whose flight plus the next leg
     equals the current value exactly, the smallest position on ties. A
-    one-position entry is its position. The others share one run of
-    ``_levels``: entry j, in decreasing size, holds the block of positions
-    from j * (span + 2q - 1), span the widest entry's and q = min(p, span),
-    so that no set grows from one block into the next. Raises
-    ``ValueError`` when an entry's set cannot be reached at width p.
+    one-position entry is its position. The others, in decreasing size,
+    share runs of ``_levels`` (``_stacked``), each run as long as its set
+    keys fit in 63 bits; an entry whose keys cannot fit alone raises
+    ``SizeGuardError``. Raises ``ValueError`` when an entry's set cannot be
+    reached at width p.
     """
     orders, multi = [None] * len(entries), []
     for i, (mask, w, wp) in enumerate(entries):
@@ -530,16 +494,43 @@ def recover_operation_order(inst: Instance, x: Sequence[int], entries,
             orders[i] = (low,)
         else:
             multi.append((-mask.bit_count(), i, low, mask >> low, w, wp))
-    if not multi:
-        return orders
     # by decreasing size, so that the entries a level holds are a prefix
     multi.sort()
-    size, _, base, shape, w, wp = zip(*multi)
-    size, base, w, wp = -np.array(size), np.array(base), np.array(w), np.array(wp)
-    span = max(s.bit_length() for s in shape)
+    lo = 0
+    while lo < len(multi):
+        hi, span = lo + 1, multi[lo][3].bit_length()
+        layout = _stacked(1, span, p)
+        while hi < len(multi):
+            span = max(span, multi[hi][3].bit_length())
+            try:
+                layout = _stacked(hi + 1 - lo, span, p)
+            except SizeGuardError:
+                break
+            hi += 1
+        for (_, i, *_), order in zip(multi[lo:hi], _recover_run(inst, x, multi[lo:hi], *layout)):
+            orders[i] = order
+        lo = hi
+    return orders
+
+
+def _stacked(count: int, span: int, p: Optional[int]) -> tuple:
+    """(layout, stride): ``count`` entries of at most ``span`` positions
+    laid out block by block, entry j from position j * stride, where
+    stride = span + 2q - 1 and q = min(p, span) is the layout's width; the
+    gap of 2q - 1 is the smallest that keeps the successor rule from
+    growing a set into the next block. Raises ``SizeGuardError`` when the
+    layout's keys cannot fit in 63 bits."""
     q = span if p is None else min(p, span)
     stride = span + 2 * q - 1
-    layout = SetKey(len(multi) * stride, q)
+    return SetKey(count * stride, q), stride
+
+
+def _recover_run(inst: Instance, x: Sequence[int], run, layout: SetKey, stride: int) -> list:
+    """The orders of the entries ``run`` of ``recover_operation_order``
+    (in decreasing size) by one run of ``_levels`` on the ``_stacked``
+    layout and one walk-back of its levels."""
+    size, _, base, shape, w, wp = zip(*run)
+    size, base, w, wp = -np.array(size), np.array(base), np.array(w), np.array(wp)
     # each position's entry and offset from the entry's lowest position
     ent, rel = (np.array(f) for f in zip(*((j, t) for j, s in enumerate(shape)
                                              for t in range(s.bit_length()) if s >> t & 1)))
@@ -557,9 +548,9 @@ def recover_operation_order(inst: Instance, x: Sequence[int], entries,
     # walk every entry back at once, each from the level of its own size
     # (entries [:held] are at level k), starting with the leg column
     key = np.array([layout.key(s << j * stride) for j, s in enumerate(shape)])
-    at, target = np.zeros(len(multi), dtype=np.intp), np.empty(len(multi))
-    last = np.full(len(multi), dest.size)
-    picks = np.empty((len(multi), len(levels)), dtype=np.intp)
+    at, target = np.zeros(len(run), dtype=np.intp), np.empty(len(run))
+    last = np.full(len(run), dest.size)
+    picks = np.empty((len(run), len(levels)), dtype=np.intp)
     held = 0
     for k in range(len(levels), 0, -1):
         keys, count, first, pos, src, val = levels[k - 1]
@@ -578,6 +569,4 @@ def recover_operation_order(inst: Instance, x: Sequence[int], entries,
         hit = rows[mark == np.minimum.reduceat(mark, lead)[owner]]
         target[:held], last[:held], at[:held] = val[hit, 0], pos[hit], src[hit]
         picks[:held, k - 1] = last[:held]
-    for (_, i, *_), n, row in zip(multi, size.tolist(), picks):
-        orders[i] = tuple(xpos[row[:n]].tolist())
-    return orders
+    return [tuple(xpos[row[:n]].tolist()) for n, row in zip(size.tolist(), picks)]

@@ -180,9 +180,9 @@ def split_optimal(x: Sequence[int], inst: Instance,
     scatters each cut's entries into the pre-leg labels g with one
     ``minimum.at`` and takes the leg minimum into f, O(E + n_d n_r^2) for E
     entries. The walk-back is stage 2's ``walk_back`` over these entries,
-    sorted by target once (O(E log E)) and searched per operation: ties
-    keep the leg from the lowest RL, then the lowest block start, then the
-    lowest start RL.
+    scanning per operation those whose block starts within the longest
+    block before the cut: ties keep the leg from the lowest RL, then the
+    lowest block start, then the lowest start RL.
 
     ``prices`` (``block_prices`` of another order under the same instance
     and model) supplies the blocks x shares with that order, so only the
@@ -220,13 +220,13 @@ def split_optimal(x: Sequence[int], inst: Instance,
     if not np.isfinite(value):
         raise InfeasibleError("no feasible replenishment insertion for this order")
 
-    by_target = np.argsort(target, kind="stable")
-    sorted_target = target[by_target]
+    longest = int((end - start).max())
 
     def arcs_into(j, wp):
+        # blocks into cut j start at one of the ``longest`` cuts before it;
         # block start ascending, then start RL ascending
-        lo, hi = np.searchsorted(sorted_target, [j * n_r + wp, j * n_r + wp + 1])
-        into = by_target[lo:hi]
+        lo = bounds[max(j - longest, 0)]
+        into = lo + np.flatnonzero(target[lo:bounds[j]] == j * n_r + wp)
         yield start[into], rl[into], weight[into], [slice(i, j) for i in start[into].tolist()]
 
     tour = walk_back(inst, f, g, n_d, arcs_into,

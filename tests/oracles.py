@@ -91,6 +91,21 @@ def arcs_into_by_filter(costs, inst: Instance, row: int, wp: int) -> tuple:
     return (stage * n_pat + a)[arc[hit]], w[hit], c[hit], keys[arc[hit]]
 
 
+def sweep_arcs_into_by_filter(table, S: int, wp: int) -> tuple:
+    """The batch the exact sweep's walk-back reads for visited set S and
+    end RL wp, by a filter over every entry of every set of the table:
+    (source sets, start RLs, makespans, operation bitmasks) of the entries
+    of the sets inside S that end at wp, by bitmask ascending, then start
+    RL."""
+    masks, size, row = table.sets()
+    first, count = table.lookup(size, row)
+    w, end, c = table.gather(size, first, count)
+    ops = np.repeat(masks, count)
+    hit = np.flatnonzero((ops & S == ops) & (end == wp))
+    hit = hit[np.lexsort((w[hit], ops[hit]))]
+    return S & ~ops[hit], w[hit], c[hit], ops[hit]
+
+
 def _recovery_plan(shape: int, p: Optional[int]) -> list:
     """Value-free structure of stage 1's level DP on the positions of
     ``shape`` (a bitmask with bit 0 set), found by running ``_levels`` on

@@ -229,6 +229,23 @@ def test_bench_single_cell(tmp_path):
     assert float(rows[0]["avg_gap_pct"]) == 0.0  # rts is its own reference
 
 
+def test_bench_names_the_instance_files_it_cannot_read(tmp_path, capsys):
+    out = _gen(tmp_path, count=1)
+    good = next(out.glob("Basis_small_s*.json"))
+    (out / "cut.json").write_bytes(good.read_bytes()[:100])
+    (out / "latin.json").write_bytes('{"name": "caf\xe9"}'.encode("latin-1"))
+    table = tmp_path / "bench.csv"
+    rc = main(["bench", "--instances", str(out), "--algos", "rts", "--out", str(table)])
+    assert rc == 0
+    err = capsys.readouterr().err.splitlines()
+    for name, reason in (("cut.json", "Expecting"), ("latin.json", "utf-8")):
+        assert any(line.startswith(f"warning: skipping {out / name}: ") and reason in line
+                   for line in err), err
+    # the readable instance still runs
+    rows = list(csv.DictReader(table.open()))
+    assert [(r["algorithm"], r["instances"], r["failed"]) for r in rows] == [("rts", "1", "0")]
+
+
 def test_bench_deterministic_value_columns(tmp_path):
     out = _gen(tmp_path, count=2)
     t1, t2 = tmp_path / "b1.csv", tmp_path / "b2.csv"

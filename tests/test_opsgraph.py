@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import drpe.opsgraph
 from drpe.baselines import initial_tsp_sequence
 from drpe.generator import generate, get_setting, metrics_from_coords, random_instance
-from drpe.model import BaseCostModel, Instance, Operation, operation_flight_time
+from drpe.model import BaseCostModel, Instance, Operation, SizeGuardError, operation_flight_time
 from drpe.opsgraph import (
     SetKey,
     _levels,
@@ -407,6 +407,23 @@ def _assert_matches_dense_close(inst, x, p, model, size_cap=None):
     stored = entries(table)[3].size
     assert table.stats.terminal_entries == stored
     assert stored == sum(int(np.isfinite(mat).sum()) for mat in dense.values())
+
+
+def test_batch_whose_keys_cannot_share_one_layout_recovers_in_runs():
+    # three 3-destination entries spanning 47 positions: stacked in one
+    # layout at p=24 their keys need 64 bits, where one entry's need 60
+    # and the build's at p=24 need 60 too
+    inst = generate(get_setting("Basis", "large"), 1)
+    x = tuple(range(inst.n_d))
+    batch = [(_mask(s, 23 + s, 46 + s), 0, 0) for s in range(3)]
+    with pytest.raises(SizeGuardError, match="64-bit"):
+        SetKey(3 * (47 + 2 * 24 - 1), 24)
+    orders = recover_operation_order(inst, x, batch, 24)
+    assert orders == [recover_operation_order(inst, x, [e], 24)[0] for e in batch]
+    assert [sorted(order) for order in orders] == [[s, 23 + s, 46 + s] for s in range(3)]
+    # an entry whose keys cannot fit on their own still raises
+    with pytest.raises(SizeGuardError):
+        recover_operation_order(inst, x, [(_mask(0, 25), 0, 0)], 26)
 
 
 @settings(max_examples=60, deadline=None,

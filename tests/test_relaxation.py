@@ -27,7 +27,12 @@ from drpe.model import (
 )
 from drpe.opsgraph import OperationCostTable, build_ops_graph, recover_operation_order
 from tests.conftest import FlightPricing, binding_extended_model, dense_view, two_step_price
-from tests.oracles import arcs_into_by_filter, brute_force_optimum, valid_at_stage
+from tests.oracles import (
+    arcs_into_by_filter,
+    brute_force_optimum,
+    sweep_arcs_into_by_filter,
+    valid_at_stage,
+)
 
 MODELS = [BaseCostModel, binding_extended_model]
 
@@ -172,7 +177,7 @@ def _assert_sweep_matches_dense_loop(inst, model, build):
     on the same table priced from its minimal flights: value bytes and arc
     count. Returns the sweep's (zeta, eps, arcs)."""
     zeta, eps, arcs = _dense_sweep(inst, dense_view(build(FlightPricing(model))), model)
-    new_zeta, new_eps, new_arcs = _sweep_values(inst, build(model))
+    new_zeta, new_eps, new_arcs, _ = _sweep_values(inst, build(model))
     assert np.ascontiguousarray(new_zeta.T).tobytes() == zeta.tobytes()
     assert np.ascontiguousarray(new_eps.T).tobytes() == eps.tobytes()
     assert new_arcs == arcs
@@ -278,8 +283,8 @@ def test_table_rebuilt_from_its_dense_view_sweeps_alike(make_model):
         model = make_model(inst)
         table = build_ops_graph(inst, tuple(range(inst.n_d)), None, model=model)
         rebuilt = OperationCostTable.from_dense(inst.n_d, inst.n_r, dense_view(table).items())
-        zeta, eps, arcs = _sweep_values(inst, table)
-        new_zeta, new_eps, new_arcs = _sweep_values(inst, rebuilt)
+        zeta, eps, arcs, _ = _sweep_values(inst, table)
+        new_zeta, new_eps, new_arcs, _ = _sweep_values(inst, rebuilt)
         assert zeta.tobytes() == new_zeta.tobytes() and eps.tobytes() == new_eps.tobytes()
         assert new_arcs == arcs
         assert (repr(full_meta_sweep(inst, rebuilt, model)[0])
@@ -323,6 +328,27 @@ def test_walk_back_reads_the_arcs_a_filter_over_all_arcs_reads(make_model):
             assert want[0].size
             for got, expected in zip(batches[0], want):
                 assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("make_model", MODELS)
+@pytest.mark.parametrize("chunk", [None, 8])
+def test_sweep_walk_back_reads_the_arcs_a_filter_over_all_sets_reads(make_model, chunk,
+                                                                     monkeypatch):
+    # chunk=8 reads one or two sets per chunk, so a batch spans several
+    if chunk is not None:
+        monkeypatch.setattr(drpe.opsgraph, "CHUNK_VALUES", chunk)
+    insts = [random_instance(seed, n_d=n_d, n_r=n_r, emax_factor=f)
+             for seed, n_d, n_r, f in ((0, 7, 3, 4.0), (1, 8, 2, 1.6), (2, 6, 4, 2.5))]
+    insts += [_twin_instance(4), _twin_instance(6, n_d=7)]
+    for inst in insts:
+        table = build_ops_graph(inst, tuple(range(inst.n_d)), None, model=make_model(inst))
+        _, eps, _, arcs_into = _sweep_values(inst, table)
+        for wp, S in zip(*np.nonzero(np.isfinite(eps))):
+            got = [np.concatenate(part) for part in zip(*arcs_into(int(S), int(wp)))]
+            want = sweep_arcs_into_by_filter(table, int(S), int(wp))
+            assert want[0].size
+            for g, expected in zip(got, want):
+                assert g.dtype == expected.dtype and np.array_equal(g, expected)
 
 
 def test_time_limit_stops_stage2_at_a_stage():

@@ -12,12 +12,13 @@ digests must be equal.
 The list of solves covers every solve of the perfbench workloads (read
 from the perfbench directory next to SRC), `solve_exact` and `limop`
 (klim 1-3) under both cost models, `vlsn` at p 1-4, and `split_optimal`
-from the initial order and from random orders, on random instances and on
-the Basis instances, `solve_exact` and `vlsn` at p 4 and 7 under both
-cost models on random instances with loose flights, whose tours but one
-hold operations of 7 to 11 destinations, `vlsn` at p 2-4 under both cost
-models on single-depot random instances, where it also splits the
-wrap-around orders, and `pract` on the case-study instances of seeds 0-2 at residual
+from the initial order and from random orders, on random instances, on
+two instances that force bitwise ties (`tie_instances`) and on the Basis
+instances, `solve_exact` and `vlsn` at p 4 and 7 under both cost models on
+random instances with loose flights, whose tours but one hold operations
+of 7 to 11 destinations, `vlsn` at p 2-4 under both cost models on
+single-depot random instances, where it also splits the wrap-around
+orders, and `pract` on the case-study instances of seeds 0-2 at residual
 charge 0.1 and 0.3 (its energy audited, not required).
 
 The tables are stage 1's from the perfbench workloads' initial (TSP)
@@ -75,7 +76,8 @@ def solves(drpe, workloads):
                for seed, n_d, n_r in ((0, 6, 3), (1, 8, 4), (2, 9, 2), (3, 7, 1))]
     models = {"base": lambda inst: drpe.BaseCostModel(inst),
               "binding": lambda inst: binding_model(drpe, inst)}
-    for inst in [*randoms, small]:
+    ties = list(tie_instances(drpe))
+    for inst in [*randoms, *ties, small]:
         x = drpe.initial_tsp_sequence(inst)
         for name, make_model in models.items():
             model = make_model(inst)
@@ -113,7 +115,7 @@ def solves(drpe, workloads):
                 yield (f"vlsn {inst.name} {name} p={p}", inst, model,
                        lambda inst=inst, model=model, x=x, p=p:
                        drpe.vlsn(inst, x, p, model=model), True)
-    for inst in [*randoms, small, loose, large]:
+    for inst in [*randoms, *ties, small, loose, large]:
         x = drpe.initial_tsp_sequence(inst)
         orders = [x, *(tuple(np.random.default_rng(seed).permutation(inst.n_d).tolist())
                        for seed in range(3))]
@@ -127,6 +129,28 @@ def solves(drpe, workloads):
             yield (f"pract {inst.name} residual={residual}", inst,
                    drpe.ExtendedCostModel(inst, costs),
                    lambda inst=inst, costs=costs: drpe.pract(inst, costs), False)
+
+
+def tie_instances(drpe):
+    """Instances that force bitwise ties, where only the walk-backs' tie
+    rules pick the tour: RLs 1 and 2 at the same coordinates (the twin-RL
+    instance of the relaxation tests), and destinations 0 and 1 at the
+    same coordinates."""
+    from drpe.generator import metrics_from_coords
+
+    base = drpe.random_instance(4, n_d=6, n_r=4)
+    rl_xy = base.rl_xy.copy()
+    rl_xy[1] = rl_xy[2] = base.dest_xy.mean(axis=0)
+    c_d, c_r = metrics_from_coords(base.dest_xy, rl_xy, 0.5)
+    yield drpe.Instance(n_d=6, n_r=4, c_d=c_d, c_r=c_r, w0=0, wt=3, e_max=base.e_max,
+                        dest_xy=base.dest_xy, rl_xy=rl_xy, name="twin-rl_s4_6x4")
+    base = drpe.random_instance(5, n_d=7, n_r=3)
+    dest_xy = base.dest_xy.copy()
+    dest_xy[1] = dest_xy[0]
+    c_d, c_r = metrics_from_coords(dest_xy, base.rl_xy, 0.5)
+    yield drpe.Instance(n_d=7, n_r=3, c_d=c_d, c_r=c_r, w0=base.w0, wt=base.wt,
+                        e_max=base.e_max, dest_xy=dest_xy, rl_xy=base.rl_xy,
+                        name="twin-dest_s5_7x3")
 
 
 def tables(drpe, workloads):
