@@ -111,13 +111,17 @@ def _path_cost(order, inst) -> float:
 
 
 def _nearest_neighbor(inst: Instance) -> list:
-    remaining = set(range(inst.n_d))
+    """Greedy order from w0: each step flies to the nearest unvisited
+    destination, the lowest-numbered one on ties."""
+    visited = np.zeros(inst.n_d)  # +inf once visited
     order = []
     cur_row = inst.cd_rd[inst.w0]
-    while remaining:
-        v = min(remaining, key=lambda u: (cur_row[u], u))
+    for _ in range(inst.n_d):
+        v = int(np.argmin(cur_row + visited))
+        if visited[v]:  # every unvisited destination is +inf away
+            v = int(np.argmin(visited))
         order.append(v)
-        remaining.discard(v)
+        visited[v] = np.inf
         cur_row = inst.cd_dd[v]
     return order
 
@@ -143,6 +147,7 @@ def _two_opt(order, inst) -> list:
     cd = inst.c_d
     path = _framed(order, inst)  # path[i + 1] is order[i]
     n = len(order)
+    below = np.tri(n - 1, k=-1, dtype=bool)  # j < i: no reversal
     improved = True
     while improved:
         improved = False
@@ -153,7 +158,7 @@ def _two_opt(order, inst) -> list:
             a, oi = path[rows, None], path[rows + 1, None]
             oj, b = path[i + 2:n + 1], path[i + 3:]
             delta = cd[a, oj] + cd[oi, b] - cd[a, oi] - cd[oj, b]
-            delta[np.tril_indices(rows.size, -1)] = np.inf
+            delta[below[:rows.size, :rows.size]] = np.inf
             i = _first_row(delta, rows)
             if i is None:
                 break

@@ -505,9 +505,11 @@ def _check_run_options(parser, args) -> None:
     if limit is not None and not 0 <= limit < math.inf:
         parser.error(f"--time-limit must be a finite number of seconds >= 0, not {limit}; "
                      "leave it out for no limit")
-    for name in ("seed", "budget"):
+    for name in ("seed", "budget", "n_d", "count", "oracle_limit"):
         if getattr(args, name, 0) < 0:
-            parser.error(f"--{name} must be >= 0, not {getattr(args, name)}")
+            parser.error(f"--{name.replace('_', '-')} must be >= 0, not {getattr(args, name)}")
+    if getattr(args, "workers", 1) < 1:
+        parser.error(f"--workers must be >= 1, not {args.workers}")
 
 
 def main(argv=None) -> int:

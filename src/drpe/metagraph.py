@@ -36,7 +36,9 @@ from typing import Optional
 import numpy as np
 
 from .model import (
+    EPS,
     BaseCostModel,
+    DroneTour,
     InfeasibleError,
     Instance,
     Operation,
@@ -353,7 +355,8 @@ def _meta_values(costs: OperationCostTable, inst: Instance,
 
 
 def solve_meta(costs: OperationCostTable, inst: Instance,
-               model: Optional[object] = None, deadline: Optional[float] = None):
+               model: Optional[object] = None, deadline: Optional[float] = None,
+               incumbent: Optional[DroneTour] = None):
     """Shortest path through the meta graph of the table's own reference
     order and width (``costs.x``, ``costs.p``); returns (tour, stats).
 
@@ -363,6 +366,10 @@ def solve_meta(costs: OperationCostTable, inst: Instance,
     recovers the tour and its operation orders. Past ``deadline`` (a
     ``time.perf_counter()`` value, checked at each stage of the forward
     pass) it raises ``TimeLimitError``.
+
+    With an ``incumbent``, the result is the optimum only if it beats the
+    incumbent by more than EPS, else the incumbent itself; an optimum not
+    below the incumbent's makespan is not walked back.
     """
     model = model or BaseCostModel(inst)
     t0 = time.perf_counter()
@@ -372,6 +379,8 @@ def solve_meta(costs: OperationCostTable, inst: Instance,
     final = inst.n_d * len(get_transition_lookup(costs.p).patterns)
     if not np.isfinite(zeta[final, inst.wt]):
         raise InfeasibleError("no feasible tour in this neighborhood")
+    if incumbent is not None and zeta[final, inst.wt] >= incumbent.makespan:
+        return incumbent, stats
     x = costs.x
     def orders_of(ops):
         masks = costs.layout.masks([key for key, _, _ in ops])
@@ -381,4 +390,6 @@ def solve_meta(costs: OperationCostTable, inst: Instance,
 
     tour = walk_back(inst, zeta, eps, final, arcs_into, orders_of, model)
     stats.recovery_elapsed = time.perf_counter() - t1
+    if incumbent is not None and not tour.makespan < incumbent.makespan - EPS:
+        return incumbent, stats
     return tour, stats

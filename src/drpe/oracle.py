@@ -104,11 +104,12 @@ def _block_entries(x: tuple, inst: Instance, model, prices: Optional[BlockPrices
     Blocks are enumerated one length at a time for all start cuts at once.
     A (block, start RL) row survives to the next length only while every
     prefix flight of the block so far stayed within ``model.flight_cap``;
-    each surviving row is priced against every end RL with the rover times
-    of its start RL. A block's entries depend only on its destinations, so
-    the blocks of x that are blocks of the priced order are read from
-    ``prices`` (``_shared_blocks``), and a row is priced only past the first
-    cut where x breaks that order. Without ``prices`` every block is new."""
+    of each surviving row's flights to every end RL, only those within the
+    cap are priced, with the rover times of its start RL. A block's entries
+    depend only on its destinations, so the blocks of x that are blocks of
+    the priced order are read from ``prices`` (``_shared_blocks``), and a
+    row is priced only past the first cut where x breaks that order.
+    Without ``prices`` every block is new."""
     n_d, n_r = inst.n_d, inst.n_r
     c_r, cap = inst.c_r, model.flight_cap
     xs = np.asarray(x, dtype=np.intp)
@@ -127,10 +128,14 @@ def _block_entries(x: tuple, inst: Instance, model, prices: Optional[BlockPrices
         acc = acc + hop[last - 1]
     fits = []
     while i.size:
-        weight = model.price(acc[:, None] + inst.cd_dr[xs[last]], c_r[w])
-        k = np.flatnonzero(np.isfinite(weight))  # 2-D nonzero is ~10x slower
+        flight = acc[:, None] + inst.cd_dr[xs[last]]
+        k = np.flatnonzero(flight <= cap)  # 2-D nonzero is ~10x slower
         r, wp = np.divmod(k, n_r)
-        parts.append((i[r], last[r] + 1, w[r], wp, weight.reshape(-1)[k]))
+        weight = model.price(flight.reshape(-1)[k], c_r[w[r], wp])
+        ok = np.isfinite(weight)  # within the cap, but not feasible under the model
+        if not ok.all():
+            r, wp, weight = r[ok], wp[ok], weight[ok]
+        parts.append((i[r], last[r] + 1, w[r], wp, weight))
         fit = acc <= cap
         fits.append((i[fit], w[fit], last[fit] - i[fit], acc[fit]))
         keep = fit & (last + 1 < n_d)
@@ -172,17 +177,19 @@ def split_optimal(x: Sequence[int], inst: Instance,
     Dynamic program over (visited prefix length, current RL); every
     contiguous block of x is one candidate operation followed by one
     (possibly trivial) recharging leg. Only the finite (block, start RL, end
-    RL) entries are kept (``_block_entries``). Pricing them costs
+    RL) entries are kept (``_block_entries``). Enumerating them costs
     O(L n_d n_r^2) for L the longest block that some (block, start RL) row
-    reaches within the flight cap. From the TSP order of Basis-large s1
-    (n_d=100, n_r=49) that is L=9 and 8,740 rows, 4,900 of them at length
-    one: 428k priced values, of which 9,176 are finite. The forward pass
-    scatters each cut's entries into the pre-leg labels g with one
-    ``minimum.at`` and takes the leg minimum into f, O(E + n_d n_r^2) for E
-    entries. The walk-back is stage 2's ``walk_back`` over these entries,
-    scanning per operation those whose block starts within the longest
-    block before the cut: ties keep the leg from the lowest RL, then the
-    lowest block start, then the lowest start RL.
+    reaches within the flight cap, and only the flights within the cap are
+    priced. From the TSP order of Basis-large s1 (n_d=100, n_r=49) that is
+    L=9 and 8,740 rows, 4,900 of them at length one: 428k flights, of
+    which the 9,176 within the cap are priced, all finite under the base
+    model. The forward pass scatters each cut's entries into the pre-leg
+    labels g with one ``minimum.at`` and takes the leg minimum into f,
+    O(E + n_d n_r^2) for E entries. The walk-back is stage 2's
+    ``walk_back`` over these entries, scanning per operation those whose
+    block starts within the longest block before the cut: ties keep the
+    leg from the lowest RL, then the lowest block start, then the lowest
+    start RL.
 
     ``prices`` (``block_prices`` of another order under the same instance
     and model) supplies the blocks x shares with that order, so only the

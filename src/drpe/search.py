@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .baselines import initial_tsp_sequence
-from .model import EPS, BaseCostModel, Instance, SizeGuardError, TimeLimitError, check_deadline
+from .model import (EPS, BaseCostModel, DroneTour, Instance, SizeGuardError, TimeLimitError,
+                    check_deadline)
 from .metagraph import solve_meta
 from .opsgraph import build_ops_graph
 from .oracle import BlockPrices, block_prices, split_optimal
@@ -58,8 +59,12 @@ def _wraps_around(inst: Instance, p: int) -> bool:
 def vlsn(inst: Instance, x: Sequence[int], p: int,
          model: Optional[object] = None,
          deadline: Optional[float] = None,
-         prices: Optional[BlockPrices] = None) -> SolveReport:
-    """Best tour in the order neighborhood of x at width p.
+         prices: Optional[BlockPrices] = None,
+         incumbent: Optional[DroneTour] = None) -> SolveReport:
+    """Best tour in the order neighborhood of x at width p; with an
+    ``incumbent``, that tour only if it beats the incumbent by more than
+    EPS, else the incumbent itself (``solve_meta(incumbent=)``, which then
+    walks back no neighborhood that cannot beat it).
 
     For single-depot instances the wrap-around orders excluded by the
     neighborhood are additionally split, each against the best tour so far
@@ -76,7 +81,8 @@ def vlsn(inst: Instance, x: Sequence[int], p: int,
     t0 = time.perf_counter()
 
     table = build_ops_graph(inst, x, p, model=model, deadline=deadline)
-    best, meta_stats = solve_meta(table, inst, model=model, deadline=deadline)
+    best, meta_stats = solve_meta(table, inst, model=model, deadline=deadline,
+                                  incumbent=incumbent)
 
     extra_orders = 0
     t_split = time.perf_counter()
@@ -150,7 +156,8 @@ def _descend(inst, x0, p0, p_max, model, time_limit, algorithm, extras):
             prices = block_prices(center, inst, model)
             layers["split_s"] += time.perf_counter() - t_split
         try:
-            step = vlsn(inst, center, p, model=model, deadline=deadline, prices=prices)
+            step = vlsn(inst, center, p, model=model, deadline=deadline, prices=prices,
+                        incumbent=report.tour)
         except SizeGuardError:
             report.extras["stopped_by_state_budget"] = True
             break

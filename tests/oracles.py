@@ -186,6 +186,21 @@ def enumerate_valid_operation_sequences(n_d: int, p: int) -> set:
     return sequences
 
 
+def nearest_neighbor_order(inst: Instance) -> list:
+    """The greedy order ``baselines._nearest_neighbor`` builds, one scalar
+    minimum per step: the nearest unvisited destination by (flight time,
+    destination)."""
+    remaining = set(range(inst.n_d))
+    order = []
+    cur_row = inst.cd_rd[inst.w0]
+    while remaining:
+        v = min(remaining, key=lambda u: (cur_row[u], u))
+        order.append(v)
+        remaining.discard(v)
+        cur_row = inst.cd_dd[v]
+    return order
+
+
 def brute_force_optimum(inst: Instance, model: Optional[object] = None) -> DroneTour:
     """Global optimum by trying every destination order; guarded small sizes."""
     if inst.n_d > BRUTE_FORCE_ND or inst.n_r > BRUTE_FORCE_NR:

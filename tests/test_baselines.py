@@ -24,6 +24,7 @@ from drpe.opsgraph import build_ops_graph
 from drpe.oracle import split_optimal
 from drpe.search import rts
 from tests.conftest import binding_extended_model, entries
+from tests.oracles import nearest_neighbor_order
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +143,7 @@ def _scalar_or_opt(order, inst):
 def _scalar_initial_order(inst):
     if inst.n_d <= HELD_KARP_LIMIT:
         return _scalar_held_karp_path(inst)
-    order = _nearest_neighbor(inst)
+    order = nearest_neighbor_order(inst)
     while True:
         before = _path_cost(order, inst)
         order = _scalar_two_opt(order, inst)
@@ -222,6 +223,32 @@ def test_gains_at_the_threshold_are_not_taken():
 def test_basis_large_matches_scalar_oracle(seed):
     inst = generate(get_setting("Basis", "large"), seed)
     assert initial_tsp_sequence(inst) == _scalar_initial_order(inst)
+
+
+def _duplicated_instance(seed, n_d):
+    """A random instance whose destinations sit on only n_d // 3 distinct
+    points, so nearest-neighbor steps tie at zero and at equal distances."""
+    base = random_instance(seed, n_d=n_d, n_r=4, single_depot=seed % 2 == 1)
+    rng = np.random.default_rng(seed)
+    dest = base.dest_xy[rng.integers(n_d // 3, size=n_d)]
+    c_d, c_r = metrics_from_coords(dest, base.rl_xy, 0.5)
+    return Instance(n_d=n_d, n_r=4, c_d=c_d, c_r=c_r, w0=base.w0, wt=base.wt,
+                    e_max=base.e_max)
+
+
+@pytest.mark.parametrize("n_d", [17, 23, 31, 48, 75, 120])
+def test_nearest_neighbor_matches_scalar_oracle(n_d):
+    for seed in range(2):
+        for inst in (random_instance(seed, n_d=n_d, n_r=4, single_depot=seed == 1),
+                     _duplicated_instance(seed, n_d)):
+            assert _nearest_neighbor(inst) == nearest_neighbor_order(inst)
+    # a destination no other one reaches: the steps that only have
+    # +inf-distant destinations left take the lowest-numbered one
+    inst = random_instance(0, n_d=n_d, n_r=4)
+    inst.c_d[:n_d, 5] = inst.c_d[n_d:, 5] = np.inf
+    inst.c_d[5, 5] = 0.0
+    order = _nearest_neighbor(inst)
+    assert order == nearest_neighbor_order(inst) and order[-1] == 5
 
 
 def test_tsp_collinear_order():

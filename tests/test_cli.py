@@ -399,6 +399,28 @@ def test_run_options_no_run_can_honor_are_usage_errors(tmp_path, capsys, options
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["enumerate", "--n-d", "-2", "--p", "3"], "--n-d must be >= 0, not -2"),
+    (["enumerate", "--n-d", "4", "--p", "3", "--oracle-limit", "-1"],
+     "--oracle-limit must be >= 0, not -1"),
+    (["generate", "--count", "-1"], "--count must be >= 0, not -1"),
+    (["bench", "--workers", "0"], "--workers must be >= 1, not 0"),
+    (["bench", "--workers", "-3"], "--workers must be >= 1, not -3"),
+])
+def test_counts_no_run_can_honor_are_usage_errors(tmp_path, capsys, argv, message):
+    # these once printed one neighbor order for -2 destinations, wrote no
+    # instances, or ran the campaign serially
+    if argv[0] != "enumerate":
+        argv += ["--out", str(tmp_path / "out")]
+    if argv[0] == "bench":
+        argv += ["--instances", str(tmp_path)]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_time_limit_reaches_exact_and_limop(tmp_path, capsys):
     out = _gen(tmp_path, count=1)
     inst_path = str(next(out.glob("Basis_small_s1.json")))

@@ -15,7 +15,8 @@ from drpe.exact import _masks_by_popcount, _sweep_values, full_meta_sweep, solve
 from drpe.generator import get_setting, generate, metrics_from_coords, random_instance
 import drpe.metagraph
 import drpe.opsgraph
-from drpe.metagraph import _meta_values, get_transition_lookup, solve_meta
+import drpe.oracle
+from drpe.metagraph import _meta_values, get_transition_lookup, solve_meta, walk_back
 from drpe.model import (
     BaseCostModel,
     InfeasibleError,
@@ -142,6 +143,17 @@ def _twin_instance(seed, n_d=6, n_r=4):
     c_d, c_r = metrics_from_coords(base.dest_xy, rl_xy, 0.5)
     return Instance(n_d=n_d, n_r=n_r, c_d=c_d, c_r=c_r, w0=0, wt=n_r - 1,
                     e_max=base.e_max, dest_xy=base.dest_xy, rl_xy=rl_xy)
+
+
+def _twin_destination_instance(seed, n_d=7, n_r=3):
+    """Destinations 0 and 1 share their coordinates, so every operation
+    that flies one ties bitwise with the one that flies the other instead."""
+    base = random_instance(seed, n_d=n_d, n_r=n_r)
+    dest_xy = base.dest_xy.copy()
+    dest_xy[1] = dest_xy[0]
+    c_d, c_r = metrics_from_coords(dest_xy, base.rl_xy, 0.5)
+    return Instance(n_d=n_d, n_r=n_r, c_d=c_d, c_r=c_r, w0=base.w0, wt=base.wt,
+                    e_max=base.e_max, dest_xy=dest_xy, rl_xy=base.rl_xy)
 
 
 def _rls_used(tour):
@@ -349,6 +361,41 @@ def test_sweep_walk_back_reads_the_arcs_a_filter_over_all_sets_reads(make_model,
             assert want[0].size
             for g, expected in zip(got, want):
                 assert g.dtype == expected.dtype and np.array_equal(g, expected)
+
+
+@pytest.mark.parametrize("make_model", MODELS)
+def test_walk_backs_rebuild_the_forward_value_bitwise(make_model, monkeypatch):
+    # walk_back allows WALK_BACK_TOL, but stage 2 and the splitter add a
+    # tour's legs and makespans in the order build_tour does, so the
+    # rebuilt makespan is the forward value itself; solve_meta's incumbent
+    # screen relies on it (the exact sweep's may differ within the bound)
+    seen = []
+
+    def recording(inst, zeta, eps, row, *args):
+        tour = walk_back(inst, zeta, eps, row, *args)
+        seen.append((tour.makespan, float(zeta[row, inst.wt])))
+        return tour
+
+    monkeypatch.setattr(drpe.metagraph, "walk_back", recording)
+    monkeypatch.setattr(drpe.oracle, "walk_back", recording)
+    insts = [random_instance(seed, n_d=n_d, n_r=n_r, emax_factor=f, single_depot=seed % 2 == 1)
+             for seed, n_d, n_r, f in ((0, 8, 3, 1.6), (1, 9, 2, 4.0), (2, 7, 4, 2.5),
+                                       (3, 10, 3, 1.6))]
+    insts += [_twin_instance(4), _twin_destination_instance(5)]
+    calls = 0
+    for inst in insts:
+        model = make_model(inst)
+        x = initial_tsp_sequence(inst)
+        for p in (1, 2, 3, 4):
+            solve_meta(build_ops_graph(inst, x, p, model=model), inst, model)
+        prices = drpe.oracle.block_prices(x, inst, model)
+        for order in [x, *(tuple(np.random.default_rng(seed).permutation(inst.n_d).tolist())
+                           for seed in range(3))]:
+            drpe.oracle.split_optimal(order, inst, model)
+            drpe.oracle.split_optimal(order, inst, model, prices=prices)
+        calls += 4 + 8
+    assert len(seen) == calls
+    assert all(got == value for got, value in seen)
 
 
 def test_time_limit_stops_stage2_at_a_stage():

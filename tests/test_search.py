@@ -5,12 +5,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import drpe.metagraph
 import drpe.search
 from drpe.exact import solve_exact
 from drpe.generator import generate, get_setting, random_instance
 from drpe.metagraph import solve_meta
 from drpe.model import EPS, BaseCostModel, SizeGuardError, TimeLimitError, validate_tour
-from drpe.opsgraph import build_ops_graph
+from drpe.opsgraph import build_ops_graph, recover_operation_order
 from drpe.oracle import block_prices, is_bs_neighbor, split_optimal
 from drpe.search import (
     SearchConfig,
@@ -196,6 +197,39 @@ def test_single_depot_extension_only_helps():
         assert with_ext <= without + 1e-9
 
 
+@pytest.mark.parametrize("make_model", [BaseCostModel, binding_extended_model])
+def test_incumbent_screen_skips_only_neighborhoods_that_cannot_win(make_model, monkeypatch):
+    recovered = []
+
+    def counted(*args, **kwargs):
+        recovered.append(None)
+        return recover_operation_order(*args, **kwargs)
+
+    monkeypatch.setattr(drpe.metagraph, "recover_operation_order", counted)
+    improved = []
+    for seed in range(6):
+        inst = random_instance(seed, n_d=8, n_r=3, single_depot=seed % 2 == 1)
+        model = make_model(inst)
+        x = initial_tsp_sequence(inst)
+        center = split_optimal(x, inst, model)
+        for p in (1, 2, 3, 4):
+            plain = vlsn(inst, x, p, model=model)
+            # no tour of the neighborhood or of the wrap-around orders
+            # beats the search's own result: no walk-back, no recovery
+            recovered.clear()
+            assert vlsn(inst, x, p, model=model, incumbent=plain.tour).tour is plain.tour
+            assert not recovered
+            # against the center's split: the same tour when the search
+            # beats it, else the incumbent itself
+            screened = vlsn(inst, x, p, model=model, incumbent=center).tour
+            improved.append(plain.makespan < center.makespan - EPS)
+            if improved[-1]:
+                assert repr(screened) == repr(plain.tour)
+            else:
+                assert screened is center
+    assert 0 < sum(improved) < len(improved)
+
+
 def test_descent_prices_each_center_once(monkeypatch):
     # the initial split and every search of a center read one pricing of
     # it, however many widths fail there
@@ -232,13 +266,17 @@ def test_search_reports_carry_layer_times():
     step = vlsn(inst, x, 3)
     assert sorted(step.extras["layers"]) == VLSN_LAYERS
     assert step.extras["layers"]["recovery_s"] > 0.0
-    for rep in (vlsn_ls(inst, p=3), vlsn_vnd(inst, config=SearchConfig(p0=2, p_max=4))):
-        layers = rep.extras["layers"]
-        assert sorted(layers) == SEARCH_LAYERS
-        assert all(v >= 0.0 for v in layers.values())
-        assert layers["stage1_s"] > 0.0 and layers["split_s"] > 0.0
-        assert layers["recovery_s"] > 0.0
-        assert "timed_out" not in rep.extras
+    # seed 0's descents improve in stage 2; seed 3's never beat the initial
+    # split, so none of their neighborhoods is walked back
+    for seed, walked_back in ((0, True), (3, False)):
+        inst = random_instance(seed, n_d=7, n_r=3, single_depot=True)
+        for rep in (vlsn_ls(inst, p=3), vlsn_vnd(inst, config=SearchConfig(p0=2, p_max=4))):
+            layers = rep.extras["layers"]
+            assert sorted(layers) == SEARCH_LAYERS
+            assert all(v >= 0.0 for v in layers.values())
+            assert layers["stage1_s"] > 0.0 and layers["split_s"] > 0.0
+            assert (layers["recovery_s"] > 0.0) == walked_back
+            assert "timed_out" not in rep.extras
     for rep in (rts(inst), rts(inst, x0=x)):
         layers = rep.extras["layers"]
         assert sorted(layers) == ["initial_order_s", "initial_split_s"]

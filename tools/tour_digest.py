@@ -14,12 +14,14 @@ from the perfbench directory next to SRC), `solve_exact` and `limop`
 (klim 1-3) under both cost models, `vlsn` at p 1-4, and `split_optimal`
 from the initial order and from random orders, on random instances, on
 two instances that force bitwise ties (`tie_instances`) and on the Basis
-instances, `solve_exact` and `vlsn` at p 4 and 7 under both cost models on
-random instances with loose flights, whose tours but one hold operations
-of 7 to 11 destinations, `vlsn` at p 2-4 under both cost models on
-single-depot random instances, where it also splits the wrap-around
-orders, and `pract` on the case-study instances of seeds 0-2 at residual
-charge 0.1 and 0.3 (its energy audited, not required).
+instances, `vlsn_ls` at p 2 and 3 and `vlsn_vnd` at p 2-4 under both cost
+models on the tie-forcing instances, `solve_exact` and `vlsn` at p 4 and 7
+under both cost models on random instances with loose flights, whose
+tours but one hold operations of 7 to 11 destinations, `vlsn` at p 2-4
+under both cost models on single-depot random instances, where it also
+splits the wrap-around orders, and `pract` on the case-study instances of
+seeds 0-2 at residual charge 0.1 and 0.3 (its energy audited, not
+required).
 
 The tables are stage 1's from the perfbench workloads' initial (TSP)
 orders, at each width the workload searches and under each cost model its
@@ -91,6 +93,19 @@ def solves(drpe, workloads):
                 yield (f"vlsn {inst.name} {name} p={p}", inst, model,
                        lambda inst=inst, model=model, x=x, p=p:
                        drpe.vlsn(inst, x, p, model=model), True)
+    # descents on ties: a neighborhood whose optimum only ties with the
+    # incumbent is not walked back
+    for inst in ties:
+        for name, make_model in models.items():
+            model = make_model(inst)
+            for p in (2, 3):
+                yield (f"vlsn-ls {inst.name} {name} p={p}", inst, model,
+                       lambda inst=inst, model=model, p=p:
+                       drpe.vlsn_ls(inst, p=p, model=model), True)
+            yield (f"vlsn-vnd {inst.name} {name} p0=2 p_max=4", inst, model,
+                   lambda inst=inst, model=model:
+                   drpe.vlsn_vnd(inst, config=drpe.SearchConfig(p0=2, p_max=4), model=model),
+                   True)
     # loose flights: 29 of these 30 tours hold an operation of 7 to 11
     # destinations, recovered at p=None by exact and at width p by vlsn
     for seed, n_d, emax_factor in ((11, 12, 2.5), (14, 12, 2.0), (15, 14, 1.8),
