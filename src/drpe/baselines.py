@@ -291,14 +291,17 @@ def limop(inst: Instance, klim: int = 2, model: Optional[object] = None,
 # ---------------------------------------------------------------------------
 
 def _randomized_3nn_order(inst: Instance, rng: np.random.Generator) -> tuple:
-    remaining = list(range(inst.n_d))
+    """Greedy order that steps to one of the three nearest unvisited
+    destinations (by flight time, ties by index), drawn uniformly."""
+    left = np.ones(inst.n_d, dtype=bool)
     order = []
     row = inst.cd_rd[inst.w0]
-    while remaining:
-        remaining.sort(key=lambda u: (row[u], u))
-        pick = remaining[int(rng.integers(min(3, len(remaining))))]
+    for n_left in range(inst.n_d, 0, -1):
+        unvisited = np.flatnonzero(left)
+        nearest = unvisited[np.argsort(row[unvisited], kind="stable")[:3]]
+        pick = int(nearest[int(rng.integers(min(3, n_left)))])
         order.append(pick)
-        remaining.remove(pick)
+        left[pick] = False
         row = inst.cd_dd[pick]
     return tuple(order)
 

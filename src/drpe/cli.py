@@ -164,6 +164,10 @@ def cmd_solve(args) -> int:
     if args.out:
         save_solution(report.tour, args.out)
     print(report.summary())
+    for flag in ("timed_out", "stopped_by_state_budget"):
+        if report.extras.get(flag):
+            print(f"note: {args.algo} stopped early ({flag}) after {report.iterations} "
+                  "searches; the tour is the best found by then", file=sys.stderr)
     if args.stats:
         for key, val in sorted(report.extras.items()):
             print(f"  {key}: {val}")

@@ -4,7 +4,9 @@ neighborhood descent, and the route-first-split-second baseline.
 vlsn(x, p) finds the best tour whose destination order stays within the
 precedence neighborhood of x (two-stage DP). Descent re-centers on the
 incumbent's order, widens p after every failed attempt and resets it after
-every success; local search is descent at one width.
+every success; local search is descent at one width. A descent splits each
+destination order at most once: a wrap-around order it has split already
+cannot beat its incumbent, which only improves.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ def vlsn(inst: Instance, x: Sequence[int], p: int,
          model: Optional[object] = None,
          deadline: Optional[float] = None,
          prices: Optional[BlockPrices] = None,
-         incumbent: Optional[DroneTour] = None) -> SolveReport:
+         incumbent: Optional[DroneTour] = None,
+         settled: Optional[set] = None) -> SolveReport:
     """Best tour in the order neighborhood of x at width p; with an
     ``incumbent``, that tour only if it beats the incumbent by more than
     EPS, else the incumbent itself (``solve_meta(incumbent=)``, which then
@@ -70,6 +73,10 @@ def vlsn(inst: Instance, x: Sequence[int], p: int,
     neighborhood are additionally split, each against the best tour so far
     and from one pricing of the blocks of x (``block_prices``, or
     ``prices`` when given, which must be those of x under this model).
+    With ``settled``, a set of orders already split against incumbents no
+    better than ``incumbent``, the orders in it are skipped and the orders
+    split are added to it; ``extras["shifted_orders"]`` counts the orders
+    split and ``extras["settled_orders"]`` those skipped.
     ``extras["layers"]`` holds the seconds spent in stage 1, stage 2's
     forward pass, the recovery of the tour and its operation orders, and
     those splits. Past ``deadline`` (a ``time.perf_counter()`` value,
@@ -84,15 +91,20 @@ def vlsn(inst: Instance, x: Sequence[int], p: int,
     best, meta_stats = solve_meta(table, inst, model=model, deadline=deadline,
                                   incumbent=incumbent)
 
-    extra_orders = 0
+    extra_orders = skipped = 0
+    settled = set() if settled is None else settled
     t_split = time.perf_counter()
     if _wraps_around(inst, p):
         if prices is None:
             prices = block_prices(x, inst, model)
         for y in shifted_permutations(x, p):
+            if y in settled:
+                skipped += 1
+                continue
             check_deadline(deadline)
             extra_orders += 1
             best = split_optimal(y, inst, model=model, prices=prices, incumbent=best)
+            settled.add(y)
     layers = {"stage1_s": table.stats.elapsed, "stage2_s": meta_stats.elapsed,
               "recovery_s": meta_stats.recovery_elapsed,
               "split_s": time.perf_counter() - t_split}
@@ -106,7 +118,7 @@ def vlsn(inst: Instance, x: Sequence[int], p: int,
         meta_states=meta_stats.states,
         meta_arcs=meta_stats.arcs,
         wall_time=time.perf_counter() - t0,
-        extras={"p": p, "shifted_orders": extra_orders,
+        extras={"p": p, "shifted_orders": extra_orders, "settled_orders": skipped,
                 "table_entries": table.stats.terminal_entries, "layers": layers},
     )
 
@@ -117,6 +129,8 @@ def _accumulate(total: SolveReport, part: SolveReport) -> None:
     total.ops_arcs += part.ops_arcs
     total.meta_states += part.meta_states
     total.meta_arcs += part.meta_arcs
+    for key in ("shifted_orders", "settled_orders"):
+        total.extras[key] += part.extras[key]
     for key, val in part.extras["layers"].items():
         total.extras["layers"][key] += val
 
@@ -128,8 +142,15 @@ def _descend(inst, x0, p0, p_max, model, time_limit, algorithm, extras):
     flagged by ``extras["timed_out"]``; a search that the limit stops
     leaves the incumbent as it was). At p = n_d the neighborhood already
     contains every order, so widths beyond n_d are searched at n_d.
-    ``extras["layers"]`` sums the searches' layer times and adds the
-    initial order's and its split's."""
+
+    The descent splits each order at most once: ``settled`` holds the
+    initial order and every wrap-around order split so far, and ``vlsn``
+    skips them. Each either lost to the incumbent of its time or became
+    it, and the incumbent only improves, so splitting it again (which is
+    deterministic) would return the incumbent. ``extras`` sums the
+    searches' ``shifted_orders`` and ``settled_orders``, and
+    ``extras["layers"]`` their layer times plus the initial order's and
+    its split's."""
     model = model or BaseCostModel(inst)
     t0 = time.perf_counter()
     deadline = None if time_limit is None else t0 + time_limit
@@ -143,7 +164,8 @@ def _descend(inst, x0, p0, p_max, model, time_limit, algorithm, extras):
               "initial_split_s": time.perf_counter() - t_split,
               "stage1_s": 0.0, "stage2_s": 0.0, "recovery_s": 0.0, "split_s": 0.0}
     report = SolveReport(algorithm=algorithm, tour=incumbent, iterations=0,
-                         extras={"layers": layers})
+                         extras={"layers": layers, "shifted_orders": 0, "settled_orders": 0})
+    settled = {x0}
     p_stop = min(p_max, inst.n_d)
     p = p_reset = min(p0, p_stop)
     while p <= p_stop:
@@ -157,7 +179,7 @@ def _descend(inst, x0, p0, p_max, model, time_limit, algorithm, extras):
             layers["split_s"] += time.perf_counter() - t_split
         try:
             step = vlsn(inst, center, p, model=model, deadline=deadline, prices=prices,
-                        incumbent=report.tour)
+                        incumbent=report.tour, settled=settled)
         except SizeGuardError:
             report.extras["stopped_by_state_budget"] = True
             break

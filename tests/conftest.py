@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from drpe.energy import ExtendedCostModel, ExtendedCosts
-from drpe.generator import metrics_from_coords
+from drpe.generator import metrics_from_coords, random_instance
 from drpe.model import DroneTour, Instance, Operation, RechargingLeg, build_tour
 from drpe.opsgraph import OperationCostTable
 
@@ -43,6 +43,30 @@ def binding_extended_model(inst: Instance) -> ExtendedCostModel:
     xi_max = ((inst.e_max + costs["xi_tkof"] + costs["xi_land"])
               / (1 - costs["residual"]))
     return ExtendedCostModel(inst, ExtendedCosts(xi_max=xi_max, **costs))
+
+
+def twin_rl_instance(seed, n_d=6, n_r=4, single_depot=False):
+    """RLs 1 and 2 share their coordinates, so every value through one
+    equals the value through the other bitwise."""
+    base = random_instance(seed, n_d=n_d, n_r=n_r)
+    rl_xy = base.rl_xy.copy()
+    rl_xy[1] = rl_xy[2] = base.dest_xy.mean(axis=0)
+    c_d, c_r = metrics_from_coords(base.dest_xy, rl_xy, 0.5)
+    return Instance(n_d=n_d, n_r=n_r, c_d=c_d, c_r=c_r, w0=0,
+                    wt=0 if single_depot else n_r - 1,
+                    e_max=base.e_max, dest_xy=base.dest_xy, rl_xy=rl_xy)
+
+
+def twin_destination_instance(seed, n_d=7, n_r=3, single_depot=False):
+    """Destinations 0 and 1 share their coordinates, so every operation
+    that flies one ties bitwise with the one that flies the other instead."""
+    base = random_instance(seed, n_d=n_d, n_r=n_r)
+    dest_xy = base.dest_xy.copy()
+    dest_xy[1] = dest_xy[0]
+    c_d, c_r = metrics_from_coords(dest_xy, base.rl_xy, 0.5)
+    return Instance(n_d=n_d, n_r=n_r, c_d=c_d, c_r=c_r, w0=base.w0,
+                    wt=base.w0 if single_depot else base.wt,
+                    e_max=base.e_max, dest_xy=dest_xy, rl_xy=base.rl_xy)
 
 
 def two_step_price(model, flights, rover=None):

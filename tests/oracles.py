@@ -201,6 +201,21 @@ def nearest_neighbor_order(inst: Instance) -> list:
     return order
 
 
+def randomized_3nn_order(inst: Instance, rng: np.random.Generator) -> tuple:
+    """The order ``baselines._randomized_3nn_order`` draws, re-sorting the
+    remaining destinations by (flight time, destination) at each step."""
+    remaining = list(range(inst.n_d))
+    order = []
+    row = inst.cd_rd[inst.w0]
+    while remaining:
+        remaining.sort(key=lambda u: (row[u], u))
+        pick = remaining[int(rng.integers(min(3, len(remaining))))]
+        order.append(pick)
+        remaining.remove(pick)
+        row = inst.cd_dd[pick]
+    return tuple(order)
+
+
 def brute_force_optimum(inst: Instance, model: Optional[object] = None) -> DroneTour:
     """Global optimum by trying every destination order; guarded small sizes."""
     if inst.n_d > BRUTE_FORCE_ND or inst.n_r > BRUTE_FORCE_NR:

@@ -12,6 +12,7 @@ from drpe.baselines import (
     _capped_op_table,
     _nearest_neighbor,
     _path_cost,
+    _randomized_3nn_order,
     initial_tsp_sequence,
     limop,
     rts_3nn,
@@ -24,7 +25,7 @@ from drpe.opsgraph import build_ops_graph
 from drpe.oracle import split_optimal
 from drpe.search import rts
 from tests.conftest import binding_extended_model, entries
-from tests.oracles import nearest_neighbor_order
+from tests.oracles import nearest_neighbor_order, randomized_3nn_order
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +250,23 @@ def test_nearest_neighbor_matches_scalar_oracle(n_d):
     inst.c_d[5, 5] = 0.0
     order = _nearest_neighbor(inst)
     assert order == nearest_neighbor_order(inst) and order[-1] == 5
+
+
+@pytest.mark.parametrize("n_d", [17, 23, 31, 48, 75, 120])
+def test_randomized_3nn_matches_sort_oracle(n_d):
+    insts = [inst for seed in range(2)
+             for inst in (random_instance(seed, n_d=n_d, n_r=4, single_depot=seed == 1),
+                          _duplicated_instance(seed, n_d))]
+    # a destination no other one reaches ties at +inf with what is left
+    unreachable = random_instance(0, n_d=n_d, n_r=4)
+    unreachable.c_d[:n_d, 5] = unreachable.c_d[n_d:, 5] = np.inf
+    unreachable.c_d[5, 5] = 0.0
+    for inst in [*insts, unreachable]:
+        for seed in range(3):
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert _randomized_3nn_order(inst, rng) == randomized_3nn_order(inst, oracle_rng)
+            # both drew the same numbers: the next draws agree too
+            assert rng.random() == oracle_rng.random()
 
 
 def test_tsp_collinear_order():

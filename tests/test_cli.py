@@ -450,6 +450,21 @@ def test_search_stats_print_layers_and_timeout(tmp_path, capsys):
     assert "layers: {'initial_order_s': " in capsys.readouterr().out
 
 
+def test_solve_notes_a_descent_that_stopped_early(tmp_path, capsys):
+    out = _gen(tmp_path, count=1)
+    inst_path = str(next(out.glob("Basis_small_s1.json")))
+    # p=40 is searched at n_d=16, whose stage-1 table the state budget refuses
+    for argv, flag in ((["--algo", "vlsn-ls", "--p", "40"], "stopped_by_state_budget"),
+                       (["--algo", "vlsn-vnd", "--time-limit", "0"], "timed_out")):
+        assert main(["solve", "-i", inst_path, *argv]) == 0
+        captured = capsys.readouterr()
+        assert "iters=0" in captured.out
+        assert captured.err == (f"note: {argv[1]} stopped early ({flag}) after 0 searches; "
+                                "the tour is the best found by then\n")
+    assert main(["solve", "--algo", "vlsn-ls", "-i", inst_path, "--p", "2"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_validate_metric_closure(tmp_path):
     # the direct 0-1 flight is longer than the detour through node 2, so the
     # instance loads only with the closure

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from drpe.baselines import _capped_op_table, initial_tsp_sequence, limop
 import drpe.exact
 from drpe.exact import _masks_by_popcount, _sweep_values, full_meta_sweep, solve_exact
-from drpe.generator import get_setting, generate, metrics_from_coords, random_instance
+from drpe.generator import get_setting, generate, random_instance
 import drpe.metagraph
 import drpe.opsgraph
 import drpe.oracle
@@ -20,14 +20,20 @@ from drpe.metagraph import _meta_values, get_transition_lookup, solve_meta, walk
 from drpe.model import (
     BaseCostModel,
     InfeasibleError,
-    Instance,
     Operation,
     RechargingLeg,
     TimeLimitError,
     build_tour,
 )
 from drpe.opsgraph import OperationCostTable, build_ops_graph, recover_operation_order
-from tests.conftest import FlightPricing, binding_extended_model, dense_view, two_step_price
+from tests.conftest import (
+    FlightPricing,
+    binding_extended_model,
+    dense_view,
+    twin_destination_instance,
+    twin_rl_instance,
+    two_step_price,
+)
 from tests.oracles import (
     arcs_into_by_filter,
     brute_force_optimum,
@@ -134,28 +140,6 @@ def _dense_sweep(inst, op_flights, model):
     return zeta, eps, arcs
 
 
-def _twin_instance(seed, n_d=6, n_r=4):
-    """RLs 1 and 2 share their coordinates, so every value through one
-    equals the value through the other bitwise."""
-    base = random_instance(seed, n_d=n_d, n_r=n_r)
-    rl_xy = base.rl_xy.copy()
-    rl_xy[1] = rl_xy[2] = base.dest_xy.mean(axis=0)
-    c_d, c_r = metrics_from_coords(base.dest_xy, rl_xy, 0.5)
-    return Instance(n_d=n_d, n_r=n_r, c_d=c_d, c_r=c_r, w0=0, wt=n_r - 1,
-                    e_max=base.e_max, dest_xy=base.dest_xy, rl_xy=rl_xy)
-
-
-def _twin_destination_instance(seed, n_d=7, n_r=3):
-    """Destinations 0 and 1 share their coordinates, so every operation
-    that flies one ties bitwise with the one that flies the other instead."""
-    base = random_instance(seed, n_d=n_d, n_r=n_r)
-    dest_xy = base.dest_xy.copy()
-    dest_xy[1] = dest_xy[0]
-    c_d, c_r = metrics_from_coords(dest_xy, base.rl_xy, 0.5)
-    return Instance(n_d=n_d, n_r=n_r, c_d=c_d, c_r=c_r, w0=base.w0, wt=base.wt,
-                    e_max=base.e_max, dest_xy=dest_xy, rl_xy=base.rl_xy)
-
-
 def _rls_used(tour):
     used = set()
     for el in tour.elements:
@@ -171,7 +155,7 @@ def test_batched_stage2_matches_per_arc_loop(make_model):
     cases = [(random_instance(seed, n_d=n_d, n_r=n_r), p)
              for seed, n_d, n_r in ((0, 6, 3), (1, 7, 4), (2, 8, 2), (3, 5, 1))
              for p in (1, 2, 3, 5)]
-    cases += [(_twin_instance(4), 3)]
+    cases += [(twin_rl_instance(4), 3)]
     for inst, p in cases:
         model = make_model(inst)
         x = initial_tsp_sequence(inst)
@@ -200,7 +184,7 @@ def _assert_sweep_matches_dense_loop(inst, model, build):
 def test_batched_sweep_matches_dense_loop(make_model):
     insts = [random_instance(seed, n_d=n_d, n_r=n_r)
              for seed, n_d, n_r in ((0, 6, 3), (1, 8, 4), (2, 9, 2), (3, 5, 1))]
-    insts += [_twin_instance(5), generate(get_setting("Basis", "small"), 1)]
+    insts += [twin_rl_instance(5), generate(get_setting("Basis", "small"), 1)]
     for inst in insts:
         _assert_sweep_matches_dense_loop(
             inst, make_model(inst),
@@ -290,7 +274,7 @@ def test_time_limit_trips_inside_a_sweep_level(monkeypatch):
 def test_table_rebuilt_from_its_dense_view_sweeps_alike(make_model):
     insts = [random_instance(seed, n_d=n_d, n_r=n_r)
              for seed, n_d, n_r in ((0, 6, 3), (1, 8, 4), (3, 5, 1))]
-    insts += [_twin_instance(5), generate(get_setting("Basis", "small"), 1)]
+    insts += [twin_rl_instance(5), generate(get_setting("Basis", "small"), 1)]
     for inst in insts:
         model = make_model(inst)
         table = build_ops_graph(inst, tuple(range(inst.n_d)), None, model=model)
@@ -309,7 +293,7 @@ def test_stage2_values_do_not_depend_on_the_batch_size(make_model, monkeypatch):
     # chunk larger than the whole table, which spans every stage
     cases = [(random_instance(seed, n_d=n_d, n_r=n_r, emax_factor=4.0), p)
              for seed, n_d, n_r in ((0, 8, 3), (1, 9, 2)) for p in (2, 4)]
-    cases += [(_twin_instance(4), 3)]
+    cases += [(twin_rl_instance(4), 3)]
     for inst, p in cases:
         model = make_model(inst)
         x = initial_tsp_sequence(inst)
@@ -329,7 +313,7 @@ def test_walk_back_reads_the_arcs_a_filter_over_all_arcs_reads(make_model):
     cases = [(random_instance(seed, n_d=n_d, n_r=n_r, emax_factor=f), p)
              for seed, n_d, n_r, f in ((0, 8, 3, 4.0), (1, 9, 2, 1.6), (2, 7, 4, 4.0))
              for p in (1, 2, 4)]
-    cases += [(_twin_instance(4), 3), (_twin_instance(6, n_d=8), 2)]
+    cases += [(twin_rl_instance(4), 3), (twin_rl_instance(6, n_d=8), 2)]
     for inst, p in cases:
         table = build_ops_graph(inst, initial_tsp_sequence(inst), p, model=make_model(inst))
         _, eps, _, arcs_into = _meta_values(table, inst)
@@ -351,7 +335,7 @@ def test_sweep_walk_back_reads_the_arcs_a_filter_over_all_sets_reads(make_model,
         monkeypatch.setattr(drpe.opsgraph, "CHUNK_VALUES", chunk)
     insts = [random_instance(seed, n_d=n_d, n_r=n_r, emax_factor=f)
              for seed, n_d, n_r, f in ((0, 7, 3, 4.0), (1, 8, 2, 1.6), (2, 6, 4, 2.5))]
-    insts += [_twin_instance(4), _twin_instance(6, n_d=7)]
+    insts += [twin_rl_instance(4), twin_rl_instance(6, n_d=7)]
     for inst in insts:
         table = build_ops_graph(inst, tuple(range(inst.n_d)), None, model=make_model(inst))
         _, eps, _, arcs_into = _sweep_values(inst, table)
@@ -381,7 +365,7 @@ def test_walk_backs_rebuild_the_forward_value_bitwise(make_model, monkeypatch):
     insts = [random_instance(seed, n_d=n_d, n_r=n_r, emax_factor=f, single_depot=seed % 2 == 1)
              for seed, n_d, n_r, f in ((0, 8, 3, 1.6), (1, 9, 2, 4.0), (2, 7, 4, 2.5),
                                        (3, 10, 3, 1.6))]
-    insts += [_twin_instance(4), _twin_destination_instance(5)]
+    insts += [twin_rl_instance(4), twin_destination_instance(5)]
     calls = 0
     for inst in insts:
         model = make_model(inst)
@@ -420,7 +404,7 @@ def test_twin_rls_resolve_to_the_lower_index(solve):
     # the walk-back takes the first equal match, so of two RLs that tie on
     # every value the tour uses the lower one only
     for seed in (0, 1, 4):
-        used = _rls_used(solve(_twin_instance(seed)))
+        used = _rls_used(solve(twin_rl_instance(seed)))
         assert 1 in used and 2 not in used
 
 

@@ -22,7 +22,7 @@ from drpe.search import (
     vlsn_vnd,
 )
 from drpe.baselines import initial_tsp_sequence
-from tests.conftest import binding_extended_model
+from tests.conftest import binding_extended_model, twin_destination_instance, twin_rl_instance
 from tests.oracles import brute_force_optimum
 
 
@@ -228,6 +228,58 @@ def test_incumbent_screen_skips_only_neighborhoods_that_cannot_win(make_model, m
             else:
                 assert screened is center
     assert 0 < sum(improved) < len(improved)
+
+
+DESCENT_COUNTS = ("neighborhoods", "iterations", "ops_states", "ops_arcs", "meta_states",
+                  "meta_arcs")
+
+
+def _descents():
+    for p0, p_max in ((1, 4), (2, 5), (1, 6), (2, 6)):
+        yield lambda inst, model, p0=p0, p_max=p_max: vlsn_vnd(
+            inst, config=SearchConfig(p0=p0, p_max=p_max), model=model)
+    for p in (2, 3, 4):
+        yield lambda inst, model, p=p: vlsn_ls(inst, p=p, model=model)
+
+
+@pytest.mark.parametrize("make_model", [BaseCostModel, binding_extended_model])
+def test_descents_split_each_order_once_and_return_what_resplitting_did(
+        make_model, monkeypatch):
+    split = []
+
+    def counted(y, *args, **kwargs):
+        split.append(tuple(y))
+        return split_optimal(y, *args, **kwargs)
+
+    def unsettled(*args, settled=None, **kwargs):
+        return vlsn(*args, **kwargs)
+
+    monkeypatch.setattr(drpe.search, "split_optimal", counted)
+    insts = [random_instance(seed, n_d=n_d, n_r=n_r, single_depot=True)
+             for seed, n_d, n_r in ((4, 9, 4), (8, 7, 3), (10, 7, 3), (14, 8, 3), (0, 8, 3))]
+    insts += [twin_rl_instance(4), twin_destination_instance(5),
+              twin_rl_instance(4, single_depot=True),
+              twin_destination_instance(5, single_depot=True)]
+    repeats = 0
+    for inst in insts:
+        model = make_model(inst)
+        for descend in _descents():
+            split.clear()
+            settled = descend(inst, model)
+            assert len(set(split)) == len(split) == 1 + settled.extras["shifted_orders"]
+            with monkeypatch.context() as m:
+                m.setattr(drpe.search, "vlsn", unsettled)
+                split.clear()
+                resplit = descend(inst, model)
+            repeats += len(split) - len(set(split))
+            assert repr(settled.tour) == repr(resplit.tour)
+            assert settled.makespan == resplit.makespan
+            assert ([getattr(settled, f) for f in DESCENT_COUNTS]
+                    == [getattr(resplit, f) for f in DESCENT_COUNTS])
+            assert (settled.extras["shifted_orders"] + settled.extras["settled_orders"]
+                    == resplit.extras["shifted_orders"])
+            assert resplit.extras["settled_orders"] == 0
+    assert repeats > 0
 
 
 def test_descent_prices_each_center_once(monkeypatch):

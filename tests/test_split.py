@@ -22,9 +22,8 @@ from drpe.model import (
 )
 from drpe.oracle import block_prices, split_optimal
 from drpe.search import shifted_permutations, vlsn
-from tests.conftest import binding_extended_model, two_step_price
+from tests.conftest import binding_extended_model, twin_rl_instance, two_step_price
 from tests.test_oracle import _block_split_best
-from tests.test_relaxation import _twin_instance
 
 MODELS = [BaseCostModel, binding_extended_model]
 
@@ -99,7 +98,7 @@ def test_sparse_split_matches_per_block_dp_on_random_instances(make_model):
              for seed, n_d, n_r, factor, single in (
                  (0, 8, 3, 1.1, False), (1, 9, 4, 1.1, True), (2, 7, 2, 4.0, False),
                  (3, 10, 5, 4.0, True), (4, 6, 1, 1.6, True), (5, 1, 3, 1.6, False))]
-    insts.append(_twin_instance(6, n_d=8))
+    insts.append(twin_rl_instance(6, n_d=8))
     for inst in insts:
         model = make_model(inst)
         rng = np.random.default_rng(inst.n_d)

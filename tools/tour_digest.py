@@ -17,9 +17,10 @@ two instances that force bitwise ties (`tie_instances`) and on the Basis
 instances, `vlsn_ls` at p 2 and 3 and `vlsn_vnd` at p 2-4 under both cost
 models on the tie-forcing instances, `solve_exact` and `vlsn` at p 4 and 7
 under both cost models on random instances with loose flights, whose
-tours but one hold operations of 7 to 11 destinations, `vlsn` at p 2-4
-under both cost models on single-depot random instances, where it also
-splits the wrap-around orders, and `pract` on the case-study instances of
+tours but one hold operations of 7 to 11 destinations, `vlsn` at p 2-4,
+`vlsn_vnd` at p 2-5 and `vlsn_ls` at p 3 under both cost models on
+single-depot random instances, where they also split the wrap-around
+orders, and `pract` on the case-study instances of
 seeds 0-2 at residual charge 0.1 and 0.3 (its energy audited, not
 required).
 
@@ -120,7 +121,9 @@ def solves(drpe, workloads):
                 yield (f"vlsn {inst.name} {name} e_max x{emax_factor} p={p}", inst, model,
                        lambda inst=inst, model=model, x=x, p=p:
                        drpe.vlsn(inst, x, p, model=model), True)
-    # 12 of these 24 searches return the tour of a wrap-around order
+    # 12 of the 24 `vlsn` searches here return the tour of a wrap-around
+    # order; the descents re-center on such tours and meet wrap-around
+    # orders again
     for seed, n_d, n_r in ((4, 9, 4), (8, 7, 3), (10, 7, 3), (14, 8, 3)):
         inst = drpe.random_instance(seed, n_d=n_d, n_r=n_r, single_depot=True)
         x = drpe.initial_tsp_sequence(inst)
@@ -130,6 +133,12 @@ def solves(drpe, workloads):
                 yield (f"vlsn {inst.name} {name} p={p}", inst, model,
                        lambda inst=inst, model=model, x=x, p=p:
                        drpe.vlsn(inst, x, p, model=model), True)
+            yield (f"vlsn-vnd {inst.name} {name} p0=2 p_max=5", inst, model,
+                   lambda inst=inst, model=model:
+                   drpe.vlsn_vnd(inst, config=drpe.SearchConfig(p0=2, p_max=5), model=model),
+                   True)
+            yield (f"vlsn-ls {inst.name} {name} p=3", inst, model,
+                   lambda inst=inst, model=model: drpe.vlsn_ls(inst, p=3, model=model), True)
     for inst in [*randoms, *ties, small, loose, large]:
         x = drpe.initial_tsp_sequence(inst)
         orders = [x, *(tuple(np.random.default_rng(seed).permutation(inst.n_d).tolist())
